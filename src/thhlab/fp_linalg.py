@@ -1,9 +1,11 @@
 """Exact linear algebra over prime fields F_p for odd primes p.
 
-Everything is dense int64 numpy with explicit mod-p reduction; products
-route through float64 BLAS only when every entry is provably below 2^53,
-so results stay exact.  Matrices act on column vectors; subspaces are
-passed around as row-spanning matrices.
+Everything is dense int64 numpy with explicit mod-p reduction.  Primes are
+bounded below 2^31, so every product of two reduced entries fits in int64
+and elimination stays exact.  Matrix products route through float64 BLAS
+only when every entry is provably below 2^53, and through exact Python
+integers when an int64 sum of products could overflow.  Matrices act on
+column vectors; subspaces are passed around as row-spanning matrices.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+
+P_BOUND = 2**31  # keeps (p - 1)^2 inside int64, so rref cannot overflow
 
 
 class FpLinAlgError(Exception):
@@ -44,6 +49,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= P_BOUND:  # before the trial division, which stalls on huge p
+            raise ValueError(f"p must be below 2^31 = {P_BOUND}, got {self.p}")
         if self.p == 2 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
 
@@ -108,12 +115,17 @@ class FpMatrix:
             raise DimensionMismatch("matrices live over different fields")
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"cannot compose {self.shape} with {other.shape}")
-        # integer matmul skips BLAS; float64 is exact while every product
-        # entry stays below 2^53, which holds for any plausible size here
-        if self.shape[1] * (self.field.p - 1) ** 2 < 2**53:
+        # float64 is exact while every product entry stays below 2^53, which
+        # holds for any plausible size here; int64 while it stays below 2^63;
+        # past that, Python integers are exact at any size
+        bound = self.shape[1] * (self.field.p - 1) ** 2
+        if bound < 2**53:
             prod = np.rint(self.data.astype(np.float64) @ other.data.astype(np.float64))
             return FpMatrix(self.field, prod.astype(np.int64))
-        return FpMatrix(self.field, self.data @ other.data)
+        if bound < 2**63:
+            return FpMatrix(self.field, self.data @ other.data)
+        prod = (self.data.astype(object) @ other.data.astype(object)) % self.field.p
+        return FpMatrix(self.field, prod)
 
     def is_zero(self) -> bool:
         return not self.data.any()

@@ -96,6 +96,15 @@ class Generator:
     def is_odd(self) -> bool:
         return self.total_degree % 2 == 1
 
+    def max_exponent(self, room: int) -> int:
+        """Largest exponent this kind allows with total degree at most room."""
+        e = room // self.total_degree
+        if self.kind == "exterior":
+            return min(e, 1)
+        if self.kind == "truncated":
+            return min(e, (self.height or 0) - 1)
+        return e
+
 
 def exterior(name: str, degree: int, filtration: int = 0) -> Generator:
     return Generator(name, degree, "exterior", None, filtration)
@@ -283,14 +292,8 @@ class AlgebraSpec:
             if i == len(gens):
                 table[deg].append(tuple(mono))
                 return
-            g = gens[i]
-            d = g.total_degree
-            emax = (cap - deg) // d
-            if g.kind == "exterior":
-                emax = min(emax, 1)
-            elif g.kind == "truncated":
-                emax = min(emax, (g.height or 0) - 1)
-            for e in range(emax + 1):
+            d = gens[i].total_degree
+            for e in range(gens[i].max_exponent(cap - deg) + 1):
                 mono[i] = e
                 rec(i + 1, deg + e * d)
             mono[i] = 0

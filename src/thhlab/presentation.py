@@ -7,6 +7,12 @@ bad rule orders; local confluence at desk scale is a property test, not a
 theorem.  Divided generators are out of scope here (divisibility of
 gamma-indices is not meaningful for rewriting).
 
+The normal-form basis is the set of irreducible monomials, those no rule
+lhs divides.  It is an order ideal: every divisor of an irreducible
+monomial is irreducible, since an lhs dividing the divisor divides the
+monomial too.  Basis enumeration relies on this to visit only irreducible
+monomials, never the whole ambient basis.
+
 The module also houses make_theta, the truncated two-family presentation
 used throughout, and check_derivation, which verifies that a declared
 degree +1 derivation is compatible with every relation and truncation of a
@@ -15,9 +21,10 @@ carrier algebra.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .fp_linalg import PrimeField
 from .graded_algebra import (
@@ -41,13 +48,23 @@ class NonTermination(GradedError):
     """Rewriting exceeded the step bound; the rule order is not well-founded."""
 
 
+class RewriteMismatch(GradedError):
+    """A rule lhs times the quotient does not give back the rewritten monomial."""
+
+
 @dataclass(frozen=True, eq=False)
 class RewriteRule:
     lhs: Mono
     rhs: TermDict
+    # the (slot, exponent) pairs where lhs is nonzero: all divides reads
+    support: tuple[tuple[int, int], ...] = dataclasses.field(init=False, repr=False)
 
-    def divides(self, mono: Mono) -> bool:
-        return all(l <= m for l, m in zip(self.lhs, mono))
+    def __post_init__(self) -> None:
+        support = tuple((i, e) for i, e in enumerate(self.lhs) if e)
+        object.__setattr__(self, "support", support)
+
+    def divides(self, mono: Sequence[int]) -> bool:
+        return all(mono[i] >= e for i, e in self.support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +126,11 @@ class Presentation:
             coeff = work.pop(m)
             quotient = tuple(em - el for em, el in zip(m, rule.lhs))
             prod = alg.mono_mul(rule.lhs, quotient)
-            assert prod is not None and prod[1] == m
+            if prod is None or prod[1] != m:
+                raise RewriteMismatch(
+                    f"{alg.format_mono(rule.lhs)} times {alg.format_mono(quotient)} "
+                    f"is not {alg.format_mono(m)}"
+                )
             repl = alg.mul_dicts(rule.rhs, {quotient: 1})
             repl = alg.scale_dict(coeff * pow(prod[0], -1, p), repl)
             work = alg.add_dicts(work, repl)
@@ -117,8 +138,37 @@ class Presentation:
     # -- basis -----------------------------------------------------------------
 
     def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
-        table = self.algebra.basis_by_degree(cap)
-        return {n: [m for m in table[n] if self.irreducible(m)] for n in table}
+        """All irreducible monomials of total degree <= cap, keyed by degree.
+
+        Walks the ambient recursion of AlgebraSpec.basis_by_degree but visits
+        only irreducible monomials.  They form an order ideal: a rule lhs
+        that divides m divides every multiple of m.  Each rule is tested
+        where its lhs has its last nonzero slot, once that prefix of the
+        monomial is fixed, and the first rule to divide it stops the
+        exponent at that slot from rising further.  Lists come out in the
+        ambient order, as if the ambient table were filtered by irreducible.
+        """
+        gens = self.algebra.generators
+        table: dict[int, list[Mono]] = {n: [] for n in range(cap + 1)}
+        closing: list[list[RewriteRule]] = [[] for _ in gens]
+        for rule in self.rules:
+            closing[rule.support[-1][0]].append(rule)  # lhs is not the unit
+        mono = [0] * len(gens)
+
+        def rec(i: int, deg: int) -> None:
+            if i == len(gens):
+                table[deg].append(tuple(mono))
+                return
+            d = gens[i].total_degree
+            for e in range(gens[i].max_exponent(cap - deg) + 1):
+                mono[i] = e
+                if e and any(r.divides(mono) for r in closing[i]):
+                    break  # every larger exponent is reducible too
+                rec(i + 1, deg + e * d)
+            mono[i] = 0
+
+        rec(0, 0)
+        return table
 
     def basis(self, cap: int) -> list[Mono]:
         table = self.basis_by_degree(cap)

@@ -50,6 +50,14 @@ class DimMismatch(GradedError):
     """E-infinity and abutment dimensions disagree."""
 
 
+class LucasViolation(GradedError):
+    """Peeling a divided-power atom gave a coefficient that is not a unit."""
+
+
+class ConservationViolation(GradedError):
+    """A page turn lost a dimension other than the rank of its differential."""
+
+
 class ExtensionDegreeError(GradedError):
     """An extension rule is degree- or filtration-inconsistent."""
 
@@ -314,7 +322,8 @@ class _Differential:
         atom = tuple(power if j == i else 0 for j in range(n))
         rest = tuple(mono[i] - power if j == i else e for j, e in enumerate(mono))
         beta = math.comb(mono[i], power) % self.p
-        assert beta  # lowest nonzero digit, a unit by Lucas
+        if not beta:  # lowest nonzero digit, a unit by Lucas
+            raise LucasViolation(f"C({mono[i]}, {power}) = 0 mod {self.p}")
         return atom, rest, beta
 
     def _is_atom(self, mono: Mono) -> bool:
@@ -525,7 +534,8 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
         rank_from[s + t] = rank_from.get(s + t, 0) + m.rank()
     for n in range(page.cap + 1):
         drop = rank_from.get(n, 0) + rank_from.get(n + 1, 0)
-        assert old[n] - new[n] == drop, f"homology accounting failed at degree {n}"
+        if old[n] - new[n] != drop:
+            raise ConservationViolation(f"homology accounting failed at degree {n}")
     return next_page
 
 

@@ -93,3 +93,8 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "thhz", "--format", "yaml"])
     assert exc.value.code == 2
+
+
+def test_prime_past_the_int64_bound_is_a_usage_error(capsys):
+    assert main(["run", "thhz", "--prime", "1099511627791"]) == 2
+    assert "2^31" in capsys.readouterr().err

@@ -168,3 +168,38 @@ def test_span_invariant_under_scaling(A, c):
     scaled = FpMatrix(A.field, A.data * (1 + c))  # 1 + c is nonzero mod p for c < p
     if (1 + c) % A.field.p != 0:
         assert spans_equal(A, scaled)
+
+
+# -- the int64 range -----------------------------------------------------------------
+
+P_TOP = 2**31 - 1  # the largest prime the field accepts
+F_TOP = PrimeField(P_TOP)
+
+
+def test_field_rejects_primes_past_the_int64_bound():
+    with pytest.raises(ValueError, match="2\\^31"):
+        PrimeField(1099511627791)
+
+
+def test_matmul_exact_at_the_bound():
+    a = FpMatrix(F_TOP, [[P_TOP - 1] * 4])
+    b = FpMatrix(F_TOP, [[P_TOP - 1]] * 4)
+    assert (a @ b).data.tolist() == [[4]]
+
+
+def test_rank_exact_at_the_bound():
+    assert FpMatrix.from_rows(F_TOP, [[1, P_TOP - 1], [P_TOP - 1, 1]]).rank() == 1
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_matmul_matches_python_integers_at_the_bound(data):
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.integers(0, P_TOP - 1)
+    a = [[data.draw(entry) for _ in range(k)] for _ in range(m)]
+    b = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    exact = [
+        [sum(a[i][l] * b[l][j] for l in range(k)) % P_TOP for j in range(n)]
+        for i in range(m)
+    ]
+    assert (FpMatrix(F_TOP, a) @ FpMatrix(F_TOP, b)).data.tolist() == exact

@@ -1,6 +1,10 @@
 """Rewriting, the truncated two-family algebra, and derivation checking."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -221,3 +225,69 @@ def test_derivation_rejects_divided_carrier():
     alg = make_algebra(3, [divided("y", 2)])
     with pytest.raises(UnsupportedKind):
         check_derivation(alg, DerivationSpec({}))
+
+
+# -- pruned basis enumeration ------------------------------------------------------
+
+
+def filtered_basis(pres, cap):
+    """The reference table: the ambient basis filtered by irreducible."""
+    table = pres.algebra.basis_by_degree(cap)
+    return {n: [m for m in table[n] if pres.irreducible(m)] for n in table}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("with_l1", [False, True])
+def test_pruned_basis_equals_filtered_theta(p, with_l1):
+    pres = theta(p, with_l1)
+    cap = 2 * p * p + 4 * p
+    assert pres.basis_by_degree(cap) == filtered_basis(pres, cap)
+
+
+def test_pruned_basis_count_p11():
+    assert sum(hilbert_pres(theta(11, with_l1=True), 286)) == 456
+
+
+@st.composite
+def small_presentations(draw):
+    gens = []
+    for k in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["polynomial", "exterior", "truncated"]))
+        if kind == "exterior":
+            gens.append(exterior(f"g{k}", draw(st.sampled_from([1, 3]))))
+        elif kind == "polynomial":
+            gens.append(polynomial(f"g{k}", draw(st.sampled_from([2, 4]))))
+        else:
+            gens.append(truncated(f"g{k}", 2, draw(st.integers(2, 4))))
+    alg = make_algebra(3, gens)
+    # exponents up to 4 exceed every exterior and truncation limit, so some
+    # lhs can never divide a basis monomial; rhs zero keeps rules homogeneous
+    lhs = st.tuples(*[st.integers(0, 4) for _ in gens]).filter(any)
+    rules = tuple(RewriteRule(m, {}) for m in draw(st.lists(lhs, max_size=5)))
+    return Presentation(alg, rules)
+
+
+@given(small_presentations(), st.integers(0, 16))
+@settings(max_examples=200, deadline=None)
+def test_pruned_basis_equals_filtered_property(pres, cap):
+    assert pres.basis_by_degree(cap) == filtered_basis(pres, cap)
+
+
+def test_rewrite_mismatch_survives_optimize():
+    # y^2 is not a monomial of E(y); rewriting it by y -> 0 breaks the
+    # lhs * quotient = monomial invariant, which must raise even under -O
+    script = (
+        "from thhlab.graded_algebra import exterior, make_algebra\n"
+        "from thhlab.presentation import Presentation, RewriteMismatch, RewriteRule\n"
+        "pres = Presentation(make_algebra(3, [exterior('y', 1)]), (RewriteRule((1,), {}),))\n"
+        "try:\n"
+        "    pres.normal_form_dict({(2,): 1})\n"
+        "except RewriteMismatch:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert done.returncode == 0
