@@ -3,9 +3,9 @@
 Everything is dense int64 numpy with explicit mod-p reduction.  Primes are
 bounded below 2^31, so every product of two reduced entries fits in int64
 and elimination stays exact.  Matrix products route through float64 BLAS
-only when every entry is provably below 2^53, and through exact Python
-integers when an int64 sum of products could overflow.  Matrices act on
-column vectors; subspaces are passed around as row-spanning matrices.
+when every entry is provably below 2^53, and through exact Python integers
+otherwise.  Matrices act on column vectors; subspaces are passed around as
+row-spanning matrices.
 """
 
 from __future__ import annotations
@@ -116,14 +116,11 @@ class FpMatrix:
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"cannot compose {self.shape} with {other.shape}")
         # float64 is exact while every product entry stays below 2^53, which
-        # holds for any plausible size here; int64 while it stays below 2^63;
-        # past that, Python integers are exact at any size
-        bound = self.shape[1] * (self.field.p - 1) ** 2
-        if bound < 2**53:
+        # holds for any plausible size here; past that, Python integers are
+        # exact at any size
+        if self.shape[1] * (self.field.p - 1) ** 2 < 2**53:
             prod = np.rint(self.data.astype(np.float64) @ other.data.astype(np.float64))
             return FpMatrix(self.field, prod.astype(np.int64))
-        if bound < 2**63:
-            return FpMatrix(self.field, self.data @ other.data)
         prod = (self.data.astype(object) @ other.data.astype(object)) % self.field.p
         return FpMatrix(self.field, prod)
 

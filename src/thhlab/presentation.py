@@ -21,10 +21,9 @@ carrier algebra.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .fp_linalg import PrimeField
 from .graded_algebra import (
@@ -56,15 +55,9 @@ class RewriteMismatch(GradedError):
 class RewriteRule:
     lhs: Mono
     rhs: TermDict
-    # the (slot, exponent) pairs where lhs is nonzero: all divides reads
-    support: tuple[tuple[int, int], ...] = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        support = tuple((i, e) for i, e in enumerate(self.lhs) if e)
-        object.__setattr__(self, "support", support)
-
-    def divides(self, mono: Sequence[int]) -> bool:
-        return all(mono[i] >= e for i, e in self.support)
+    def divides(self, mono: Mono) -> bool:
+        return all(l <= m for l, m in zip(self.lhs, mono))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +145,8 @@ class Presentation:
         table: dict[int, list[Mono]] = {n: [] for n in range(cap + 1)}
         closing: list[list[RewriteRule]] = [[] for _ in gens]
         for rule in self.rules:
-            closing[rule.support[-1][0]].append(rule)  # lhs is not the unit
+            last = max(i for i, e in enumerate(rule.lhs) if e)  # lhs is not the unit
+            closing[last].append(rule)
         mono = [0] * len(gens)
 
         def rec(i: int, deg: int) -> None:
