@@ -11,7 +11,7 @@ row-spanning matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -172,6 +172,14 @@ class FpMatrix:
             for j, c in enumerate(pivots):
                 rows[k, c] = (-int(R.data[j, f])) % self.field.p
         return FpMatrix(self.field, rows)
+
+
+def map_matrix(field: PrimeField, source: Sequence, target_index: Mapping,
+               image: Callable) -> FpMatrix:
+    """Matrix of a linear map given on a basis: column j is image(source[j]),
+    a {target key: coefficient} dict, with rows placed by target_index."""
+    cols = [{target_index[k]: c for k, c in image(s).items()} for s in source]
+    return FpMatrix.from_columns(field, len(target_index), cols)
 
 
 def solve(A: FpMatrix, b: Sequence[int]) -> Optional[np.ndarray]:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .fp_linalg import FpMatrix, PrimeField
+from .fp_linalg import PrimeField, map_matrix
 
 Mono = tuple[int, ...]
 TermDict = dict[Mono, int]
@@ -264,12 +264,6 @@ class AlgebraSpec:
         if c == 0:
             return {}
         return {m: (c * v) % self.field.p for m, v in a.items()}
-
-    def pow_dict(self, a: TermDict, e: int) -> TermDict:
-        out: TermDict = {self.unit: 1}
-        for _ in range(e):
-            out = self.mul_dicts(out, a)
-        return out
 
     def dict_total_degree(self, a: TermDict) -> Optional[int]:
         """Common total degree of a homogeneous element; None for zero."""
@@ -548,16 +542,19 @@ class MorphismReport:
         return out
 
 
-def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], cap: int) -> MorphismReport:
-    """Degreewise rank table and relation checks for a declared algebra map.
+def algebra_map(
+    source, target: AlgebraSpec, images: Mapping[str, object]
+) -> tuple[Callable[[Mono], TermDict], tuple[tuple[str, bool], ...]]:
+    """Multiplicative extension of generator images, and its relation checks.
 
     source may be an AlgebraSpec or a Presentation (anything exposing
-    generators via .algebra, a basis_by_degree(cap), and optionally .rules).
-    images maps every source generator name to a target element (Element,
-    mono dict, or (coeff, {name: exp}) pairs).  Divided source generators
-    only support images c * (single divided target generator); anything else
-    raises UnsupportedKind since a general map of divided powers is not
-    determined by the image of gamma_1.
+    generators via .algebra and optionally .rules).  images maps every source
+    generator name to a target element (Element, mono dict, or (coeff,
+    {name: exp}) pairs).  Divided source generators only support images
+    c * (single divided target generator); anything else raises
+    UnsupportedKind since a general map of divided powers is not determined
+    by the image of gamma_1.  Returns the image of a source monomial and one
+    (description, holds) pair per kind truncation and per rewrite rule.
     """
     src_alg: AlgebraSpec = getattr(source, "algebra", source)
     if src_alg.field != target.field:
@@ -638,18 +635,19 @@ def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], ca
         diff = target.add_dicts(lhs_img, target.scale_dict(-1, rhs_img))
         desc = f"{src_alg.format_mono(rule.lhs)} -> {src_alg.format_dict(rule.rhs)}"
         relation_results.append((desc, not diff))
+    return image_of_mono, tuple(relation_results)
 
+
+def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], cap: int) -> MorphismReport:
+    """Degreewise rank table and relation checks for a declared algebra map
+    (see algebra_map); source also needs a basis_by_degree(cap)."""
+    image_of_mono, relation_results = algebra_map(source, target, images)
     src_basis = source.basis_by_degree(cap)
     tgt_basis = target.basis_by_degree(cap)
     rows = []
     for n in range(cap + 1):
         srcs = src_basis.get(n, [])
         tgts = tgt_basis.get(n, [])
-        tgt_index = {m: i for i, m in enumerate(tgts)}
-        cols = []
-        for m in srcs:
-            val = image_of_mono(m)
-            cols.append({tgt_index[mm]: c for mm, c in val.items()})
-        mat = FpMatrix.from_columns(target.field, len(tgts), cols)
+        mat = map_matrix(target.field, srcs, {m: i for i, m in enumerate(tgts)}, image_of_mono)
         rows.append(DegreeRank(n, len(srcs), len(tgts), mat.rank()))
-    return MorphismReport(tuple(rows), tuple(relation_results))
+    return MorphismReport(tuple(rows), relation_results)

@@ -5,21 +5,22 @@ three graded algebras and three maps: rho (an algebra map, extended
 multiplicatively from generator images), and boundary/tau (given directly on
 basis monomials).  C is stored unshifted; the boundary consumes it with a
 degree drop of one.  Exactness is verified per degree both as dimension
-identities and as subspace equalities, and boundary/tau are checked to be
-module maps over A through a declared coefficient action."""
+identities and as subspace equalities (vanishing composites), and
+boundary/tau are checked to be module maps over A through a declared
+coefficient action."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .fp_linalg import FpMatrix, spans_equal
+from .fp_linalg import FpMatrix, map_matrix
 from .graded_algebra import (
     DegreeMismatch,
     GradedError,
     Mono,
     TermDict,
-    check_morphism,
+    algebra_map,
     exterior,
     make_algebra,
     polynomial,
@@ -107,24 +108,13 @@ class _Graded:
         return out
 
 
-def _require_algebra_map(source, target: _Graded, images, cap: int, what: str) -> None:
-    report = check_morphism(source, target.spec, images, cap)
-    if not report.relations_ok:
-        bad = "; ".join(desc for desc, ok in report.relation_results if not ok)
+def _require_algebra_map(source, target: _Graded, images, what: str) -> Callable[[Mono], TermDict]:
+    """The multiplicative extension of images; ValueError if a relation fails."""
+    image_of_mono, results = algebra_map(source, target.spec, images)
+    bad = "; ".join(desc for desc, ok in results if not ok)
+    if bad:
         raise ValueError(f"{what} is not an algebra map: {bad}")
-
-
-def _matrix(field, src: list, dst_index: dict, image: Callable[[Mono], TermDict]) -> FpMatrix:
-    cols = []
-    for m in src:
-        d = image(m)
-        cols.append({dst_index[m2]: c for m2, c in d.items()})
-    return FpMatrix.from_columns(field, len(dst_index), cols)
-
-
-def _image_rows(m: FpMatrix) -> FpMatrix:
-    """The image (column span) of m, presented as rows for span comparison."""
-    return FpMatrix(m.field, m.data.T.copy())
+    return image_of_mono
 
 
 def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
@@ -143,23 +133,11 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
         if s.spec.field != field:
             raise ValueError("the three terms live over different fields")
 
+    rho_of: Callable[[Mono], TermDict] = lambda mono: {}
     if A.spec is not None and B.spec is not None:
-        _require_algebra_map(spec.A, B, spec.rho, cap, "rho")
+        rho_of = _require_algebra_map(spec.A, B, spec.rho, "rho")
     if spec.coefficient_action is not None and A.spec is not None and C.spec is not None:
-        _require_algebra_map(spec.A, C, spec.coefficient_action, cap, "the coefficient action")
-
-    rho_imgs = None
-    if A.spec is not None and B.spec is not None:
-        rho_imgs = [B.normalize(spec.rho[g.name]) for g in A.spec.generators]
-
-    def rho_of(mono: Mono) -> TermDict:
-        if rho_imgs is None:
-            return {}
-        out: TermDict = {(0,) * len(B.spec.generators): 1}
-        for i, e in enumerate(mono):
-            if e:
-                out = B.spec.mul_dicts(out, B.spec.pow_dict(rho_imgs[i], e))
-        return out
+        _require_algebra_map(spec.A, C, spec.coefficient_action, "the coefficient action")
 
     def checked(fn, graded_src, graded_dst, drop, name):
         def image(mono: Mono) -> TermDict:
@@ -175,15 +153,13 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     tau_img = checked(spec.tau, C, A, 0, "tau") if C.spec is not None else None
 
     def mat_rho(n: int) -> FpMatrix:
-        return _matrix(field, A.at(n), B.index.get(n, {}), rho_of)
+        return map_matrix(field, A.at(n), B.index.get(n, {}), rho_of)
 
     def mat_bdy(n: int) -> FpMatrix:
-        src = B.at(n) if bdy_img is not None else []
-        return _matrix(field, src, C.index.get(n - 1, {}), bdy_img or (lambda m: {}))
+        return map_matrix(field, B.at(n), C.index.get(n - 1, {}), bdy_img)
 
     def mat_tau(n: int) -> FpMatrix:
-        src = C.at(n) if tau_img is not None else []
-        return _matrix(field, src, A.index.get(n, {}), tau_img or (lambda m: {}))
+        return map_matrix(field, C.at(n), A.index.get(n, {}), tau_img)
 
     rows = []
     alternating = 0
@@ -194,7 +170,8 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
         a_n, b_n, c_prev = A.dim(n), B.dim(n), C.dim(n - 1)
         r_rho, r_bdy, r_tau = m_rho.rank(), m_bdy.rank(), m_tau.rank()
 
-        # dimension identities first, then the subspace comparisons
+        # dimension identities first; given them, ker = im holds exactly when
+        # im lies in ker, that is when the composite vanishes
         if a_n - r_rho != r_tau:
             raise InexactAt(n, JOINT_TAU_RHO, f"ker rho has dim {a_n - r_rho}, im tau {r_tau}")
         if b_n - r_bdy != r_rho:
@@ -203,16 +180,16 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
         if alternating != r_tau:
             raise InexactAt(n, JOINT_ALTERNATING,
                             f"running alternating sum {alternating}, rank tau {r_tau}")
-        if not spans_equal(m_rho.kernel(), _image_rows(m_tau)):
+        if not (m_rho @ m_tau).is_zero():
             raise InexactAt(n, JOINT_TAU_RHO, "subspaces differ")
-        if not spans_equal(m_bdy.kernel(), _image_rows(m_rho)):
+        if not (m_bdy @ m_rho).is_zero():
             raise InexactAt(n, JOINT_RHO_BOUNDARY, "subspaces differ")
         if next_bdy is not None:
             c_n, r_next = C.dim(n), next_bdy.rank()
             if c_n - r_tau != r_next:
                 raise InexactAt(n, JOINT_BOUNDARY_TAU,
                                 f"ker tau has dim {c_n - r_tau}, im boundary {r_next}")
-            if not spans_equal(m_tau.kernel(), _image_rows(next_bdy)):
+            if not (m_tau @ next_bdy).is_zero():
                 raise InexactAt(n, JOINT_BOUNDARY_TAU, "subspaces differ")
         rows.append((n, a_n, b_n, c_prev, r_rho, r_bdy, r_tau))
 

@@ -20,7 +20,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .fp_linalg import FpMatrix
+import numpy as np
+
+from .fp_linalg import FpMatrix, map_matrix
 from .graded_algebra import (
     AlgebraSpec,
     GradedError,
@@ -135,10 +137,6 @@ class Page:
         if li is not None:
             t += self.labels[li].shift  # type: ignore[index]
         return s, t
-
-    def key_total_degree(self, key: PageKey) -> int:
-        s, t = self.key_bidegree(key)
-        return s + t
 
     def bigraded_dims(self, cap: Optional[int] = None) -> dict[tuple[int, int], int]:
         cap = self.cap if cap is None else min(cap, self.cap)
@@ -396,20 +394,17 @@ class _Differential:
         }
         out: dict[tuple[int, int], FpMatrix] = {}
         for (s, t), keys in buckets.items():
-            tbd = (s - self.r, t + self.r - 1)
-            rows = index.get(tbd, {})
-            cols = []
-            for key in keys:
+            rows = index.get((s - self.r, t + self.r - 1), {})
+
+            def image(key: PageKey) -> dict[PageKey, int]:
                 val = self.of_key(key)
-                col = {}
-                for tkey, c in val.items():
-                    if tkey not in rows:
-                        raise BidegreeViolation(
-                            f"d({page.format_key(key)}) leaves its bidegree lane"
-                        )
-                    col[rows[tkey]] = c
-                cols.append(col)
-            out[(s, t)] = FpMatrix.from_columns(field, len(rows), cols)
+                if any(tkey not in rows for tkey in val):
+                    raise BidegreeViolation(
+                        f"d({page.format_key(key)}) leaves its bidegree lane"
+                    )
+                return val
+
+            out[(s, t)] = map_matrix(field, keys, rows, image)
         return out
 
     def check_squares_to_zero(self, mats: dict) -> None:
@@ -495,24 +490,16 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
             raise NotADifferential(f"negative homology at {(s, t)}")
         chosen: list[PageKey] = []
         if dim_h:
-            span_rows: list = []
-            if in_m is not None and rank_in:
-                span_rows.extend(in_m.data.T % field.p)
-            base = FpMatrix.from_rows(field, [list(r_) for r_ in span_rows]) if span_rows else None
-            current_rank = base.rank() if base is not None else 0
-            rows = [list(r_) for r_ in (base.data if base is not None else [])]
-            for i, key in enumerate(keys):
-                if len(chosen) == dim_h:
-                    break
-                col = out_m.data[:, i] if out_m.shape[0] else []
-                if out_m.shape[0] and any(int(x) % field.p for x in col):
-                    continue  # not a cycle
-                vec = [1 if j == i else 0 for j in range(len(keys))]
-                cand = FpMatrix.from_rows(field, rows + [vec])
-                if cand.rank() > current_rank:
-                    chosen.append(key)
-                    rows.append(vec)
-                    current_rank += 1
+            # a monomial cycle survives when it is outside the span of the
+            # boundaries and the cycles before it: exactly the pivot columns
+            # of [boundaries | unit columns of the cycles] past the boundaries
+            cycles = np.flatnonzero(~out_m.data.any(axis=0))
+            bounds = in_m.data if in_m is not None else np.zeros((len(keys), 0), np.int64)
+            units = np.zeros((len(keys), cycles.size), dtype=np.int64)
+            units[cycles, np.arange(cycles.size)] = 1
+            _, pivots = FpMatrix(field, np.hstack([bounds, units])).rref()
+            nb = bounds.shape[1]
+            chosen = [keys[cycles[c - nb]] for c in pivots if c >= nb]
         if len(chosen) < dim_h:
             extra[(s, t)] = dim_h - len(chosen)
         if chosen:
@@ -546,7 +533,8 @@ def possible_differentials(
     cap = page.cap if cap is None else min(cap, page.cap)
     dims = page.bigraded_dims(cap)
     out = []
-    for r in range(page.page_index, max_page + 1):
+    # filtrations are nonnegative, so a d_r with r > cap has no target here
+    for r in range(page.page_index, min(max_page, cap) + 1):
         for (s, t), n in sorted(dims.items()):
             if n and dims.get((s - r, t + r - 1), 0):
                 out.append((r, (s, t)))

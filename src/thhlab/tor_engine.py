@@ -2,10 +2,12 @@
 
 The oracle resolves the unit module by an explicit complex of free modules
 (a Koszul two-term factor per polynomial generator, a divided-power tower per
-exterior generator), expands everything to matrices over F_p, and takes
-homology.  The closed forms produce the same answers as algebra specs: an
-exterior class [x] per polynomial generator, a divided-power tower [y] per
-exterior generator.  Both feed second pages of spectral sequences.
+exterior generator), expands it to matrices over F_p, verifies by
+elimination that its only homology is F_p, and tensors the other side in
+without eliminating again.  The closed forms produce the same answers as
+algebra specs: an exterior class [x] per polynomial generator, a
+divided-power tower [y] per exterior generator.  Both feed second pages of
+spectral sequences.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .fp_linalg import FpMatrix, homology_dim
+from .fp_linalg import FpMatrix, homology_dim, map_matrix
 from .graded_algebra import (
     AlgebraSpec,
     Generator,
@@ -157,46 +159,50 @@ class ChainComplexOfFrees:
             self._basis_cache[key] = out
         return self._basis_cache[key]
 
-    def _boundary_terms(self, word: Mono) -> list[tuple[int, Mono]]:
-        """(sign * coefficient-monomial, reduced word) pairs for d of a generator."""
+    def _boundary_terms(self, word: Mono) -> list[tuple[int, Mono, Mono]]:
+        """(sign, coefficient monomial, reduced word) triples for d of a generator.
+
+        The i-th term moves d past the factors before slot i, whose parity is
+        their homological degree: one per Koszul letter, k per tower stage
+        gamma_k.  An odd (exterior) coefficient then moves left past the same
+        factors, whose internal parity is k per tower stage, which cancels
+        the stages' share; an even (polynomial) coefficient moves freely.
+        """
         gens = self.algebra.generators
         out = []
-        odd_prefix = 0
+        letters = stages = 0
         for i, g in enumerate(gens):
             e = word[i]
             if e:
-                sign = -1 if odd_prefix % 2 else 1
+                odd = letters + (stages if g.kind == "polynomial" else 0)
                 coeff = tuple(1 if j == i else 0 for j in range(len(gens)))
                 reduced = word[:i] + (e - 1,) + word[i + 1 :]
-                out.append((sign, coeff, reduced))
-                if g.kind == "polynomial":
-                    odd_prefix += 1  # Koszul letters are odd, tower stages even
+                out.append((-1 if odd % 2 else 1, coeff, reduced))
+            if g.kind == "polynomial":
+                letters += e
+            else:
+                stages += e
         return out
 
     def matrix(self, s: int, t: int) -> FpMatrix:
         """The differential (s, t) -> (s - 1, t) on the monomial bases."""
         key = (s, t)
-        if key in self._matrix_cache:
-            return self._matrix_cache[key]
-        source = self.basis_at(s, t)
-        target = self.basis_at(s - 1, t)
-        rows = {
-            (m, g.word): i for i, (m, g) in enumerate(target)
-        }
-        cols = []
-        for m, g in source:
-            col: dict[int, int] = {}
-            for sign, coeff, reduced in self._boundary_terms(g.word):
-                prod = self.algebra.mono_mul(m, coeff)
-                if prod is None:
-                    continue
-                c, m2 = prod
-                row = rows[(m2, reduced)]
-                col[row] = col.get(row, 0) + sign * c
-            cols.append(col)
-        out = FpMatrix.from_columns(self.algebra.field, len(target), cols)
-        self._matrix_cache[key] = out
-        return out
+        if key not in self._matrix_cache:
+            rows = {(m, g.word): i for i, (m, g) in enumerate(self.basis_at(s - 1, t))}
+
+            def image(elt: tuple[Mono, ResolutionGen]) -> dict:
+                m, g = elt
+                out = {}
+                for sign, coeff, reduced in self._boundary_terms(g.word):
+                    prod = self.algebra.mono_mul(m, coeff)
+                    if prod is not None:
+                        out[(prod[1], reduced)] = sign * prod[0]
+                return out
+
+            self._matrix_cache[key] = map_matrix(
+                self.algebra.field, self.basis_at(s, t), rows, image
+            )
+        return self._matrix_cache[key]
 
     def homology_dims(self) -> GradedDims:
         """Homology of the complex on the capped window (internal degree <= cap)."""
@@ -262,74 +268,29 @@ def resolution(algebra: AlgebraSpec, cap: int) -> ChainComplexOfFrees:
 # -- the oracle ----------------------------------------------------------------------
 
 
-def _basis_elements(module: ModuleSpec, cap: int):
-    """(degree, multiplier, key) triples spanning the module up to degree cap.
-    multiplier None marks a trivial-action element; a monomial marks an element
-    of a free summand, acted on by base multiplication."""
-    out = []
-    if module.summands is not None:
-        base = module.over.basis_by_degree(cap)
-        for idx, (shift, _, action) in enumerate(module.summands):
-            if shift > cap:
-                continue
-            if action == "trivial":
-                out.append((shift, None, ("t", idx)))
-            else:
-                for t, monos in base.items():
-                    if t + shift > cap:
-                        continue
-                    for m in monos:
-                        out.append((shift + t, m, ("f", idx, m)))
-    elif module.trivial_action_coefficients is not None:
-        table = module.trivial_action_coefficients.basis_by_degree(cap)
-        for t, monos in table.items():
-            for m in monos:
-                out.append((t, None, ("t", m)))
-    else:
-        out.append((0, None, ("t",)))
-    return out
-
-
 def _tor_with_unit(res: ChainComplexOfFrees, module: ModuleSpec, cap: int) -> GradedDims:
-    """Homology of module tensor resolution: Tor(module, F_p), bigraded."""
-    algebra = res.algebra
-    elements = _basis_elements(module, cap)
-    buckets: dict[tuple[int, int], list] = defaultdict(list)
-    for s in range(res.top_filtration + 1):
-        for g in res.generators[s]:
-            for deg, mult, key in elements:
-                t = deg + g.internal_degree
-                if t <= cap:
-                    buckets[(s, t)].append((deg, mult, key, g))
+    """Tor(module, F_p), bigraded, read off the verified resolution P of F_p.
 
-    index: dict[tuple[int, int], dict] = {
-        bd: {(key, g.word): i for i, (_, _, key, g) in enumerate(elts)}
-        for bd, elts in buckets.items()
-    }
-
-    def matrix(s: int, t: int) -> FpMatrix:
-        source = buckets.get((s, t), [])
-        rows = index.get((s - 1, t), {})
-        cols = []
-        for deg, mult, key, g in source:
-            col: dict[int, int] = {}
-            if mult is not None:
-                for sign, coeff, reduced in res._boundary_terms(g.word):
-                    prod = algebra.mono_mul(mult, coeff)
-                    if prod is None:
-                        continue
-                    c, m2 = prod
-                    row = rows[((key[0], key[1], m2), reduced)]
-                    col[row] = col.get(row, 0) + sign * c
-            cols.append(col)
-        return FpMatrix.from_columns(algebra.field, len(rows), cols)
-
-    out: GradedDims = {}
-    for (s, t) in sorted(buckets):
-        h = homology_dim(matrix(s + 1, t), matrix(s, t))
-        if h:
-            out[(s, t)] = h
-    return out
+    The module splits into shifted summands (_summand_view), and so does
+    module tensor P.  A trivial summand of degree d gives F_p[d] tensor P:
+    the generators of P shifted by d, with zero differential, because the
+    differential of P multiplies by positive-degree generators, which act by
+    zero on it.  A free summand A[shift] gives P[shift], whose homology is
+    F_p at (0, shift), since check_resolves_unit has already verified by
+    elimination that P resolves F_p in internal degrees <= cap.
+    """
+    out: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for shift, _, action in _summand_view(module, cap):
+        if shift > cap:
+            continue
+        if action == "free":
+            out[(0, shift)] += 1
+            continue
+        for s, layer in enumerate(res.generators):
+            for g in layer:
+                if shift + g.internal_degree <= cap:
+                    out[(s, shift + g.internal_degree)] += 1
+    return dict(sorted(out.items()))
 
 
 def _check_same_base(algebra: AlgebraSpec, *modules: ModuleSpec) -> None:
@@ -345,8 +306,8 @@ def tor_oracle(
     cap: int,
     resolve_side: str = "right",
 ) -> GradedDims:
-    """Bigraded dims of Tor(left, right), brute force: resolve one side summand
-    by summand, tensor in the other, take homology per bidegree.  The window is
+    """Bigraded dims of Tor(left, right): resolve the unit, verify the
+    resolution, and tensor both sides in summand by summand.  The window is
     internal degree <= cap (all filtrations land inside it)."""
     _check_same_base(algebra, left, right)
     if resolve_side == "left":

@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from thhlab.cli import main
+from thhlab.scenarios import CapTooSmall
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
@@ -98,3 +99,10 @@ def test_usage_errors_exit_2(capsys):
 def test_prime_past_the_int64_bound_is_a_usage_error(capsys):
     assert main(["run", "thhz", "--prime", "1099511627791"]) == 2
     assert "2^31" in capsys.readouterr().err
+
+
+def test_largest_accepted_prime_finishes(capsysbinary):
+    # thhz asks for candidate lanes p pages ahead; the scan stops at the cap
+    with pytest.warns(CapTooSmall):
+        assert main(["run", "thhz", "--prime", str(2**31 - 1), "--cap", "2"]) == 0
+    assert b"p=2147483647" in capsysbinary.readouterr().out

@@ -9,6 +9,7 @@ from thhlab.fp_linalg import (
     FpMatrix,
     PrimeField,
     homology_dim,
+    map_matrix,
     solve,
     span_contains,
     spans_equal,
@@ -62,6 +63,14 @@ def test_rref_normalizes_pivots():
 def test_from_columns():
     A = FpMatrix.from_columns(F3, 3, [{0: 1, 2: -1}, {1: 4}])
     assert np.array_equal(A.data, np.array([[1, 0], [0, 1], [2, 0]]))
+
+
+def test_map_matrix_places_images_by_target_index():
+    # d(a) = b - c, d(b) = 4c, on target basis (c, b)
+    images = {"a": {"b": 1, "c": -1}, "b": {"c": 4}}
+    A = map_matrix(F3, ["a", "b"], {"c": 0, "b": 1}, images.get)
+    assert np.array_equal(A.data, np.array([[2, 1], [1, 0]]))
+    assert map_matrix(F3, [], {"c": 0}, images.get).shape == (1, 0)
 
 
 def test_matmul_shape_check():

@@ -1,0 +1,32 @@
+"""Byte-identity of whole-catalog reports against committed golden files.
+
+The behaviour contract is the json schema, the text report and the exit
+codes; refactors of the layers underneath must leave every byte unchanged.
+The golden files in tests/data were written by `thhlab run --all --prime P`
+(json for P = 3 and 5, text for P = 3) and are compared byte for byte.
+
+This module sorts after test_acceptance.py on purpose: that module's
+runtime budget is measured from its own import.
+"""
+
+import pathlib
+
+import pytest
+
+from thhlab.cli import main
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "prime, fmt, golden",
+    [
+        (3, "json", "catalog-p3.json"),
+        (5, "json", "catalog-p5.json"),
+        (3, "text", "catalog-p3.txt"),
+    ],
+)
+def test_catalog_report_matches_golden_bytes(prime, fmt, golden, capsysbinary):
+    code = main(["run", "--all", "--prime", str(prime), "--format", fmt])
+    assert code == 0
+    assert capsysbinary.readouterr().out == (DATA / golden).read_bytes()

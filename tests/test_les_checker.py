@@ -3,7 +3,7 @@ sabotage cases that must be refused."""
 
 import pytest
 
-from thhlab.graded_algebra import DegreeMismatch, exterior, make_algebra
+from thhlab.graded_algebra import DegreeMismatch, divided, exterior, make_algebra
 from thhlab.les_checker import (
     JOINT_BOUNDARY_TAU,
     JOINT_RHO_BOUNDARY,
@@ -122,10 +122,94 @@ def test_identity_with_zero_third_term():
     assert report.rows[5] == (5, 1, 1, 0, 1, 0, 0)
 
 
+def test_divided_rho_extends_by_divided_powers():
+    # rho(g) = 2h sends gamma_k(g) to 2^k gamma_k(h), an isomorphism; the
+    # k-th power of 2h would be 2^k k! gamma_k(h), zero from k = p on
+    A = make_algebra(3, [divided("g", 2)])
+    B = make_algebra(3, [divided("h", 2)])
+    spec = LongExactSpec(A, B, None, {"g": [(2, {"h": 1})]}, lambda m: {}, lambda m: {})
+    report = check_les(spec, cap=12)
+    assert all(row[4] == row[1] == 1 for row in report.rows if row[0] % 2 == 0)
+
+
 def test_nonzero_c_with_zero_neighbours_is_inexact():
     C = make_algebra(3, [exterior("x", 1)])
     spec = LongExactSpec(None, None, C, {}, lambda m: {}, lambda m: {})
     with pytest.raises(InexactAt) as exc:
         check_les(spec, cap=5)
     assert exc.value.degree == 0
+    assert exc.value.joint == JOINT_BOUNDARY_TAU
+
+
+# -- mutations that keep every rank but break a subspace equality --------------
+
+
+def _toy_sequence(tau_images):
+    """A -> B -> C[-1] with A = E(x1, x2), B = E(x1, d), C = E(x1, c), all
+    odd classes in degree 3 except |d| = 1: rho kills x2, the boundary sends
+    d to 1 and x1*d to x1, and tau sends c to x2.  tau_images overrides tau
+    on named C-monomials."""
+    A = make_algebra(3, [exterior("x1", 3), exterior("x2", 3)])
+    B = make_algebra(3, [exterior("x1", 3), exterior("d", 1)])
+    C = make_algebra(3, [exterior("x1", 3), exterior("c", 3)])
+    bdy = {B.mono_from_names({"d": 1}): {C.unit: 1},
+           B.mono_from_names({"x1": 1, "d": 1}): {C.mono_from_names({"x1": 1}): 1}}
+    tau = {C.mono_from_names({"c": 1}): {A.mono_from_names({"x2": 1}): 1},
+           C.mono_from_names({"x1": 1, "c": 1}): {A.mono_from_names({"x1": 1, "x2": 1}): 1}}
+    for name, target in tau_images.items():
+        tau[C.mono_from_names({name: 1})] = (
+            {A.mono_from_names({target: 1}): 1} if target else {}
+        )
+    rho = {"x1": [(1, {"x1": 1})], "x2": []}
+    return LongExactSpec(A, B, C, rho, lambda m: bdy.get(m, {}), lambda m: tau.get(m, {}))
+
+
+def _swapped(fn, spec_, first, second):
+    """fn precomposed with the swap of two basis monomials of spec_."""
+    a, b = spec_.mono_from_names(first), spec_.mono_from_names(second)
+    swap = {a: b, b: a}
+    return lambda mono: fn(swap.get(mono, mono))
+
+
+def test_toy_sequence_is_exact():
+    report = check_les(_toy_sequence({}), cap=8)
+    assert report.rows[3] == (3, 2, 1, 0, 1, 0, 1)
+
+
+def test_toy_tau_into_image_of_rho_detected():
+    # tau(c) = x1 keeps rank tau = dim ker rho = 1, but rho(tau(c)) = x1
+    with pytest.raises(InexactAt, match="subspaces differ") as exc:
+        check_les(_toy_sequence({"c": "x1"}), cap=8)
+    assert exc.value.degree == 3
+    assert exc.value.joint == JOINT_TAU_RHO
+
+
+def test_toy_tau_killing_the_boundary_image_detected():
+    # tau(x1) = x2, tau(c) = 0: same ranks, but tau(boundary(x1*d)) = x2
+    with pytest.raises(InexactAt, match="subspaces differ") as exc:
+        check_les(_toy_sequence({"x1": "x2", "c": None}), cap=8)
+    assert exc.value.degree == 3
+    assert exc.value.joint == JOINT_BOUNDARY_TAU
+
+
+def test_ell_boundary_not_killing_image_of_rho_detected():
+    # in degree 18 rho(m2) = k1^3 and boundary(k1^3) = 0; swapping k1^3 with
+    # l1*dlogv*k1^2 keeps every rank but boundary(rho(m2)) = l1*m1^2
+    spec = ell_sequence(3)
+    spec.boundary = _swapped(spec.boundary, spec.B, {"k1": 3},
+                             {"l1": 1, "dlogv": 1, "k1": 2})
+    with pytest.raises(InexactAt, match="subspaces differ") as exc:
+        check_les(spec, cap=20)
+    assert exc.value.degree == 18
+    assert exc.value.joint == JOINT_RHO_BOUNDARY
+
+
+def test_ell_tau_not_killing_boundary_image_detected():
+    # in degree 17 tau(e1*m1^2) = l2 and tau(l1*m1^2) = 0; swapping the two
+    # keeps every rank but tau(boundary(l1*dlogv*k1^2)) = l2
+    spec = ell_sequence(3)
+    spec.tau = _swapped(spec.tau, spec.C, {"l1": 1, "m1": 2}, {"e1": 1, "m1": 2})
+    with pytest.raises(InexactAt, match="subspaces differ") as exc:
+        check_les(spec, cap=20)
+    assert exc.value.degree == 17
     assert exc.value.joint == JOINT_BOUNDARY_TAU

@@ -218,6 +218,17 @@ def test_bidegree_violation():
         run_differential(page, [DifferentialRule(2, {"w": 1}, [(1, {"z": 1})])])
 
 
+def test_image_outside_the_window_leaves_its_lane():
+    # the target sits at the right bidegree, but label b admits no divided
+    # powers, so g*{b} is not a basis key of the page
+    spec = make_algebra(3, [divided("g", 3, filtration=1)])
+    page = Page(spec, page_index=2, cap=20,
+                labels=(PageLabel("a", 0), PageLabel("b", 7, allows_gamma=False)))
+    rule = DifferentialRule(2, ({"g": 3}, "a"), [(1, {"g": 1}, "b")])
+    with pytest.raises(BidegreeViolation, match="leaves its bidegree lane"):
+        run_differential(page, [rule])
+
+
 def test_leibniz_conflict_on_duplicate_sources():
     page = tower_page(3, 24)
     rules = [
@@ -264,6 +275,15 @@ def test_possible_differentials_lists_candidate_lanes():
     page = tower_page(3, 24)
     lanes = possible_differentials(page, 3)
     assert (3, (3, 15)) in lanes  # gamma_3 over the l2 lane
+
+
+def test_possible_differentials_stop_at_the_cap():
+    # filtrations are nonnegative, so no d_r with r > cap has a target in
+    # the window: a huge max_page gives the lanes of max_page = cap, at once
+    page = tower_page(3, 24)
+    lanes = possible_differentials(page, 24)
+    assert lanes and max(r for r, _ in lanes) <= 24
+    assert possible_differentials(page, 10**9) == lanes
 
 
 # -- labeled module pages (divided tower over a summand basis) ----------------------

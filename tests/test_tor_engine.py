@@ -1,5 +1,7 @@
 """Resolutions, the brute-force Tor oracle, and the closed forms."""
 
+import itertools
+
 import pytest
 
 from thhlab.graded_algebra import (
@@ -234,6 +236,7 @@ def test_closed_form_matches_oracle_on_small_shapes():
         [exterior("y", 3)],
         [polynomial("x", 4), exterior("y", 3)],
         [polynomial("x", 2), polynomial("x2", 4), exterior("y", 3), exterior("y2", 5)],
+        [exterior("y", 1), polynomial("x", 2)],  # d[x] picks up y's tower stages
     ]
     for gens in shapes:
         alg = make_algebra(p, gens)
@@ -243,6 +246,17 @@ def test_closed_form_matches_oracle_on_small_shapes():
         want = {bd: d for bd, d in oracle.items() if sum(bd) <= cap}
         got = {bd: d for bd, d in page.bigraded_dims(cap).items() if d}
         assert got == want, f"disagreement over {[g.name for g in gens]}"
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_oracle_independent_of_generator_order(order):
+    gens = [polynomial("x", 2), exterior("y", 1), exterior("w", 3)]
+    alg = make_algebra(3, [gens[i] for i in order])
+    cap = 12
+    oracle = tor_oracle(alg, fp_module(alg), fp_module(alg), cap)
+    want = {bd: d for bd, d in oracle.items() if sum(bd) <= cap}
+    page = tor_closed_form(alg, fp_module(alg), fp_module(alg), cap)
+    assert {bd: d for bd, d in page.bigraded_dims(cap).items() if d} == want
 
 
 def test_closed_form_cancels_free_coefficient_factor():
