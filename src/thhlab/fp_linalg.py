@@ -174,6 +174,44 @@ class FpMatrix:
         return FpMatrix(self.field, rows)
 
 
+def stack_ranks(field: PrimeField, stack: np.ndarray) -> np.ndarray:
+    """Exact rank over F_p of every matrix in a (B, r, c) integer stack.
+
+    Gaussian elimination runs in lockstep across the stack: one step per
+    column of the shorter side (rank is transpose-invariant), each step a
+    fixed number of numpy calls on all B matrices.  A step clears the rows
+    below a pivot a by row <- a * row - b * pivot_row, which needs no
+    inverse, and every intermediate stays below p^2 < 2^62.
+
+    FpMatrix.rref stays the single-matrix kernel: it returns the reduced
+    form and the pivots, and on one matrix its loop, which touches only the
+    rows that need clearing, beats a stack of one (routing rank through here
+    took page-turns from 2.2 s to 3.8 s).
+    """
+    p = field.p
+    R = np.asarray(stack, dtype=np.int64) % p
+    if R.ndim != 3:
+        raise DimensionMismatch(f"expected a (B, r, c) stack, got ndim={R.ndim}")
+    if R.shape[2] > R.shape[1]:
+        R = R.transpose(0, 2, 1).copy()
+    B, m, n = R.shape
+    rank = np.zeros(B, dtype=np.int64)
+    rows = np.arange(m)
+    for c in range(n):
+        b, i = np.nonzero((R[:, :, c] != 0) & (rows >= rank[:, None]))
+        first = np.ones(b.size, dtype=bool)
+        first[1:] = b[1:] != b[:-1]
+        b, i = b[first], i[first]
+        r = rank[b]
+        pivot = R[b, i]
+        R[b, i] = R[b, r]
+        R[b, r] = pivot
+        below = R[b, :, c] * (rows > r[:, None])
+        R[b] = (R[b] * pivot[:, c, None, None] - below[:, :, None] * pivot[:, None, :]) % p
+        rank[b] += 1
+    return rank
+
+
 def map_matrix(field: PrimeField, source: Sequence, target_index: Mapping,
                image: Callable) -> FpMatrix:
     """Matrix of a linear map given on a basis: column j is image(source[j]),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .fp_linalg import PrimeField
 from .graded_algebra import (
@@ -274,17 +274,10 @@ class DerivationReport:
         return [f"{desc}: residual {res}" for desc, ok, res in self.checks if not ok]
 
 
-def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
-    """Verify a declared derivation against every relation of the carrier.
-
-    carrier is an AlgebraSpec or a Presentation.  The derivation extends by
-    the graded Leibniz rule with total-degree signs.  Checks: for every
-    truncated generator g of height h, sigma(g^h) = h g^{h-1} sigma(g)
-    reduces to zero; for every rewrite rule, sigma(lhs) - sigma(rhs) reduces
-    to zero.  Exterior squares need no check: sigma(g)g - g sigma(g)
-    vanishes identically for odd g.
-    """
-    alg: AlgebraSpec = getattr(carrier, "algebra", carrier)
+def leibniz_extension(alg: AlgebraSpec, d: DerivationSpec) -> Callable[[TermDict], TermDict]:
+    """The derivation d, given on generators, extended to all of alg by the
+    graded Leibniz rule with total-degree signs, as a map on term dicts.
+    Images are not reduced by any rewrite rules."""
     if any(g.kind == "divided" for g in alg.generators):
         raise UnsupportedKind("derivations on divided generators are not modeled")
     p = alg.field.p
@@ -323,6 +316,21 @@ def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
             out = alg.add_dicts(out, alg.scale_dict(c, sigma_mono(m)))
         return out
 
+    return sigma_dict
+
+
+def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
+    """Verify a declared derivation against every relation of the carrier.
+
+    carrier is an AlgebraSpec or a Presentation.  The derivation extends by
+    leibniz_extension.  Checks: for every truncated generator g of height h,
+    sigma(g^h) = h g^{h-1} sigma(g) reduces to zero; for every rewrite rule,
+    sigma(lhs) - sigma(rhs) reduces to zero.  Exterior squares need no check:
+    sigma(g)g - g sigma(g) vanishes identically for odd g.
+    """
+    alg: AlgebraSpec = getattr(carrier, "algebra", carrier)
+    sigma = leibniz_extension(alg, d)
+
     if hasattr(carrier, "normal_form_dict"):
         reduce = carrier.normal_form_dict
     else:
@@ -334,13 +342,14 @@ def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
             continue
         h = g.height or 0
         top = tuple(h - 1 if j == i else 0 for j in range(len(alg.generators)))
-        residual = reduce(alg.scale_dict(h, alg.mul_dicts({top: 1}, sigma[i])))
+        unit = tuple(int(j == i) for j in range(len(alg.generators)))
+        residual = reduce(alg.scale_dict(h, alg.mul_dicts({top: 1}, sigma({unit: 1}))))
         checks.append(
             (f"sigma({g.name}^{h}) -> 0", not residual, alg.format_dict(residual))
         )
     for rule in getattr(carrier, "rules", ()):
-        lhs_val = sigma_mono(rule.lhs)
-        rhs_val = sigma_dict(rule.rhs)
+        lhs_val = sigma({rule.lhs: 1})
+        rhs_val = sigma(rule.rhs)
         residual = reduce(alg.add_dicts(lhs_val, alg.scale_dict(-1, rhs_val)))
         desc = (
             f"sigma compatible with {alg.format_mono(rule.lhs)} -> "

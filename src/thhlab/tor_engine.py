@@ -2,21 +2,39 @@
 
 The oracle resolves the unit module by an explicit complex of free modules
 (a Koszul two-term factor per polynomial generator, a divided-power tower per
-exterior generator), expands it to matrices over F_p, verifies by
-elimination that its only homology is F_p, and tensors the other side in
-without eliminating again.  The closed forms produce the same answers as
-algebra specs: an exterior class [x] per polynomial generator, a
-divided-power tower [y] per exterior generator.  Both feed second pages of
-spectral sequences.
+exterior generator), verifies over F_p that its only homology is F_p, and
+tensors the other side in without eliminating again.  The closed forms
+produce the same answers as algebra specs: an exterior class [x] per
+polynomial generator, a divided-power tower [y] per exterior generator.  Both
+feed second pages of spectral sequences.
+
+The resolution is checked block by block.  A basis element m.g (base
+monomial m, generator word g) has the weight m + g, one integer per base
+generator: a + e for x^a [x]^e, a + k for y^a gamma_k.  Each term of d moves
+one unit from the word to the monomial, so d keeps the weight (hence the
+internal degree) and lowers the filtration by one.  Ordering the rows and
+columns of every (s, t) matrix by weight therefore makes it block diagonal,
+one block per level (the elements of one weight in one filtration), with at
+most C(n, n/2) columns over n base generators.  A composite of block
+diagonal maps is zero iff it is zero on every block, and rank is additive
+over blocks, so d o d = 0 and the homology at (s, t), the sum over its
+levels of size - rank(d out) - rank(d in), are exactly the numbers the dense
+(s, t) matrices give (Miller & Sturmfels, Combinatorial Commutative Algebra,
+ch. 1, for multigraded resolutions).  The differential comes from index
+arithmetic, and the blocks of one shape are ranked by one lockstep
+elimination (fp_linalg.stack_ranks).
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .fp_linalg import FpMatrix, homology_dim, map_matrix
+import numpy as np
+
+from .fp_linalg import CompositionNonzero, FpMatrix, map_matrix, stack_ranks
 from .graded_algebra import (
     AlgebraSpec,
     Generator,
@@ -125,9 +143,24 @@ class ResolutionGen:
     internal_degree: int
 
 
+def _word_signs(poly: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Sign of the slot-i term of d on each generator, one row per word.
+
+    d moves past the factors before slot i, whose parity is their homological
+    degree: one per Koszul letter, k per tower stage gamma_k.  An exterior
+    coefficient then moves left past the same factors, whose internal parity
+    is k per tower stage, which cancels the stages' share; a polynomial
+    coefficient moves freely.
+    """
+    before = np.cumsum(words, axis=1) - words
+    letters = np.cumsum(words * poly, axis=1) - words * poly
+    odd = letters + (before - letters) * poly
+    return 1 - 2 * (odd % 2)
+
+
 @dataclass(eq=False)
 class ChainComplexOfFrees:
-    """Free resolution of F_p, expanded to F_p-matrices per bidegree.
+    """Free resolution of F_p, expanded over F_p.
 
     generators[s] lists the free-module generators in filtration s; the
     differential at (s, t) maps the degree-t slice of filtration s to the one
@@ -137,84 +170,157 @@ class ChainComplexOfFrees:
     cap: int
     generators: tuple[tuple[ResolutionGen, ...], ...]
 
-    def __post_init__(self) -> None:
-        self._mono_table = self.algebra.basis_by_degree(self.cap)
-        self._basis_cache: dict[tuple[int, int], list[tuple[Mono, ResolutionGen]]] = {}
-        self._matrix_cache: dict[tuple[int, int], FpMatrix] = {}
-
     @property
     def top_filtration(self) -> int:
         return len(self.generators) - 1
 
-    def basis_at(self, s: int, t: int) -> list[tuple[Mono, ResolutionGen]]:
-        """Monomial basis (base monomial, generator) of the (s, t) slice."""
-        if s < 0 or s > self.top_filtration or t < 0 or t > self.cap:
-            return []
-        key = (s, t)
-        if key not in self._basis_cache:
-            out = []
-            for g in self.generators[s]:
-                for m in self._mono_table.get(t - g.internal_degree, ()):
-                    out.append((m, g))
-            self._basis_cache[key] = out
-        return self._basis_cache[key]
+    def _differential(self) -> tuple[np.ndarray, ...]:
+        """The basis of the whole complex and its differential, as arrays.
 
-    def _boundary_terms(self, word: Mono) -> list[tuple[int, Mono, Mono]]:
-        """(sign, coefficient monomial, reduced word) triples for d of a generator.
+        Element e is (generator, base monomial): the generators in layer
+        order, each with the monomials of degree <= cap - |g| in degree
+        order, so every (s, t) slice is a run of ascending indices.  Returns
+        layer[e], degree[e], key[e] (weight and layer in one integer), and
+        target[e, i], value[e, i]: the slot-i term of d(e), value 0 if none.
 
-        The i-th term moves d past the factors before slot i, whose parity is
-        their homological degree: one per Koszul letter, k per tower stage
-        gamma_k.  An odd (exterior) coefficient then moves left past the same
-        factors, whose internal parity is k per tower stage, which cancels
-        the stages' share; an even (polynomial) coefficient moves freely.
+        The slot-i term takes the generator with word - e_i, times the
+        monomial m + e_i, which is zero over an exterior slot with m_i = 1.
+        Its sign is _word_signs times the sign of that product, (-1)^(odd
+        letters of m after i) over an exterior slot.
         """
-        gens = self.algebra.generators
-        out = []
-        letters = stages = 0
-        for i, g in enumerate(gens):
-            e = word[i]
-            if e:
-                odd = letters + (stages if g.kind == "polynomial" else 0)
-                coeff = tuple(1 if j == i else 0 for j in range(len(gens)))
-                reduced = word[:i] + (e - 1,) + word[i + 1 :]
-                out.append((-1 if odd % 2 else 1, coeff, reduced))
-            if g.kind == "polynomial":
-                letters += e
-            else:
-                stages += e
-        return out
+        alg, cap, n = self.algebra, self.cap, len(self.algebra.generators)
+        poly = np.array([g.kind == "polynomial" for g in alg.generators], dtype=bool)
+        table = alg.basis_by_degree(cap)
+        mono_list = [m for d in range(cap + 1) for m in table[d]]
+        monos = np.array(mono_list, dtype=np.int64).reshape(len(mono_list), n)
+        mono_degree = np.array([d for d in range(cap + 1) for _ in table[d]], dtype=np.int64)
+        gens = [(s, g) for s, layer in enumerate(self.generators) for g in layer]
+        words = np.array([g.word for _, g in gens], dtype=np.int64).reshape(len(gens), n)
+        gen_degree = np.array([g.internal_degree for _, g in gens], dtype=np.int64)
+        gen_layer = np.array([s for s, _ in gens], dtype=np.int64)
+        # generator g owns the elements first[g] .. first[g] + count[g] - 1
+        up_to = np.cumsum(np.bincount(mono_degree, minlength=cap + 1))
+        room = cap - gen_degree
+        count = np.where(room >= 0, up_to[room], 0)
+        first = np.cumsum(count) - count
+
+        # words, monomials and weights in one mixed radix, with the layer as
+        # the last digit: d keeps the weight and lowers the layer, so it
+        # lowers the key by exactly one
+        radix = words.max(axis=0, initial=0) + monos.max(axis=0, initial=0) + 1
+        layers = len(self.generators)
+        if math.prod(radix.tolist()) * layers >= 2**62:
+            raise UnsupportedShape("resolution window too large to index")
+        stride = np.array([math.prod(radix[i + 1:].tolist()) * layers for i in range(n)],
+                          dtype=np.int64)
+        gen_key, mono_key = words @ stride, monos @ stride
+
+        # per slot: the generator with word - e_i (-1: none) and the monomial
+        # m + e_i (-1: zero, -2: outside the window)
+        gen_at = dict(zip(gen_key.tolist(), range(len(gens))))
+        mono_at = dict(zip(mono_key.tolist(), range(len(mono_list))))
+        below = np.array([[gen_at.get(k, -1) for k in (gen_key - w).tolist()] for w in stride],
+                         dtype=np.int64).reshape(n, len(gens)).T
+        up = np.array([[mono_at.get(k, -2) for k in (mono_key + w).tolist()] for w in stride],
+                      dtype=np.int64).reshape(n, len(mono_list)).T
+        up[(monos > 0) & ~poly] = -1
+        odd = monos * ~poly
+        after = odd.sum(axis=1, keepdims=True) - np.cumsum(odd, axis=1)
+        mono_sign = np.where(poly, 1, 1 - 2 * (after % 2))
+
+        # every element at once, one column per slot
+        eg = np.repeat(np.arange(len(gens)), count)
+        em = np.arange(eg.size) - first[eg]
+        below_e, up_e = below[eg], up[em]
+        term = (words[eg] > 0) & (up_e != -1)
+        if (term & ((below_e < 0) | (up_e < 0) | (up_e >= count[below_e]))).any():
+            raise AssertionError("the differential leaves the basis of the complex")
+        target = (first[below_e] + up_e) * term
+        value = _word_signs(poly, words)[eg] * mono_sign[em] * term
+        key = gen_key[eg] + gen_layer[eg] + mono_key[em]
+        if (term & (key[target] != key[:, None] - 1)).any():
+            raise AssertionError("the differential leaves a weight block")
+        return gen_layer[eg], gen_degree[eg] + mono_degree[em], key, target, value
 
     def matrix(self, s: int, t: int) -> FpMatrix:
         """The differential (s, t) -> (s - 1, t) on the monomial bases."""
-        key = (s, t)
-        if key not in self._matrix_cache:
-            rows = {(m, g.word): i for i, (m, g) in enumerate(self.basis_at(s - 1, t))}
+        layer, degree, _, target, value = self._differential()
+        rows = np.flatnonzero((layer == s - 1) & (degree == t)).tolist()
 
-            def image(elt: tuple[Mono, ResolutionGen]) -> dict:
-                m, g = elt
-                out = {}
-                for sign, coeff, reduced in self._boundary_terms(g.word):
-                    prod = self.algebra.mono_mul(m, coeff)
-                    if prod is not None:
-                        out[(prod[1], reduced)] = sign * prod[0]
-                return out
+        def image(e: int) -> dict:
+            return {int(f): int(v) for f, v in zip(target[e], value[e]) if v}
 
-            self._matrix_cache[key] = map_matrix(
-                self.algebra.field, self.basis_at(s, t), rows, image
-            )
-        return self._matrix_cache[key]
+        return map_matrix(
+            self.algebra.field,
+            np.flatnonzero((layer == s) & (degree == t)).tolist(),
+            {f: r for r, f in enumerate(rows)},
+            image,
+        )
 
     def homology_dims(self) -> GradedDims:
-        """Homology of the complex on the capped window (internal degree <= cap)."""
-        out: GradedDims = {}
-        for s in range(self.top_filtration + 1):
-            for t in range(self.cap + 1):
-                if not self.basis_at(s, t):
-                    continue
-                h = homology_dim(self.matrix(s + 1, t), self.matrix(s, t))
-                if h:
-                    out[(s, t)] = h
-        return out
+        """Homology of the complex on the capped window (internal degree <= cap).
+
+        Checked level by level, a level being the elements of one weight in
+        one layer (see the module docstring): d o d = 0 on every element, then
+        the ranks of all level blocks of one shape in one stack_ranks call.
+        """
+        layer, degree, key, target, value = self._differential()
+        field = self.algebra.field
+        n_elems, n = value.shape
+        if not n_elems:
+            return {}
+        # levels are the runs of equal keys; pos is the place inside a level
+        keys = key.tolist()
+        order = np.array(sorted(range(n_elems), key=keys.__getitem__), dtype=np.int64)
+        new = np.ones(n_elems, dtype=bool)
+        new[1:] = key[order[1:]] != key[order[:-1]]
+        starts = np.flatnonzero(new)
+        level = np.empty(n_elems, dtype=np.int64)
+        level[order] = np.cumsum(new) - 1
+        pos = np.empty(n_elems, dtype=np.int64)
+        pos[order] = np.arange(n_elems) - starts[level[order]]
+        size = np.diff(np.append(starts, n_elems))
+
+        # d o d, slot pair by slot pair: every term lands two levels down, in
+        # the same weight, so a row per element and a column per place suffice
+        dd = np.zeros((n_elems, int(size.max())), dtype=np.int64)
+        every = np.arange(n_elems)
+        for i in range(n):
+            f, v = target[:, i], value[:, i]
+            for j in range(n):
+                dd[every, pos[target[f, j]]] += v * value[f, j]
+        if (dd % field.p).any():
+            raise CompositionNonzero("d o d != 0 on the resolution")
+
+        src, slot = np.nonzero(value)
+        dst, val = target[src, slot], value[src, slot]
+        del dd, every, slot, target, value, key  # free the element arrays first
+        src_level, dst_level = level[src], level[dst]
+        # all terms of one level land in one level, so these are well defined
+        down = np.zeros(starts.size, dtype=np.int64)
+        down[src_level] = dst_level
+        rows = np.zeros(starts.size, dtype=np.int64)
+        rows[src_level] = size[dst_level]
+        shape = rows * (size.max() + 1) + size
+        mapped = rows > 0
+        rank = np.zeros(starts.size, dtype=np.int64)
+        for code in np.flatnonzero(np.bincount(shape[mapped])):
+            blocks = np.flatnonzero(mapped & (shape == code))
+            slot = np.zeros(starts.size, dtype=np.int64)
+            slot[blocks] = np.arange(blocks.size)
+            hit = np.flatnonzero(shape[src_level] == code)
+            stack = np.zeros((blocks.size, rows[blocks[0]], size[blocks[0]]), dtype=np.int64)
+            stack[slot[src_level[hit]], pos[dst[hit]], pos[src[hit]]] = val[hit]
+            rank[blocks] = stack_ranks(field, stack)
+
+        # homology of a level: its size less the ranks of d out of it and into it
+        h = size - rank
+        h[down[mapped]] -= rank[mapped]
+        out: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for lv in np.flatnonzero(h).tolist():
+            e = order[starts[lv]]
+            out[(int(layer[e]), int(degree[e]))] += int(h[lv])
+        return dict(sorted(out.items()))
 
     def check_resolves_unit(self) -> None:
         """d composes to zero and the only homology is F_p in bidegree (0, 0)."""

@@ -256,3 +256,54 @@ def test_negative_control_theta_relations():
             # target algebra and under sigma, so only a0*b2 can be witnessed;
             # the deletion sweep above still covers those relations
             assert "a0*b2" not in zero_blind
+
+
+def test_stability_window_fails_on_a_page_with_live_lanes(monkeypatch):
+    import thhlab.scenarios as sc
+
+    assert by_name(run_scenario("thhz", 3, 30))["stability-window"].status == "pass"
+    # no differential turns the page, so the E2 page keeps its lanes
+    monkeypatch.setattr(sc, "run_differential", lambda page, rules: page)
+    check = by_name(run_scenario("thhz", 3, 30))["stability-window"]
+    assert check.status == "fail" and check.witnesses["candidate_lanes"] > 0
+
+
+def _repletion(p):
+    from thhlab.graded_algebra import CoefficientFactor, exterior, make_algebra, polynomial
+
+    coeff = (CoefficientFactor("C", "trivial"),)
+    x = 2 * p - 2
+    cyclic = make_algebra(p, [polynomial("x", x), exterior("dx", x + 1)], coefficients=coeff)
+    replete = make_algebra(p, [polynomial("x", x), exterior("dlogx", 1)], coefficients=coeff)
+    return cyclic, replete
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_repletion_map_commutes_with_the_derivations(p):
+    import thhlab.scenarios as sc
+    from thhlab.graded_algebra import algebra_map
+    from thhlab.presentation import DerivationSpec, leibniz_extension
+
+    cyclic, replete = _repletion(p)
+    f, _ = algebra_map(cyclic, replete, sc._REPLETION_IMAGES)
+    sigma_c = leibniz_extension(cyclic, DerivationSpec({"x": [(1, {"dx": 1})]}))
+    sigma_r = leibniz_extension(replete, DerivationSpec({"x": [(1, {"x": 1, "dlogx": 1})]}))
+    x, dx = (cyclic.mono_from_names({name: 1}) for name in ("x", "dx"))
+    x_dlogx = replete.mono_from_names({"x": 1, "dlogx": 1})
+    # f(sigma x) = f(dx) = x dlogx = sigma(x) = sigma(f x)
+    assert sigma_c({x: 1}) == {dx: 1}
+    assert f(dx) == {x_dlogx: 1} == sigma_r(f(x))
+    # f(sigma dx) = 0 = sigma(x dlogx), by dlogx^2 = 0
+    assert sigma_c({dx: 1}) == {} and sigma_r(f(dx)) == {}
+
+
+def test_repletion_check_fails_when_dx_maps_to_twice_its_image(monkeypatch):
+    import thhlab.scenarios as sc
+    from thhlab.graded_algebra import check_morphism
+
+    assert by_name(run_scenario("inputs", 3, 30))["repletion-morphism"].status == "pass"
+    doubled = {"x": [(1, {"x": 1})], "dx": [(2, {"x": 1, "dlogx": 1})]}
+    morph = check_morphism(*_repletion(3), doubled, 30)
+    assert morph.relations_ok and morph.injective
+    monkeypatch.setattr(sc, "_REPLETION_IMAGES", doubled)
+    assert by_name(run_scenario("inputs", 3, 30))["repletion-morphism"].status == "fail"

@@ -2,7 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thhlab import tor_engine
+from thhlab.fp_linalg import CompositionNonzero, FpMatrix, homology_dim
 
 from thhlab.graded_algebra import (
     CoefficientFactor,
@@ -103,6 +109,113 @@ def test_resolution_is_checked_on_construction():
     broken = ChainComplexOfFrees(res.algebra, res.cap, res.generators[:2])
     with pytest.raises(AssertionError):
         broken.check_resolves_unit()
+
+
+def _reference_matrix(res, s, t):
+    """The (s, t) differential built entry by entry with mono_mul."""
+    alg = res.algebra
+    kinds = [g.kind for g in alg.generators]
+
+    def basis(layer):
+        if not 0 <= layer <= res.top_filtration:
+            return []
+        table = alg.basis_by_degree(res.cap)
+        return [(m, g.word) for g in res.generators[layer]
+                for m in table.get(t - g.internal_degree, [])]
+
+    cols, rows = basis(s), basis(s - 1)
+    data = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, (m, word) in enumerate(cols):
+        for i, e in enumerate(word):
+            if not e:
+                continue
+            letters = sum(w for w, k in zip(word[:i], kinds) if k == "polynomial")
+            stages = sum(word[:i]) - letters
+            sign = (-1) ** (letters + (stages if kinds[i] == "polynomial" else 0))
+            unit = tuple(int(k == i) for k in range(len(word)))
+            prod = alg.mono_mul(m, unit)
+            if prod is not None:
+                reduced = word[:i] + (e - 1,) + word[i + 1:]
+                data[rows.index((prod[1], reduced)), j] += sign * prod[0]
+    return FpMatrix(alg.field, data)
+
+
+def _dense_homology(res):
+    out = {}
+    for s in range(res.top_filtration + 1):
+        for t in range(res.cap + 1):
+            d_out = res.matrix(s, t)
+            if d_out.shape[1]:
+                h = homology_dim(res.matrix(s + 1, t), d_out)
+                if h:
+                    out[(s, t)] = h
+    return out
+
+
+small_generators = st.lists(
+    st.one_of(
+        st.sampled_from([2, 4]).map(lambda d: ("polynomial", d)),
+        st.sampled_from([1, 3]).map(lambda d: ("exterior", d)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(small_generators, st.sampled_from([3, 5]), st.integers(0, 7))
+@settings(max_examples=10, deadline=None)
+def test_block_check_equals_dense_check_in_every_order(kinds, p, cap):
+    gens = [polynomial(f"x{i}", d) if kind == "polynomial" else exterior(f"y{i}", d)
+            for i, (kind, d) in enumerate(kinds)]
+    for order in set(itertools.permutations(range(len(gens)))):
+        res = resolution(make_algebra(p, [gens[i] for i in order]), cap)
+        for s in range(res.top_filtration + 2):
+            for t in range(cap + 1):
+                assert np.array_equal(res.matrix(s, t).data, _reference_matrix(res, s, t).data)
+        assert res.homology_dims() == _dense_homology(res) == {(0, 0): 1}
+        for top in range(1, res.top_filtration + 1):
+            cut = ChainComplexOfFrees(res.algebra, cap, res.generators[:top])
+            assert cut.homology_dims() == _dense_homology(cut)
+
+
+def test_block_check_rejects_a_dropped_top_layer():
+    res = resolution(make_algebra(3, [polynomial("x", 2), exterior("y", 3)]), 12)
+    broken = ChainComplexOfFrees(res.algebra, res.cap, res.generators[:-1])
+    with pytest.raises(AssertionError):
+        broken.check_resolves_unit()
+
+
+def test_block_check_rejects_a_generator_missing_from_a_middle_layer():
+    res = resolution(make_algebra(3, [polynomial("x", 2), exterior("y", 3)]), 12)
+    middle = res.top_filtration // 2
+    assert 0 < middle < res.top_filtration and len(res.generators[middle]) > 1
+    layers = list(res.generators)
+    layers[middle] = layers[middle][1:]
+    broken = ChainComplexOfFrees(res.algebra, res.cap, tuple(layers))
+    with pytest.raises(AssertionError):
+        broken.check_resolves_unit()
+
+
+def test_block_check_rejects_a_sign_that_breaks_d_squared(monkeypatch):
+    # the sign before the stages share was added: d[x] ignores y's tower stages
+    def letters_only(poly, words):
+        letters = np.cumsum(words * poly, axis=1) - words * poly
+        return 1 - 2 * (letters % 2)
+
+    alg = make_algebra(3, [exterior("y", 1), polynomial("x", 2)])
+    resolution(alg, 8)
+    monkeypatch.setattr(tor_engine, "_word_signs", letters_only)
+    with pytest.raises(CompositionNonzero):
+        resolution(alg, 8)
+
+
+def test_oracle_matches_closed_form_at_the_largest_prime():
+    p, cap = 2**31 - 1, 14
+    alg = make_algebra(p, [exterior("y", 1), polynomial("x", 2), exterior("w", 3)])
+    oracle = tor_oracle(alg, fp_module(alg), fp_module(alg), cap)
+    page = tor_closed_form(alg, fp_module(alg), fp_module(alg), cap)
+    want = {bd: d for bd, d in oracle.items() if sum(bd) <= cap}
+    assert {bd: d for bd, d in page.bigraded_dims(cap).items() if d} == want
 
 
 # -- oracle --------------------------------------------------------------------------
