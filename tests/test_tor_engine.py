@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from thhlab import tor_engine
 from thhlab.fp_linalg import CompositionNonzero, FpMatrix, homology_dim
-
 from thhlab.graded_algebra import (
     CoefficientFactor,
     MixedSpec,
@@ -197,7 +196,7 @@ def test_block_check_rejects_a_generator_missing_from_a_middle_layer():
 
 
 def test_block_check_rejects_a_sign_that_breaks_d_squared(monkeypatch):
-    # the sign before the stages share was added: d[x] ignores y's tower stages
+    # a sign without the stages share: d[x] ignores the tower stages of y before it
     def letters_only(poly, words):
         letters = np.cumsum(words * poly, axis=1) - words * poly
         return 1 - 2 * (letters % 2)
