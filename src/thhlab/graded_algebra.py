@@ -176,8 +176,10 @@ class AlgebraSpec:
         return sum(e * g.total_degree for e, g in zip(mono, self.generators))
 
     def bidegree_of(self, mono: Mono) -> tuple[int, int]:
-        s = sum(e * g.filtration for e, g in zip(mono, self.generators))
-        t = sum(e * g.degree for e, g in zip(mono, self.generators))
+        s = t = 0
+        for e, g in zip(mono, self.generators):
+            if e:  # monomials are sparse
+                s, t = s + e * g.filtration, t + e * g.degree
         return s, t
 
     def parity_of(self, mono: Mono) -> int:
@@ -396,11 +398,6 @@ def add(spec: AlgebraSpec, a: Element, b: Element) -> Element:
     return Element(spec, spec.add_dicts(a.terms, b.terms))
 
 
-def scale(spec: AlgebraSpec, c: int, a: Element) -> Element:
-    _same_spec(spec, a)
-    return Element(spec, spec.scale_dict(c, a.terms))
-
-
 def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
     """Disjoint union of generators; DuplicateName if names collide."""
     if a.field != b.field:
@@ -595,25 +592,28 @@ def algebra_map(
                 divided_images[g.name] = (0, -1)
         img[g.name] = terms
 
+    # the left-to-right product over slots, shared by last-slot recursion:
+    # image(m) = image(m with its last slot lowered by one) * img[g], and a
+    # divided slot is taken whole, as gamma_e -> c^e gamma_e
+    memo: dict[Mono, TermDict] = {src_alg.unit: {target.unit: 1}}
+
     def image_of_mono(mono: Mono) -> TermDict:
-        acc: TermDict = {target.unit: 1}
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            g = src_alg.generators[i]
+        steps: list[tuple[Mono, TermDict]] = []
+        while mono not in memo:
+            i = max(j for j, e in enumerate(mono) if e)
+            g, e = src_alg.generators[i], mono[i]
             if g.kind == "divided":
                 c, slot = divided_images[g.name]
-                if c == 0:
-                    return {}
-                factor_mono = [0] * len(target.generators)
-                factor_mono[slot] = e
-                acc = target.mul_dicts(acc, {tuple(factor_mono): pow(c, e, p)})
+                factor = {tuple(e if j == slot else 0 for j in range(len(target.generators))):
+                          pow(c, e, p)} if c else {}
+                e = 0
             else:
-                factor = img[g.name]
-                for _ in range(e):
-                    acc = target.mul_dicts(acc, factor)
-            if not acc:
-                return {}
+                factor, e = img[g.name], e - 1
+            steps.append((mono, factor))
+            mono = mono[:i] + (e,) + mono[i + 1:]
+        acc = memo[mono]
+        for m, factor in reversed(steps):
+            acc = memo[m] = target.mul_dicts(acc, factor)
         return acc
 
     # relation checks: kind truncations, then declared rewrite rules if any

@@ -5,8 +5,9 @@ t), optionally extended by labeled module summands (PageLabel) that carry a
 degree shift and may or may not admit divided powers of the spec's divided
 generators.  Differentials are declared on generators (for divided factors:
 on the gamma_{p^i} indecomposables) or on labeled basis elements, extended
-to every monomial by the graded Leibniz rule, checked for d.d = 0, and the
-next page is degreewise homology with monomial representatives.
+to every monomial by the graded Leibniz rule and checked for d.d = 0 term by
+term.  The next page is degreewise homology with monomial representatives,
+taken per connected component of the support of d (see run_differential).
 
 E-infinity pages are compared against a stated abutment: per-degree totals,
 declared multiplicative extensions (filtration drops), and the associated
@@ -16,6 +17,7 @@ graded under the filtration assignment, bidegree by bidegree.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -253,6 +255,7 @@ class _Differential:
         self.rule_map: dict[PageKey, dict[PageKey, int]] = {}
         self._memo: dict[Mono, TermDict] = {}
         gamma = set(page._gamma_slots())
+        self.gamma_mask = tuple(int(i in gamma) for i in range(len(spec.generators)))
         for rule in rules:
             if rule.scalar % self.p == 0:
                 raise ValueError("rule scalar must be a unit")
@@ -362,59 +365,42 @@ class _Differential:
         spec = self.page.spec
         if li is None:
             return {(m, None): c for m, c in self.of_mono(mono).items()}
-        gamma = set(self.page._gamma_slots())
-        gpart = tuple(e if i in gamma else 0 for i, e in enumerate(mono))
-        cpart = tuple(0 if i in gamma else e for i, e in enumerate(mono))
+        gpart = tuple(map(operator.mul, mono, self.gamma_mask))
         rule = self.rule_map.get((gpart, li))
         if not rule:
             return {}
+        cpart = tuple(map(operator.sub, mono, gpart))
         sign = -1 if spec.total_degree_of(cpart) % 2 else 1
         out: dict[PageKey, int] = {}
         for (tm, tli), c in rule.items():
             prod = spec.mono_mul(cpart, tm)
-            if prod is None:
-                continue
-            cc, pm = prod
-            v = (out.get((pm, tli), 0) + sign * c * cc) % self.p
-            if v:
-                out[(pm, tli)] = v
-            elif (pm, tli) in out:
-                del out[(pm, tli)]
-        return out
+            if prod is not None:
+                key = (prod[1], tli)
+                out[key] = (out.get(key, 0) + sign * c * prod[0]) % self.p
+        return {k: v for k, v in out.items() if v}
 
-    # -- matrices ----------------------------------------------------------------
+    # -- entries -----------------------------------------------------------------
 
-    def matrices(self) -> dict[tuple[int, int], FpMatrix]:
-        """d as a matrix out of every bucket in the window."""
-        page = self.page
-        field = page.spec.field
-        buckets = page.raw_buckets()
-        index: dict[tuple[int, int], dict[PageKey, int]] = {
-            bd: {k: i for i, k in enumerate(ks)} for bd, ks in buckets.items()
-        }
-        out: dict[tuple[int, int], FpMatrix] = {}
-        for (s, t), keys in buckets.items():
-            rows = index.get((s - self.r, t + self.r - 1), {})
-
-            def image(key: PageKey) -> dict[PageKey, int]:
-                val = self.of_key(key)
-                if any(tkey not in rows for tkey in val):
-                    raise BidegreeViolation(
-                        f"d({page.format_key(key)}) leaves its bidegree lane"
-                    )
-                return val
-
-            out[(s, t)] = map_matrix(field, keys, rows, image)
-        return out
-
-    def check_squares_to_zero(self, mats: dict) -> None:
-        for (s, t), m1 in mats.items():
-            m2 = mats.get((s - self.r, t + self.r - 1))
-            if m2 is not None and m1.shape[1] and m2.shape[0]:
-                if not (m2 @ m1).is_zero():
-                    raise NotADifferential(
-                        f"d.d != 0 out of bidegree {(s, t)} on page {self.r}"
-                    )
+    def entries(self) -> tuple[dict[PageKey, dict[PageKey, int]], dict[PageKey, tuple[int, int]]]:
+        """d of every raw key with a nonzero image, and every key's bidegree;
+        d must stay in its lane, then square to zero term by term."""
+        page, r, p = self.page, self.r, self.p
+        where = {k: bd for bd, ks in page.raw_buckets().items() for k in ks}
+        d: dict[PageKey, dict[PageKey, int]] = {}
+        for key, (s, t) in where.items():
+            val = self.of_key(key)
+            if val:
+                if any(where.get(k) != (s - r, t + r - 1) for k in val):
+                    raise BidegreeViolation(f"d({page.format_key(key)}) leaves its bidegree lane")
+                d[key] = val
+        for key, img in d.items():
+            dd: dict[PageKey, int] = {}
+            for b, c in img.items():
+                for k, c2 in d.get(b, {}).items():
+                    dd[k] = (dd.get(k, 0) + c * c2) % p
+            if any(dd.values()):
+                raise NotADifferential(f"d.d != 0 out of bidegree {where[key]} on page {r}")
+        return d, where
 
     def check_leibniz_samples(self, samples: int = 1500) -> None:
         """Product rule on sampled monomial pairs (plain pages only)."""
@@ -457,68 +443,81 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     the result's index is one past the rules' page.  Survivor bases prefer
     monomial representatives; classes with no monomial cycle representative
     are counted in extra_classes.
+
+    Rank and homology split over the connected components of d's support,
+    so the page turns component by component: a component of one entry
+    a -> b has rank 1 and removes a as a non-cycle and b as a boundary, a
+    key in no entry survives, and only the components with more than one
+    entry are eliminated, bidegree by bidegree.
     """
     if not rules:
-        return Page(
-            spec=page.spec,
-            page_index=page.page_index + 1,
-            cap=page.cap,
-            labels=page.labels,
-            survivors=page.survivors,
-            extra_classes=page.extra_classes,
-        )
+        return Page(page.spec, page.page_index + 1, page.cap, page.labels, page.survivors,
+                    page.extra_classes)
     if page.survivors is not None:
         raise ValueError("differentials run on freshly declared pages only")
     diff = _Differential(page, rules)
-    mats = diff.matrices()
-    diff.check_squares_to_zero(mats)
+    d, where = diff.entries()
     diff.check_leibniz_samples()
 
-    field = page.spec.field
-    buckets = page.raw_buckets()
+    root: dict[PageKey, PageKey] = {}  # union-find over the entries of d
+
+    def find(k: PageKey) -> PageKey:
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for a, img in d.items():
+        for b in img:
+            root[find(root.setdefault(b, b))] = find(root.setdefault(a, a))
+    comps: dict[PageKey, list[PageKey]] = {}
+    for k in root:
+        comps.setdefault(find(k), []).append(k)
+    field, r = page.spec.field, diff.r
+    rank: dict[tuple[int, int], int] = {}
+    dense: dict[tuple[int, int], list[PageKey]] = {}  # keys of the larger components
+    for keys in comps.values():
+        if len(keys) == 2:  # one entry: its source, r filtrations up, is no cycle
+            bd = max(where[k] for k in keys)
+            rank[bd] = rank.get(bd, 0) + 1
+    for k in sorted(k for keys in comps.values() if len(keys) > 2 for k in keys):
+        dense.setdefault(where[k], []).append(k)  # in bucket key order
+    mats: dict[tuple[int, int], FpMatrix] = {}
+    for (s, t), ks in dense.items():
+        rows = {k: i for i, k in enumerate(dense.get((s - r, t + r - 1), ()))}
+        mats[(s, t)] = map_matrix(field, ks, rows, lambda k: d.get(k, {}))
+        rank[(s, t)] = rank.get((s, t), 0) + mats[(s, t)].rank()
+
     survivors: dict[tuple[int, int], tuple[PageKey, ...]] = {}
     extra: dict[tuple[int, int], int] = {}
-    r = diff.r
-    for (s, t), keys in buckets.items():
+    for (s, t), keys in page.raw_buckets().items():
         if s + t > page.cap:
             continue
-        out_m = mats[(s, t)]
-        in_m = mats.get((s + r, t - r + 1))
-        rank_in = in_m.rank() if in_m is not None else 0
-        dim_h = len(keys) - out_m.rank() - rank_in
+        dim_h = len(keys) - rank.get((s, t), 0) - rank.get((s + r, t - r + 1), 0)
         if dim_h < 0:
             raise NotADifferential(f"negative homology at {(s, t)}")
-        chosen: list[PageKey] = []
-        if dim_h:
+        chosen = [k for k in keys if k not in root]
+        if (s, t) in mats:
             # a monomial cycle survives when it is outside the span of the
             # boundaries and the cycles before it: exactly the pivot columns
             # of [boundaries | unit columns of the cycles] past the boundaries
-            cycles = np.flatnonzero(~out_m.data.any(axis=0))
-            bounds = in_m.data if in_m is not None else np.zeros((len(keys), 0), np.int64)
-            units = np.zeros((len(keys), cycles.size), dtype=np.int64)
-            units[cycles, np.arange(cycles.size)] = 1
+            ks, in_m = dense[(s, t)], mats.get((s + r, t - r + 1))
+            cycles = np.flatnonzero(~mats[(s, t)].data.any(axis=0))
+            bounds = in_m.data if in_m is not None else np.zeros((len(ks), 0), np.int64)
+            units = np.eye(len(ks), dtype=np.int64)[:, cycles]
             _, pivots = FpMatrix(field, np.hstack([bounds, units])).rref()
             nb = bounds.shape[1]
-            chosen = [keys[cycles[c - nb]] for c in pivots if c >= nb]
+            chosen = sorted(chosen + [ks[cycles[c - nb]] for c in pivots if c >= nb])
         if len(chosen) < dim_h:
             extra[(s, t)] = dim_h - len(chosen)
         if chosen:
             survivors[(s, t)] = tuple(chosen)
-
-    next_page = Page(
-        spec=page.spec,
-        page_index=r + 1,
-        cap=page.cap,
-        labels=page.labels,
-        survivors=survivors,
-        extra_classes=extra or None,
-    )
+    next_page = Page(page.spec, r + 1, page.cap, page.labels, survivors, extra or None)
     # charge conservation: what one page loses is exactly the rank of d
     old = page.total_dims()
     new = next_page.total_dims()
     rank_from: dict[int, int] = {}
-    for (s, t), m in mats.items():
-        rank_from[s + t] = rank_from.get(s + t, 0) + m.rank()
+    for (s, t), n in rank.items():
+        rank_from[s + t] = rank_from.get(s + t, 0) + n
     for n in range(page.cap + 1):
         drop = rank_from.get(n, 0) + rank_from.get(n + 1, 0)
         if old[n] - new[n] != drop:

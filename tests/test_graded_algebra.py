@@ -11,6 +11,7 @@ from thhlab.graded_algebra import (
     ParityViolation,
     UnsupportedKind,
     add,
+    algebra_map,
     bigraded_dims,
     check_morphism,
     dims_convolve,
@@ -327,3 +328,42 @@ def test_truncated_height_p_kills_pth_powers(p, half_d):
         power = multiply(spec, power, s)
     assert power.is_zero()
     assert multiply(spec, y, y).is_zero()
+
+
+def _left_to_right_image(src_alg, target, images, mono):
+    """Image of a monomial as the plain product over its slots, left to
+    right, every exponent multiplied out from the unit (no sharing)."""
+    p = target.field.p
+    acc = {target.unit: 1}
+    for i, e in enumerate(mono):
+        g = src_alg.generators[i]
+        if e and g.kind == "divided":
+            terms = target.dict_from_input(images[g.name])  # c * gamma_1, or zero
+            acc = {} if not terms else target.mul_dicts(
+                acc, {tuple(e * x for x in m): pow(c, e, p) for m, c in terms.items()})
+        else:
+            for _ in range(e):
+                acc = target.mul_dicts(acc, target.dict_from_input(images[g.name]))
+    return acc
+
+
+@given(st.sampled_from([3, 5]), st.data())
+@settings(max_examples=25, deadline=None)
+def test_algebra_map_memo_matches_left_to_right_products(p, data):
+    src_alg = make_algebra(p, [polynomial("X", 2), exterior("Y", 3),
+                               truncated("Z", 4, 3), divided("G", 2)])
+    target = make_algebra(p, [polynomial("a", 2), exterior("b", 1), exterior("e", 3),
+                              divided("c", 2), truncated("h", 2, p)])
+    by_degree = target.basis_by_degree(4)
+    coeff = st.integers(0, p - 1)
+    images = {
+        name: {m: data.draw(coeff) for m in by_degree[deg]}
+        for name, deg in (("X", 2), ("Y", 3), ("Z", 4))
+    }
+    images["G"] = [(data.draw(st.integers(0, p - 1)), {"c": 1})]
+    image_of_mono, _ = algebra_map(src_alg, target, images)
+    monos = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1),
+                                         st.integers(0, 2), st.integers(0, 2 * p)),
+                               min_size=1, max_size=8))
+    for mono in monos:  # in drawn order, so later ones reuse earlier products
+        assert image_of_mono(mono) == _left_to_right_image(src_alg, target, images, mono)

@@ -1,9 +1,16 @@
 """Pages, Leibniz-extended differentials, page turns, abutment comparison."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thhlab.fp_linalg import FpMatrix, map_matrix
 from thhlab.graded_algebra import (
     bigraded_dims,
     divided,
@@ -26,6 +33,7 @@ from thhlab.spectral_sequence import (
     Page,
     PageLabel,
     RuleFamily,
+    _Differential,
     compare_abutment,
     possible_differentials,
     run_differential,
@@ -212,6 +220,58 @@ def test_not_a_differential():
         run_differential(page, rules)
 
 
+def cancel_page(cap=14):
+    # d(w) = x - y needs d(x) = d(y); the support of d is one component
+    spec = make_algebra(
+        3,
+        [
+            exterior("w", 3, filtration=4),
+            polynomial("x", 4, filtration=2),
+            polynomial("y", 4, filtration=2),
+            exterior("z", 5, filtration=0),
+        ],
+    )
+    return Page(spec, page_index=2, cap=cap)
+
+
+def cancel_rules(scalar):
+    return [
+        DifferentialRule(2, {"w": 1}, [(1, {"x": 1}), (-1, {"y": 1})]),
+        DifferentialRule(2, {"x": 1}, [(1, {"z": 1})]),
+        DifferentialRule(2, {"y": 1}, [(1, {"z": 1})], scalar=scalar),
+    ]
+
+
+def test_wrong_rule_scalar_is_not_a_differential():
+    out = run_differential(cancel_page(), cancel_rules(1))
+    assert out.keys_at(2, 4) == ()  # x - y bounds, x + y maps onto z
+    assert out.extra_classes is None
+    with pytest.raises(NotADifferential, match=r"out of bidegree \(4, 3\) on page 2"):
+        run_differential(cancel_page(), cancel_rules(2))
+
+
+def test_wrong_rule_scalar_is_caught_under_python_O():
+    script = (
+        "import sys\n"
+        "from thhlab.graded_algebra import exterior, make_algebra, polynomial\n"
+        "from thhlab.spectral_sequence import DifferentialRule as R, NotADifferential\n"
+        "from thhlab.spectral_sequence import Page, run_differential\n"
+        "spec = make_algebra(3, [exterior('w', 3, 4), polynomial('x', 4, 2),\n"
+        "                        polynomial('y', 4, 2), exterior('z', 5, 0)])\n"
+        "rules = [R(2, {'w': 1}, [(1, {'x': 1}), (-1, {'y': 1})]),\n"
+        "         R(2, {'x': 1}, [(1, {'z': 1})]), R(2, {'y': 1}, [(2, {'z': 1})])]\n"
+        "try:\n"
+        "    run_differential(Page(spec, 2, 14), rules)\n"
+        "except NotADifferential:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert done.returncode == 0
+
 def test_bidegree_violation():
     page = Page(chain_spec(), page_index=2, cap=14)
     with pytest.raises(BidegreeViolation):
@@ -228,6 +288,19 @@ def test_image_outside_the_window_leaves_its_lane():
     with pytest.raises(BidegreeViolation, match="leaves its bidegree lane"):
         run_differential(page, [rule])
 
+
+
+def test_tower_rule_whose_image_leaves_the_page():
+    # the p = 3 u-tower of the module page with a1 admitting no divided
+    # powers: d(gamma_3 {u}) = gamma_1 {a1} has the right bidegree, no key
+    page = module_page(cap=30)
+    labels = tuple(
+        PageLabel(L.name, L.shift, allows_gamma=False) if L.name == "a1" else L
+        for L in page.labels
+    )
+    page = Page(page.spec, page_index=2, cap=30, labels=labels)
+    with pytest.raises(BidegreeViolation, match=r"d\(g3\(\[du\]\)\*\{u\}\) leaves"):
+        run_differential(page, module_rules(page))
 
 def test_leibniz_conflict_on_duplicate_sources():
     page = tower_page(3, 24)
@@ -449,3 +522,145 @@ def test_dropping_a_family_member_still_runs_consistently():
     rules = tower_rules(p, cap, scalars={1: 1, 2: 0})
     out = run_differential(page, rules)
     assert out.total_dims()[0] == 1
+
+
+def dense_turn(page, rules):
+    """Reference page turn: one dense matrix of d out of every bucket, and a
+    monomial cycle survives when it is outside the span of the boundaries
+    and of the cycles before it (rref of [boundaries | unit columns])."""
+    diff = _Differential(page, rules)
+    field, r, buckets = page.spec.field, diff.r, page.raw_buckets()
+    index = {bd: {k: i for i, k in enumerate(ks)} for bd, ks in buckets.items()}
+    mats = {
+        (s, t): map_matrix(field, keys, index.get((s - r, t + r - 1), {}), diff.of_key)
+        for (s, t), keys in buckets.items()
+    }
+    dims, survivors, extra = {}, {}, {}
+    for (s, t), keys in buckets.items():
+        if s + t > page.cap:
+            continue
+        out_m, in_m = mats[(s, t)], mats.get((s + r, t - r + 1))
+        bounds = in_m.data if in_m is not None else np.zeros((len(keys), 0), np.int64)
+        dims[(s, t)] = len(keys) - out_m.rank() - (in_m.rank() if in_m is not None else 0)
+        cycles = np.flatnonzero(~out_m.data.any(axis=0))
+        units = np.zeros((len(keys), cycles.size), dtype=np.int64)
+        units[cycles, np.arange(cycles.size)] = 1
+        _, pivots = FpMatrix(field, np.hstack([bounds, units])).rref()
+        chosen = [keys[cycles[c - bounds.shape[1]]] for c in pivots if c >= bounds.shape[1]]
+        if chosen:
+            survivors[(s, t)] = tuple(chosen)
+        if len(chosen) < dims[(s, t)]:
+            extra[(s, t)] = dims[(s, t)] - len(chosen)
+    return {bd: n for bd, n in dims.items() if n}, survivors, extra or None
+
+
+@st.composite
+def leibniz_pages(draw):
+    """A two-layer page: filtration-0 generators, and filtration-2 generators
+    whose d_2 hits random combinations in the filtration-0 algebra.  d.d = 0
+    holds on generators, so the Leibniz extension is a differential; the
+    first rule hits two monomials, so d's support is no matching."""
+    p = draw(st.sampled_from([3, 5]))
+    low = [
+        exterior("a", 1), exterior("b", 3),
+        draw(st.sampled_from([polynomial("c", 2), truncated("c", 2, p), divided("c", 2)])),
+    ]
+    base = make_algebra(p, low).basis_by_degree(8)
+    gens, rules = list(low), []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from([n for n in range(2, 9) if len(base[n]) >= 2]))
+        name = f"x{i}"
+        gens.append((polynomial if n % 2 else exterior)(name, n - 1, filtration=2))
+        targets = draw(st.lists(st.sampled_from(base[n]), min_size=2 if i == 0 else 1,
+                                max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(1, p - 1), min_size=len(targets),
+                               max_size=len(targets)))
+        rules.append((name, list(zip(coeffs, targets))))
+    spec = make_algebra(p, gens)
+    names = [g.name for g in low]
+
+    def powers(mono):
+        return {nm: e for nm, e in zip(names, mono) if e}
+
+    rules = [DifferentialRule(2, {name: 1}, [(c, powers(m)) for c, m in tgt])
+             for name, tgt in rules]
+    return Page(spec, page_index=2, cap=draw(st.integers(6, 12))), rules
+
+
+@given(leibniz_pages())
+@settings(max_examples=40, deadline=None)
+def test_component_turn_matches_dense_reference(page_rules):
+    page, rules = page_rules
+    dims, survivors, extra = dense_turn(page, rules)
+    out = run_differential(page, rules)
+    assert out.bigraded_dims() == dims
+    assert out.survivors == survivors
+    assert out.extra_classes == extra
+
+
+def test_component_reference_sees_larger_components():
+    # the seed shape of the property above: d(x) = d(y) = z joins x, y and z
+    spec = make_algebra(
+        3,
+        [
+            polynomial("x", 2, filtration=2),
+            polynomial("y", 2, filtration=2),
+            exterior("z", 3, filtration=0),
+        ],
+    )
+    page = Page(spec, page_index=2, cap=8)
+    rules = [
+        DifferentialRule(2, {"x": 1}, [(1, {"z": 1})]),
+        DifferentialRule(2, {"y": 1}, [(1, {"z": 1})]),
+    ]
+    dims, survivors, extra = dense_turn(page, rules)
+    out = run_differential(page, rules)
+    assert (out.bigraded_dims(), out.survivors, out.extra_classes) == (dims, survivors, extra)
+    assert extra[(2, 2)] == 1  # the class of x - y
+
+
+def test_component_survivors_keep_key_order():
+    # z3 is hit by nothing, and of z1, z2 the first in key order (z2)
+    # survives d(x) = z1 + z2: the merged survivors of (0, 3) come out in
+    # bucket key order, z2 before z3
+    spec = make_algebra(
+        3,
+        [
+            polynomial("x", 2, filtration=2),
+            exterior("z3", 3),
+            exterior("z1", 3),
+            exterior("z2", 3),
+        ],
+    )
+    page = Page(spec, page_index=2, cap=8)
+    rules = [DifferentialRule(2, {"x": 1}, [(1, {"z1": 1}), (1, {"z2": 1})])]
+    dims, survivors, extra = dense_turn(page, rules)
+    out = run_differential(page, rules)
+    assert (out.bigraded_dims(), out.survivors, out.extra_classes) == (dims, survivors, extra)
+    z2, z3 = (spec.mono_from_names({n: 1}) for n in ("z2", "z3"))
+    assert out.keys_at(0, 3) == ((z2, None), (z3, None))
+
+
+def test_component_blocks_share_one_key_order():
+    # one component spans (4, 7) and (2, 8); the block out of (4, 7) places
+    # its rows in the key order of (2, 8), where b*c*x0 is the first cycle
+    # outside the span of the boundaries
+    spec = make_algebra(
+        3,
+        [
+            exterior("a", 1),
+            exterior("b", 3),
+            truncated("c", 2, 3),
+            exterior("x0", 3, filtration=2),
+            polynomial("x1", 2, filtration=2),
+        ],
+    )
+    page = Page(spec, page_index=2, cap=10)
+    rules = [
+        DifferentialRule(2, {"x0": 1}, [(1, {"c": 2}), (1, {"a": 1, "b": 1})]),
+        DifferentialRule(2, {"x1": 1}, [(1, {"b": 1}), (1, {"a": 1, "c": 1})]),
+    ]
+    dims, survivors, extra = dense_turn(page, rules)
+    out = run_differential(page, rules)
+    assert (out.bigraded_dims(), out.survivors, out.extra_classes) == (dims, survivors, extra)
+    assert out.keys_at(2, 8) == ((spec.mono_from_names({"b": 1, "c": 1, "x0": 1}), None),)
