@@ -176,10 +176,8 @@ class AlgebraSpec:
         return sum(e * g.total_degree for e, g in zip(mono, self.generators))
 
     def bidegree_of(self, mono: Mono) -> tuple[int, int]:
-        s = t = 0
-        for e, g in zip(mono, self.generators):
-            if e:  # monomials are sparse
-                s, t = s + e * g.filtration, t + e * g.degree
+        s = sum(e * g.filtration for e, g in zip(mono, self.generators))
+        t = sum(e * g.degree for e, g in zip(mono, self.generators))
         return s, t
 
     def parity_of(self, mono: Mono) -> int:
@@ -396,6 +394,11 @@ def multiply(spec: AlgebraSpec, a: Element, b: Element) -> Element:
 def add(spec: AlgebraSpec, a: Element, b: Element) -> Element:
     _same_spec(spec, a, b)
     return Element(spec, spec.add_dicts(a.terms, b.terms))
+
+
+def scale(spec: AlgebraSpec, c: int, a: Element) -> Element:
+    _same_spec(spec, a)
+    return Element(spec, spec.scale_dict(c, a.terms))
 
 
 def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:

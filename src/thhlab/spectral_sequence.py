@@ -451,8 +451,14 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     entry are eliminated, bidegree by bidegree.
     """
     if not rules:
-        return Page(page.spec, page.page_index + 1, page.cap, page.labels, page.survivors,
-                    page.extra_classes)
+        return Page(
+            spec=page.spec,
+            page_index=page.page_index + 1,
+            cap=page.cap,
+            labels=page.labels,
+            survivors=page.survivors,
+            extra_classes=page.extra_classes,
+        )
     if page.survivors is not None:
         raise ValueError("differentials run on freshly declared pages only")
     diff = _Differential(page, rules)
@@ -511,7 +517,15 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
             extra[(s, t)] = dim_h - len(chosen)
         if chosen:
             survivors[(s, t)] = tuple(chosen)
-    next_page = Page(page.spec, r + 1, page.cap, page.labels, survivors, extra or None)
+
+    next_page = Page(
+        spec=page.spec,
+        page_index=r + 1,
+        cap=page.cap,
+        labels=page.labels,
+        survivors=survivors,
+        extra_classes=extra or None,
+    )
     # charge conservation: what one page loses is exactly the rank of d
     old = page.total_dims()
     new = next_page.total_dims()
