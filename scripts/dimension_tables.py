@@ -5,29 +5,15 @@ the single-graded answers those totals collapse onto."""
 
 import argparse
 
-from thhlab.graded_algebra import exterior, hilbert, make_algebra, polynomial
-from thhlab.spectral_sequence import DifferentialRule, run_differential
-from thhlab.tor_engine import ModuleSpec, fp_module, tor_closed_form
+from thhlab.graded_algebra import hilbert
+from thhlab.scenarios import _log_answer, _tower_answer, _tower_base, _tower_rules
+from thhlab.spectral_sequence import run_differential
+from thhlab.tor_engine import fp_module, tor_closed_form
 
 
 def tower_page(p, cap):
-    base = make_algebra(p, [polynomial("v", 2 * p - 2), exterior("dv", 2 * p - 1)])
-    core = make_algebra(p, [
-        exterior("l1", 2 * p - 1),
-        exterior("l2", 2 * p * p - 1),
-        polynomial("m2", 2 * p * p),
-    ])
-    left = ModuleSpec(base, trivial_action_coefficients=core)
+    base, left = _tower_base(p)
     return tor_closed_form(base, left, fp_module(base), cap)
-
-
-def tower_rules(p, cap):
-    rules, k = [], p
-    while 2 * p * k <= cap + 1:
-        rules.append(DifferentialRule(page=p, source={"[dv]": k},
-                                      target=[(1, {"l2": 1, "[dv]": k - p})]))
-        k *= p
-    return rules
 
 
 def main(argv=None) -> int:
@@ -42,15 +28,9 @@ def main(argv=None) -> int:
     cap = args.cap if args.cap is not None else 2 * p * p + 4 * p
 
     start = tower_page(p, cap)
-    stable = run_differential(tower_page(p, cap), tower_rules(p, cap))
-    answer = hilbert(make_algebra(p, [
-        exterior("e1", 2 * p - 1), exterior("l1", 2 * p - 1),
-        polynomial("m1", 2 * p),
-    ]), cap)
-    log_answer = hilbert(make_algebra(p, [
-        exterior("l1", 2 * p - 1), exterior("dlogv", 1),
-        polynomial("k1", 2 * p),
-    ]), cap)
+    stable = run_differential(tower_page(p, cap), _tower_rules(p, cap))
+    answer = hilbert(_tower_answer(p), cap)
+    log_answer = hilbert(_log_answer(p), cap)
 
     print(f"tower page over p={p}, cap={cap}")
     print(f"{'n':>4} {'start':>6} {'stable':>7} {'answer':>7} {'log':>6}")

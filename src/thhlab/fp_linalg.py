@@ -57,15 +57,6 @@ class PrimeField:
     def normalize(self, a: int) -> int:
         return a % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a = a % self.p
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return pow(a, -1, self.p)
-
 
 @dataclass(frozen=True, eq=False)
 class FpMatrix:

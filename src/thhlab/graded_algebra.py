@@ -7,16 +7,14 @@ truncated (even, x^h = 0 for a height h >= 2), and divided (even; the
 exponent slot holds the index k of gamma_k, with gamma_i * gamma_j =
 binom(i+j, i) * gamma_{i+j} reduced mod p).
 
-Monomials are exponent tuples aligned with the generator tuple; raw element
+Monomials are exponent tuples aligned with the generator tuple; element
 dicts map monomials to nonzero coefficients, with zero as the empty dict.
-The Element wrapper ties a dict to its spec so cross-spec arithmetic can be
-rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .fp_linalg import PrimeField, map_matrix
@@ -40,7 +38,7 @@ class DuplicateName(GradedError):
 
 
 class MixedSpec(GradedError):
-    """Elements of different algebra specs fed to one operation."""
+    """Inputs over different fields or base algebras fed to one operation."""
 
 
 class DegreeMismatch(GradedError):
@@ -122,6 +120,36 @@ def divided(name: str, degree: int, filtration: int = 0) -> Generator:
     return Generator(name, degree, "divided", None, filtration)
 
 
+def _walk_monomials(
+    gens: Sequence[Generator], cap: int, closing: Sequence[Sequence]
+) -> dict[int, list[Mono]]:
+    """Monomials of total degree <= cap in ambient order, keyed by degree.
+
+    closing[i] holds the rewrite rules whose lhs has its last nonzero slot
+    at i.  Once slots 0..i are fixed, the first of them to divide the prefix
+    stops the exponent at slot i from rising further, since every larger
+    exponent is reducible too.  A plain algebra passes empty lists.
+    """
+    table: dict[int, list[Mono]] = {n: [] for n in range(cap + 1)}
+    mono = [0] * len(gens)
+
+    def rec(i: int, deg: int) -> None:
+        if i == len(gens):
+            table[deg].append(tuple(mono))
+            return
+        d = gens[i].total_degree
+        rules = closing[i]
+        for e in range(gens[i].max_exponent(cap - deg) + 1):
+            mono[i] = e
+            if rules and e and any(r.divides(mono) for r in rules):
+                break
+            rec(i + 1, deg + e * d)
+        mono[i] = 0
+
+    rec(0, 0)
+    return table
+
+
 @dataclass(frozen=True)
 class CoefficientFactor:
     """Opaque unit-dimensional coefficient algebra carried along formally.
@@ -179,9 +207,6 @@ class AlgebraSpec:
         s = sum(e * g.filtration for e, g in zip(mono, self.generators))
         t = sum(e * g.degree for e, g in zip(mono, self.generators))
         return s, t
-
-    def parity_of(self, mono: Mono) -> int:
-        return self.total_degree_of(mono) % 2
 
     def mono_from_names(self, powers: Mapping[str, int]) -> Mono:
         exps = [0] * len(self.generators)
@@ -278,22 +303,7 @@ class AlgebraSpec:
 
     def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
         """All normal-form monomials of total degree <= cap, keyed by degree."""
-        table: dict[int, list[Mono]] = {n: [] for n in range(cap + 1)}
-        gens = self.generators
-        mono = [0] * len(gens)
-
-        def rec(i: int, deg: int) -> None:
-            if i == len(gens):
-                table[deg].append(tuple(mono))
-                return
-            d = gens[i].total_degree
-            for e in range(gens[i].max_exponent(cap - deg) + 1):
-                mono[i] = e
-                rec(i + 1, deg + e * d)
-            mono[i] = 0
-
-        rec(0, 0)
-        return table
+        return _walk_monomials(self.generators, cap, [()] * len(self.generators))
 
     def basis(self, cap: int) -> list[Mono]:
         table = self.basis_by_degree(cap)
@@ -321,17 +331,10 @@ class AlgebraSpec:
             for m, c in items
         )
 
-    def element(self, terms: Union[TermDict, Sequence[tuple[int, Mapping[str, int]]]]) -> "Element":
-        return Element(self, self.dict_from_input(terms))
-
     def dict_from_input(
-        self, terms: Union["Element", TermDict, Sequence[tuple[int, Mapping[str, int]]]]
+        self, terms: Union[TermDict, Sequence[tuple[int, Mapping[str, int]]]]
     ) -> TermDict:
-        """Normalize user input (Element, mono dict, or (coeff, names) pairs)."""
-        if isinstance(terms, Element):
-            if terms.spec != self:
-                raise MixedSpec("element belongs to a different spec")
-            return dict(terms.terms)
+        """Normalize user input (mono dict, or (coeff, names) pairs)."""
         if isinstance(terms, dict):
             out: TermDict = {}
             for m, c in terms.items():
@@ -361,44 +364,6 @@ def make_algebra(
     if isinstance(field, int):
         field = PrimeField(field)
     return AlgebraSpec(field, tuple(generators), tuple(coefficients))
-
-
-@dataclass(frozen=True)
-class Element:
-    spec: AlgebraSpec
-    terms: TermDict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        p = self.spec.field.p
-        clean = {m: c % p for m, c in self.terms.items() if c % p}
-        object.__setattr__(self, "terms", clean)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __str__(self) -> str:
-        return self.spec.format_dict(self.terms)
-
-
-def _same_spec(spec: AlgebraSpec, *elts: Element) -> None:
-    for e in elts:
-        if e.spec != spec:
-            raise MixedSpec("elements belong to different specs")
-
-
-def multiply(spec: AlgebraSpec, a: Element, b: Element) -> Element:
-    _same_spec(spec, a, b)
-    return Element(spec, spec.mul_dicts(a.terms, b.terms))
-
-
-def add(spec: AlgebraSpec, a: Element, b: Element) -> Element:
-    _same_spec(spec, a, b)
-    return Element(spec, spec.add_dicts(a.terms, b.terms))
-
-
-def scale(spec: AlgebraSpec, c: int, a: Element) -> Element:
-    _same_spec(spec, a)
-    return Element(spec, spec.scale_dict(c, a.terms))
 
 
 def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
@@ -440,19 +405,8 @@ def dims_shift(a: Sequence[int], shift: int, cap: int) -> list[int]:
 
 def generator_dims(g: Generator, cap: int) -> list[int]:
     s = [0] * (cap + 1)
-    s[0] = 1
-    d = g.total_degree
-    if g.kind == "exterior":
-        if d <= cap:
-            s[d] = 1
-    elif g.kind == "truncated":
-        for e in range(1, g.height or 0):
-            if e * d > cap:
-                break
-            s[e * d] = 1
-    else:  # polynomial and divided have identical dimension series
-        for k in range(d, cap + 1, d):
-            s[k] = 1
+    for e in range(g.max_exponent(cap) + 1):
+        s[e * g.total_degree] = 1
     return s
 
 
@@ -469,18 +423,8 @@ def bigraded_dims(spec: AlgebraSpec, cap: int) -> dict[tuple[int, int], int]:
     """Dimensions by (filtration, internal) bidegree, for total degree <= cap."""
     out: dict[tuple[int, int], int] = {(0, 0): 1}
     for g in spec.generators:
-        gen_table: dict[tuple[int, int], int] = {(0, 0): 1}
-        d = g.total_degree
-        if g.kind == "exterior":
-            emax = 1
-        elif g.kind == "truncated":
-            emax = (g.height or 0) - 1
-        else:
-            emax = cap // d
-        for e in range(1, emax + 1):
-            if e * d > cap:
-                break
-            gen_table[(e * g.filtration, e * g.degree)] = 1
+        gen_table = {(e * g.filtration, e * g.degree): 1
+                     for e in range(g.max_exponent(cap) + 1)}
         new: dict[tuple[int, int], int] = {}
         for (s1, t1), n1 in out.items():
             for (s2, t2), n2 in gen_table.items():
@@ -549,11 +493,11 @@ def algebra_map(
 
     source may be an AlgebraSpec or a Presentation (anything exposing
     generators via .algebra and optionally .rules).  images maps every source
-    generator name to a target element (Element, mono dict, or (coeff,
-    {name: exp}) pairs).  Divided source generators only support images
-    c * (single divided target generator); anything else raises
-    UnsupportedKind since a general map of divided powers is not determined
-    by the image of gamma_1.  Returns the image of a source monomial and one
+    generator name to a target element (mono dict, or (coeff, {name: exp})
+    pairs).  Divided source generators only support images c * (single
+    divided target generator); anything else raises UnsupportedKind since a
+    general map of divided powers is not determined by the image of
+    gamma_1.  Returns the image of a source monomial and one
     (description, holds) pair per kind truncation and per rewrite rule.
     """
     src_alg: AlgebraSpec = getattr(source, "algebra", source)

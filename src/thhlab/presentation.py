@@ -29,13 +29,12 @@ from .fp_linalg import PrimeField
 from .graded_algebra import (
     AlgebraSpec,
     DegreeMismatch,
-    Element,
     Generator,
     GradedError,
-    MixedSpec,
     Mono,
     TermDict,
     UnsupportedKind,
+    _walk_monomials,
     exterior,
     make_algebra,
     polynomial,
@@ -137,42 +136,19 @@ class Presentation:
         only irreducible monomials.  They form an order ideal: a rule lhs
         that divides m divides every multiple of m.  Each rule is tested
         where its lhs has its last nonzero slot, once that prefix of the
-        monomial is fixed, and the first rule to divide it stops the
-        exponent at that slot from rising further.  Lists come out in the
-        ambient order, as if the ambient table were filtered by irreducible.
+        monomial is fixed.  Lists come out in the ambient order, as if the
+        ambient table were filtered by irreducible.
         """
         gens = self.algebra.generators
-        table: dict[int, list[Mono]] = {n: [] for n in range(cap + 1)}
         closing: list[list[RewriteRule]] = [[] for _ in gens]
         for rule in self.rules:
             last = max(i for i, e in enumerate(rule.lhs) if e)  # lhs is not the unit
             closing[last].append(rule)
-        mono = [0] * len(gens)
-
-        def rec(i: int, deg: int) -> None:
-            if i == len(gens):
-                table[deg].append(tuple(mono))
-                return
-            d = gens[i].total_degree
-            for e in range(gens[i].max_exponent(cap - deg) + 1):
-                mono[i] = e
-                if e and any(r.divides(mono) for r in closing[i]):
-                    break  # every larger exponent is reducible too
-                rec(i + 1, deg + e * d)
-            mono[i] = 0
-
-        rec(0, 0)
-        return table
+        return _walk_monomials(gens, cap, closing)
 
     def basis(self, cap: int) -> list[Mono]:
         table = self.basis_by_degree(cap)
         return [m for n in range(cap + 1) for m in table[n]]
-
-
-def normal_form(pres: Presentation, element: Element) -> Element:
-    if element.spec != pres.algebra:
-        raise MixedSpec("element does not live over the presentation's algebra")
-    return Element(pres.algebra, pres.normal_form_dict(element.terms))
 
 
 def hilbert_pres(pres: Presentation, cap: int) -> list[int]:

@@ -32,7 +32,6 @@ from .les_checker import InexactAt, check_les, ell_sequence, ku_sequence
 from .presentation import (
     DerivationSpec,
     check_derivation,
-    hilbert_pres,
     leibniz_extension,
     make_theta,
 )
@@ -183,6 +182,12 @@ def _core(p: int):
     )
 
 
+def _tower_answer(p: int):
+    return make_algebra(
+        p, [exterior("e1", 2 * p - 1), exterior("l1", 2 * p - 1), polynomial("m1", 2 * p)]
+    )
+
+
 def _log_answer(p: int):
     return make_algebra(
         p,
@@ -196,6 +201,12 @@ def _ku_answer(p: int):
         [truncated("u", 2, p - 1), exterior("l1", 2 * p - 1),
          exterior("dlogu", 1), polynomial("k1", 2 * p)],
     )
+
+
+def _tower_base(p: int):
+    """The tower's base P(v) ox E(dv) and the core as a module over it."""
+    base = make_algebra(p, [polynomial("v", 2 * p - 2), exterior("dv", 2 * p - 1)])
+    return base, ModuleSpec(base, trivial_action_coefficients=_core(p))
 
 
 def _tower_rules(p: int, cap: int):
@@ -215,8 +226,7 @@ def _tower_rules(p: int, cap: int):
 
 def _thhz(p: int, cap: int) -> list[Check]:
     checks = []
-    base = make_algebra(p, [polynomial("v", 2 * p - 2), exterior("dv", 2 * p - 1)])
-    left = ModuleSpec(base, trivial_action_coefficients=_core(p))
+    base, left = _tower_base(p)
     page = tor_closed_form(base, left, fp_module(base), cap)
     oracle = tor_oracle(base, left, fp_module(base), cap)
     want = {bd: d for bd, d in oracle.items() if sum(bd) <= cap}
@@ -241,11 +251,7 @@ def _thhz(p: int, cap: int) -> list[Check]:
                              conditional=True, scalars=[]))
 
     out = run_differential(page, rules)
-    abut = AbutmentSpec(
-        make_algebra(p, [exterior("e1", 2 * p - 1), exterior("l1", 2 * p - 1),
-                         polynomial("m1", 2 * p)]),
-        {"e1": 1, "l1": 0, "m1": 1},
-    )
+    abut = AbutmentSpec(_tower_answer(p), {"e1": 1, "l1": 0, "m1": 1})
     ext = [ExtensionRule({"m2": 1}, [(1, {"m1": p})])] if 2 * p * p <= cap else []
     checks.append(_abutment_check("einfty-vs-abutment", out, abut, ext, cap,
                                   conditional=vacuous))
@@ -280,13 +286,8 @@ def _thh_ell_log(p: int, cap: int) -> list[Check]:
         ModuleSpec(base_full, trivial_action_coefficients=dlogv, free_factors=("C",)),
         cap,
     )
-    base_plain = make_algebra(p, [polynomial("v", 2 * p - 2), exterior("dv", 2 * p - 1)])
-    right_page = tor_closed_form(
-        base_plain,
-        ModuleSpec(base_plain, trivial_action_coefficients=_core(p)),
-        fp_module(base_plain),
-        cap,
-    )
+    base_plain, left_plain = _tower_base(p)
+    right_page = tor_closed_form(base_plain, left_plain, fp_module(base_plain), cap)
     names = [g.name for g in middle_page.spec.generators]
     checks.append(_check(
         "middle-term-cancellation", names == ["l1", "l2", "m2", "dlogv", "[v]", "[dv]"],
@@ -772,8 +773,7 @@ def run_scenario(name: str, p: int, cap: int) -> Report:
 
 def forced_failure_report(p: int = 3, cap: int = 30) -> Report:
     """Negative-control fixture: the tower run compared against a wrong abutment."""
-    base = make_algebra(p, [polynomial("v", 2 * p - 2), exterior("dv", 2 * p - 1)])
-    left = ModuleSpec(base, trivial_action_coefficients=_core(p))
+    base, left = _tower_base(p)
     page = tor_closed_form(base, left, fp_module(base), cap)
     out = run_differential(page, _tower_rules(p, cap))
     abut = AbutmentSpec(make_algebra(p, [polynomial("m1", 2 * p)]), {"m1": 1})

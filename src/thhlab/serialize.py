@@ -154,11 +154,16 @@ def load_scenario(text: str) -> FileScenario:
             value = value.strip()
             if key == "scenario":
                 name = value
-            elif key == "prime":
-                prime = int(value)
-                PrimeField(prime)
-            elif key == "cap":
-                cap = int(value)
+            elif key in ("prime", "cap"):
+                try:
+                    number = int(value)
+                except ValueError:
+                    raise err(f"{key} must be an integer, got {value!r}") from None
+                if key == "prime":
+                    PrimeField(number)
+                    prime = number
+                else:
+                    cap = number
             else:
                 raise err(f"unknown header line {line!r}")
             continue
@@ -221,79 +226,6 @@ def load_scenario_file(path: str) -> FileScenario:
         return load_scenario(handle.read())
 
 
-# -- rendering -------------------------------------------------------------------
-
-
-def _format_powers(powers: Powers, kinds: dict[str, str]) -> str:
-    if not powers:
-        return "1"
-    toks = []
-    for name, e in powers:
-        if kinds.get(name) == "divided" and e != 1:
-            toks.append(f"g{e}({name})")
-        elif e == 1:
-            toks.append(name)
-        else:
-            toks.append(f"{name}^{e}")
-    return "*".join(toks)
-
-
-def _format_element(element: ElementData, kinds: dict[str, str]) -> str:
-    if not element:
-        return "0"
-    terms = []
-    for coeff, powers in element:
-        mono = _format_powers(powers, kinds)
-        if coeff == 1 and powers:
-            terms.append(mono)
-        elif not powers:
-            terms.append(str(coeff))
-        else:
-            terms.append(f"{coeff}*{mono}")
-    return " + ".join(terms)
-
-
-def _format_generator(g: Generator, filtration: Optional[int] = None) -> str:
-    parts = [g.name, g.kind, str(g.degree)]
-    if g.kind == "truncated":
-        parts.append(f"height={g.height}")
-    if filtration is not None:
-        parts.append(f"filtration={filtration}")
-    elif g.filtration:
-        parts.append(f"filtration={g.filtration}")
-    return " ".join(parts)
-
-
-def render_scenario(fs: FileScenario) -> str:
-    kinds = {g.name: g.kind for g in fs.generators}
-    lines = [f"scenario {fs.name}", f"prime {fs.prime}", f"cap {fs.cap}"]
-    lines += ["", "[generators]"]
-    lines += [_format_generator(g) for g in fs.generators]
-    if fs.differentials:
-        lines += ["", "[differentials]"]
-        for page_index, src, target in fs.differentials:
-            lines.append(
-                f"page={page_index} {_format_powers(src, kinds)} -> "
-                f"{_format_element(target, kinds)}"
-            )
-    if fs.abutment is not None:
-        abut_gens, fil = fs.abutment
-        fil_map = dict(fil)
-        lines += ["", "[abutment]"]
-        lines += [_format_generator(g, fil_map[g.name]) for g in abut_gens]
-    if fs.extensions:
-        abut_kinds = (
-            {g.name: g.kind for g in fs.abutment[0]} if fs.abutment else {}
-        )
-        lines += ["", "[extensions]"]
-        for scalar, src, element in fs.extensions:
-            head = _format_powers(src, kinds)
-            if scalar != 1:
-                head = f"{scalar}*{head}"
-            lines.append(f"{head} = {_format_element(element, abut_kinds)}")
-    return "\n".join(lines) + "\n"
-
-
 # -- running ---------------------------------------------------------------------
 
 
@@ -303,6 +235,8 @@ def run_file_scenario(
     p = fs.prime if prime is None else prime
     n = fs.cap if cap is None else cap
     PrimeField(p)
+    if n < 0:
+        raise ValueError("cap must be nonnegative")
     spec = make_algebra(p, fs.generators)
     page = Page(spec, 2, n)
     rules = [

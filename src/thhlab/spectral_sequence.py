@@ -237,6 +237,15 @@ class DifferentialRule:
     scalar: int = 1
 
 
+def _p_power_part(k: int, p: int) -> tuple[int, int]:
+    """(p^v, k / p^v) for the largest power p^v dividing k > 0."""
+    power = 1
+    while k % p == 0:
+        k //= p
+        power *= p
+    return power, k
+
+
 class _Differential:
     """Leibniz extension of generator-level rules on one page."""
 
@@ -293,10 +302,7 @@ class _Differential:
         i = slots[0]
         e = mono[i]
         if i in gamma:
-            k = e
-            while k % self.p == 0:
-                k //= self.p
-            if k != 1:
+            if _p_power_part(e, self.p)[1] != 1:
                 raise ValueError(
                     "divided-power rule sources must be gamma_{p^i} indecomposables"
                 )
@@ -315,11 +321,7 @@ class _Differential:
             atom = tuple(1 if j == i else 0 for j in range(n))
             rest = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
             return atom, rest, 1
-        k = mono[i]
-        power = 1
-        while k % self.p == 0:
-            k //= self.p
-            power *= self.p
+        power = _p_power_part(mono[i], self.p)[0]
         atom = tuple(power if j == i else 0 for j in range(n))
         rest = tuple(mono[i] - power if j == i else e for j, e in enumerate(mono))
         beta = math.comb(mono[i], power) % self.p
@@ -334,10 +336,7 @@ class _Differential:
         i = slots[0]
         if self.page.spec.generators[i].kind != "divided":
             return mono[i] == 1
-        k = mono[i]
-        while k % self.p == 0:
-            k //= self.p
-        return k == 1
+        return _p_power_part(mono[i], self.p)[1] == 1
 
     def of_mono(self, mono: Mono) -> TermDict:
         """Differential of a plain monomial, as a dict over the spec."""

@@ -410,16 +410,11 @@ def tor_oracle(
     left: ModuleSpec,
     right: ModuleSpec,
     cap: int,
-    resolve_side: str = "right",
 ) -> GradedDims:
     """Bigraded dims of Tor(left, right): resolve the unit, verify the
     resolution, and tensor both sides in summand by summand.  The window is
     internal degree <= cap (all filtrations land inside it)."""
     _check_same_base(algebra, left, right)
-    if resolve_side == "left":
-        return tor_oracle(algebra, right, left, cap, resolve_side="right")
-    if resolve_side != "right":
-        raise ValueError(f"unknown resolve_side {resolve_side!r}")
     res = resolution(algebra, cap)
     out: defaultdict[tuple[int, int], int] = defaultdict(int)
     unit_part: Optional[GradedDims] = None

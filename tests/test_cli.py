@@ -5,6 +5,7 @@ import pytest
 
 from thhlab.cli import main
 from thhlab.scenarios import CapTooSmall
+from thhlab.serialize import ParseError, load_scenario
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
@@ -106,3 +107,30 @@ def test_largest_accepted_prime_finishes(capsysbinary):
     with pytest.warns(CapTooSmall):
         assert main(["run", "thhz", "--prime", str(2**31 - 1), "--cap", "2"]) == 0
     assert b"p=2147483647" in capsysbinary.readouterr().out
+
+
+def test_negative_cap_is_a_usage_error_on_every_path(tmp_path, capsys):
+    assert main(["run", "thhz", "--cap", "-5"]) == 2
+    assert "cap must be nonnegative" in capsys.readouterr().err
+    example = str(DOCS / "thhz.scenario")
+    assert main(["run", "--scenario-file", example, "--cap", "-5"]) == 2
+    assert "cap must be nonnegative" in capsys.readouterr().err
+    path = tmp_path / "negative.scenario"
+    path.write_text((DOCS / "thhz.scenario").read_text().replace("cap 36", "cap -1"))
+    assert main(["run", "--scenario-file", str(path)]) == 2
+    assert "cap must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,lineno", [("prime", 2), ("cap", 3)])
+def test_non_integer_header_is_a_parse_error_naming_its_line(tmp_path, capsys, key, lineno):
+    header = {"prime": "3", "cap": "12", key: "3.5"}
+    text = (f"scenario bad\nprime {header['prime']}\ncap {header['cap']}\n"
+            "\n[generators]\nx polynomial 2\n")
+    message = f"line {lineno}: {key} must be an integer, got '3.5'"
+    with pytest.raises(ParseError) as exc:
+        load_scenario(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    assert main(["run", "--scenario-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"thhlab: {message}\n"

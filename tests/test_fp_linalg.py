@@ -42,10 +42,6 @@ def test_field_rejects_two_and_composites():
 
 def test_field_arithmetic():
     assert F5.normalize(-1) == 4
-    assert F5.inv(2) == 3
-    assert F3.neg(1) == 2
-    with pytest.raises(ZeroDivisionError):
-        F3.inv(3)
 
 
 def test_rank_frozen_examples():

@@ -10,7 +10,6 @@ from thhlab.graded_algebra import (
     MixedSpec,
     ParityViolation,
     UnsupportedKind,
-    add,
     algebra_map,
     bigraded_dims,
     check_morphism,
@@ -19,7 +18,6 @@ from thhlab.graded_algebra import (
     exterior,
     hilbert,
     make_algebra,
-    multiply,
     polynomial,
     tensor,
     truncated,
@@ -137,13 +135,12 @@ def test_tensor_dims_convolve():
 
 def test_element_arithmetic_and_mixed_spec():
     spec = make_algebra(3, [exterior("l1", 5), polynomial("m2", 18)])
-    other = make_algebra(3, [exterior("l1", 5)])
-    x = spec.element([(1, {"l1": 1})])
-    y = spec.element([(2, {"m2": 1})])
-    assert str(multiply(spec, x, y)) == "2*l1*m2"
-    assert add(spec, x, x).terms == {spec.mono_from_names({"l1": 1}): 2}
+    x = spec.dict_from_input([(1, {"l1": 1})])
+    y = spec.dict_from_input([(2, {"m2": 1})])
+    assert spec.format_dict(spec.mul_dicts(x, y)) == "2*l1*m2"
+    assert spec.add_dicts(x, x) == {spec.mono_from_names({"l1": 1}): 2}
     with pytest.raises(MixedSpec):
-        multiply(spec, x, other.element([(1, {"l1": 1})]))
+        tensor(spec, make_algebra(5, [exterior("y", 5)]))
 
 
 def test_check_morphism_base_change_iso():
@@ -269,24 +266,19 @@ def spec_and_monos(draw, n_monos=3):
 @given(spec_and_monos())
 def test_multiplication_associative(sm):
     spec, (m1, m2, m3) = sm
-    a = spec.element({m1: 1})
-    b = spec.element({m2: 1})
-    c = spec.element({m3: 1})
-    left = multiply(spec, multiply(spec, a, b), c)
-    right = multiply(spec, a, multiply(spec, b, c))
-    assert left.terms == right.terms
+    a, b, c = {m1: 1}, {m2: 1}, {m3: 1}
+    left = spec.mul_dicts(spec.mul_dicts(a, b), c)
+    right = spec.mul_dicts(a, spec.mul_dicts(b, c))
+    assert left == right
 
 
 @given(spec_and_monos(n_monos=2))
 def test_multiplication_graded_commutative(sm):
     spec, (m1, m2) = sm
-    a = spec.element({m1: 1})
-    b = spec.element({m2: 1})
-    sign = (-1) ** (spec.parity_of(m1) * spec.parity_of(m2))
-    fwd = multiply(spec, a, b)
-    rev = multiply(spec, b, a)
-    expected = spec.scale_dict(sign, rev.terms)
-    assert fwd.terms == expected
+    a, b = {m1: 1}, {m2: 1}
+    parity1, parity2 = (spec.total_degree_of(m) % 2 for m in (m1, m2))
+    sign = (-1) ** (parity1 * parity2)
+    assert spec.mul_dicts(a, b) == spec.scale_dict(sign, spec.mul_dicts(b, a))
 
 
 @given(st.sampled_from([3, 5, 7]), st.sampled_from([2, 4, 6]))
@@ -320,14 +312,14 @@ def test_divided_power_factorization(p, d):
 @settings(max_examples=20)
 def test_truncated_height_p_kills_pth_powers(p, half_d):
     spec = make_algebra(p, [truncated("x", 2 * half_d, p), exterior("y", 3)])
-    x = spec.element([(1, {"x": 1})])
-    y = spec.element([(1, {"y": 1})])
-    s = add(spec, x, spec.element([(2, {"x": 1})]))  # 3x, still truncated
-    power = spec.element({spec.unit: 1})
+    x = spec.dict_from_input([(1, {"x": 1})])
+    y = spec.dict_from_input([(1, {"y": 1})])
+    s = spec.add_dicts(x, spec.dict_from_input([(2, {"x": 1})]))  # 3x, still truncated
+    power = {spec.unit: 1}
     for _ in range(p):
-        power = multiply(spec, power, s)
-    assert power.is_zero()
-    assert multiply(spec, y, y).is_zero()
+        power = spec.mul_dicts(power, s)
+    assert power == {}
+    assert spec.mul_dicts(y, y) == {}
 
 
 def _left_to_right_image(src_alg, target, images, mono):

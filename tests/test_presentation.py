@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from thhlab.graded_algebra import (
     DegreeMismatch,
-    Element,
-    MixedSpec,
     UnsupportedKind,
     divided,
     exterior,
@@ -29,7 +27,6 @@ from thhlab.presentation import (
     check_derivation,
     hilbert_pres,
     make_theta,
-    normal_form,
 )
 
 
@@ -92,15 +89,11 @@ def test_theta_basis_shape_p5():
                 assert k <= p - 2
 
 
-def test_normal_form_element_wrapper_and_mixed_spec():
+def test_normal_form_dict_rewrites_b_square():
     pres = theta(5)
     alg = pres.algebra
-    e = Element(alg, {alg.mono_from_names({"b1": 2}): 2})
-    out = normal_form(pres, e)
-    assert out.terms == {alg.mono_from_names({"u": 1, "b2": 1}): 2}
-    other = make_algebra(3, [polynomial("x", 2)])
-    with pytest.raises(MixedSpec):
-        normal_form(pres, Element(other, {(1,): 1}))
+    out = pres.normal_form_dict({alg.mono_from_names({"b1": 2}): 2})
+    assert out == {alg.mono_from_names({"u": 1, "b2": 1}): 2}
 
 
 def test_presentation_rejects_divided_and_checks_degrees():

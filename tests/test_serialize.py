@@ -7,7 +7,6 @@ from thhlab.serialize import (
     ParseError,
     load_scenario,
     load_scenario_file,
-    render_scenario,
     run_file_scenario,
 )
 
@@ -36,13 +35,6 @@ def test_example_file_runs_clean():
     assert byname["differentials-consistent"].witnesses["page_index"] == 4
     assert byname["einfty-vs-abutment"].status == "pass"
     assert byname["einfty-vs-abutment"].witnesses["extension_drops"] == [["m2", 3]]
-
-
-def test_round_trip_is_stable():
-    fs = load_scenario_file(str(DOCS / "thhz.scenario"))
-    rendered = render_scenario(fs)
-    assert load_scenario(rendered) == fs
-    assert render_scenario(load_scenario(rendered)) == rendered
 
 
 def test_report_bytes_deterministic():

@@ -1,0 +1,40 @@
+"""Smoke tests for the tools beside the library: bench/tracer.py and scripts/."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+
+
+def test_tracer_installs_on_the_library():
+    # the tracer patches library names from outside; a deleted name breaks it
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "import tracer\n"
+        "tracer.install(tracer.Tracer())\n"
+    )
+    done = _run(["-c", script])
+    assert done.returncode == 0, done.stderr
+
+
+def test_dimension_tables_stable_page_matches_answer():
+    done = _run([str(ROOT / "scripts" / "dimension_tables.py"),
+                 "--prime", "3", "--cap", "30"])
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    header = lines.index(next(l for l in lines if l.split()[:2] == ["n", "start"]))
+    rows = [l.split() for l in lines[header + 1: header + 32]]
+    assert [int(r[0]) for r in rows] == list(range(31))
+    assert all(r[2] == r[3] for r in rows)  # stable == answer in every degree

@@ -258,18 +258,14 @@ def test_oracle_side_independence():
     alg = make_algebra(3, [polynomial("x", 4), exterior("y", 3)])
     left = ModuleSpec(alg, trivial_action_coefficients=make_algebra(3, [exterior("a", 5)]))
     right = ModuleSpec(alg, summands=((0, "t", "trivial"), (2, "f", "free")))
-    a = tor_oracle(alg, left, right, 20, resolve_side="right")
-    b = tor_oracle(alg, left, right, 20, resolve_side="left")
-    assert a == b
-    with pytest.raises(ValueError):
-        tor_oracle(alg, left, right, 20, resolve_side="up")
+    assert tor_oracle(alg, left, right, 20) == tor_oracle(alg, right, left, 20)
 
 
 def test_oracle_flatness():
     # a free module is Tor-acyclic: filtration 0 only, with its own dims
     alg = e_dv()
     free = ModuleSpec(alg, summands=((0, "g", "free"),))
-    dims = tor_oracle(alg, free, fp_module(alg), 20, resolve_side="left")
+    dims = tor_oracle(alg, fp_module(alg), free, 20)
     assert dims == {(0, 0): 1}  # A tensor_A F_p = F_p
     # resolved-side free summand against a nontrivial left module
     left = ModuleSpec(alg, trivial_action_coefficients=make_algebra(3, [polynomial("m", 2)]))
