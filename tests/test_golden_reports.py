@@ -3,7 +3,9 @@
 The behaviour contract is the json schema, the text report and the exit
 codes; refactors of the layers underneath must leave every byte unchanged.
 The golden files in tests/data were written by `thhlab run --all --prime P`
-(json for P = 3 and 5, text for P = 3) and are compared byte for byte.
+(json for P = 3 and 5, text for P = 3), and by `thhz` and `thh-ell-log` at
+p = 3, cap 170 in json, whose page turns declare d on gamma_3, gamma_9 and
+gamma_27; they are compared byte for byte.
 
 This module sorts after test_acceptance.py on purpose: that module's
 runtime budget is measured from its own import.
@@ -28,5 +30,18 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 )
 def test_catalog_report_matches_golden_bytes(prime, fmt, golden, capsysbinary):
     code = main(["run", "--all", "--prime", str(prime), "--format", fmt])
+    assert code == 0
+    assert capsysbinary.readouterr().out == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "scenario, golden",
+    [
+        ("thhz", "thhz-p3-cap170.json"),
+        ("thh-ell-log", "thh-ell-log-p3-cap170.json"),
+    ],
+)
+def test_divided_power_atom_report_matches_golden_bytes(scenario, golden, capsysbinary):
+    code = main(["run", scenario, "--prime", "3", "--cap", "170", "--format", "json"])
     assert code == 0
     assert capsysbinary.readouterr().out == (DATA / golden).read_bytes()
