@@ -53,6 +53,10 @@ class UnsupportedShape(GradedError):
     """Module or coefficient data outside the recognized closed forms."""
 
 
+class LucasViolation(GradedError):
+    """Peeling a divided-power atom gave a coefficient that is not a unit."""
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -290,6 +294,19 @@ class AlgebraSpec:
             return {}
         return {m: (c * v) % self.field.p for m, v in a.items()}
 
+    def linear(self, fn: Callable[[Mono], TermDict], elt: TermDict) -> TermDict:
+        """The linear extension of fn: the sum of c * fn(m) over the terms of elt."""
+        p = self.field.p
+        out: TermDict = {}
+        for m, c in elt.items():
+            for m2, c2 in fn(m).items():
+                v = (out.get(m2, 0) + c * c2) % p
+                if v:
+                    out[m2] = v
+                elif m2 in out:
+                    del out[m2]
+        return out
+
     def dict_total_degree(self, a: TermDict) -> Optional[int]:
         """Common total degree of a homogeneous element; None for zero."""
         degs = {self.total_degree_of(m) for m in a}
@@ -435,6 +452,74 @@ def bigraded_dims(spec: AlgebraSpec, cap: int) -> dict[tuple[int, int], int]:
     return out
 
 
+# -- derivations ----------------------------------------------------------------
+
+
+def _p_power_part(k: int, p: int) -> tuple[int, int]:
+    """(p^v, k / p^v) for the largest power p^v dividing k > 0."""
+    power = 1
+    while k % p == 0:
+        k //= p
+        power *= p
+    return power, k
+
+
+def leibniz(spec: AlgebraSpec, atoms: Mapping[Mono, TermDict]) -> Callable[[Mono], TermDict]:
+    """An odd derivation given on atoms, extended to every monomial of spec
+    by the graded Leibniz rule and memoised.
+
+    The atoms are the single generators and, on a divided slot, the
+    indecomposables gamma_{p^i}; an atom missing from atoms maps to zero.
+    A monomial peels off its first atom a as a * rest = beta * mono, beta a
+    unit by Lucas, and d(mono) = (d(a) rest + (-1)^|a| a d(rest)) / beta.
+    Returned dicts are shared with the memo and must not be mutated.
+    """
+    p = spec.field.p
+    gens = spec.generators
+    memo: dict[Mono, TermDict] = {}
+
+    def peel(mono: Mono) -> tuple[Mono, Mono, int]:
+        i = next(j for j, e in enumerate(mono) if e)
+        n = len(mono)
+        if gens[i].kind != "divided":
+            atom = tuple(1 if j == i else 0 for j in range(n))
+            rest = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
+            return atom, rest, 1
+        power = _p_power_part(mono[i], p)[0]
+        atom = tuple(power if j == i else 0 for j in range(n))
+        rest = tuple(mono[i] - power if j == i else e for j, e in enumerate(mono))
+        beta = math.comb(mono[i], power) % p
+        if not beta:  # lowest nonzero digit, a unit by Lucas
+            raise LucasViolation(f"C({mono[i]}, {power}) = 0 mod {p}")
+        return atom, rest, beta
+
+    def is_atom(mono: Mono) -> bool:
+        slots = [i for i, e in enumerate(mono) if e]
+        if len(slots) != 1:
+            return not slots  # the unit monomial counts
+        i = slots[0]
+        if gens[i].kind != "divided":
+            return mono[i] == 1
+        return _p_power_part(mono[i], p)[1] == 1
+
+    def of_mono(mono: Mono) -> TermDict:
+        if mono in memo:
+            return memo[mono]
+        if is_atom(mono):
+            val = atoms.get(mono, {})
+        else:
+            atom, rest, beta = peel(mono)
+            left = spec.mul_dicts(of_mono(atom), {rest: 1})
+            right = spec.mul_dicts({atom: 1}, of_mono(rest))
+            sign = -1 if spec.total_degree_of(atom) % 2 else 1
+            val = spec.add_dicts(left, spec.scale_dict(sign, right))
+            val = spec.scale_dict(pow(beta, -1, p), val)
+        memo[mono] = val
+        return val
+
+    return of_mono
+
+
 # -- morphism checking --------------------------------------------------------
 
 
@@ -576,9 +661,7 @@ def algebra_map(
             relation_results.append((f"{g.name}^{g.height} -> 0", not power))
     for rule in getattr(source, "rules", ()):
         lhs_img = image_of_mono(rule.lhs)
-        rhs_img: TermDict = {}
-        for m, c in rule.rhs.items():
-            rhs_img = target.add_dicts(rhs_img, target.scale_dict(c, image_of_mono(m)))
+        rhs_img = target.linear(image_of_mono, rule.rhs)
         diff = target.add_dicts(lhs_img, target.scale_dict(-1, rhs_img))
         desc = f"{src_alg.format_mono(rule.lhs)} -> {src_alg.format_dict(rule.rhs)}"
         relation_results.append((desc, not diff))

@@ -98,15 +98,6 @@ class _Graded:
             d = self.obj.normal_form_dict(d)
         return d
 
-    def apply_linear(self, fn: Callable[[Mono], object], data: TermDict,
-                     target: "_Graded") -> TermDict:
-        out: TermDict = {}
-        for m, c in data.items():
-            img = target.normalize(fn(m))
-            if img and target.spec is not None:
-                out = target.spec.add_dicts(out, target.spec.scale_dict(c, img))
-        return out
-
 
 def _require_algebra_map(source, target: _Graded, images, what: str) -> Callable[[Mono], TermDict]:
     """The multiplicative extension of images; ValueError if a relation fails."""
@@ -205,8 +196,8 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
                 if n + g_deg > cap:
                     continue
                 for b in monos:
-                    lhs = B.apply_linear(bdy_img, B.spec.mul_dicts(rho_g, {b: 1}), C)
-                    rhs = C.spec.mul_dicts(nu_g, C.normalize(bdy_img(b)))
+                    lhs = C.spec.linear(bdy_img, B.spec.mul_dicts(rho_g, {b: 1}))
+                    rhs = C.spec.mul_dicts(nu_g, bdy_img(b))
                     if lhs != rhs:
                         raise InexactAt(n + g_deg, "boundary module structure",
                                         f"over {g.name} at {B.spec.format_mono(b)}")
@@ -215,10 +206,8 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
                 if n + g_deg > cap:
                     continue
                 for cmono in monos:
-                    lhs = C.apply_linear(tau_img, C.spec.mul_dicts(nu_g, {cmono: 1}), A)
-                    rhs = A.normalize(
-                        A.spec.mul_dicts({g_mono: 1}, A.normalize(tau_img(cmono)))
-                    )
+                    lhs = A.spec.linear(tau_img, C.spec.mul_dicts(nu_g, {cmono: 1}))
+                    rhs = A.normalize(A.spec.mul_dicts({g_mono: 1}, tau_img(cmono)))
                     if lhs != rhs:
                         raise InexactAt(n + g_deg, "tau module structure",
                                         f"over {g.name} at {C.spec.format_mono(cmono)}")

@@ -36,6 +36,7 @@ from .graded_algebra import (
     UnsupportedKind,
     _walk_monomials,
     exterior,
+    leibniz,
     make_algebra,
     polynomial,
     truncated,
@@ -252,47 +253,23 @@ class DerivationReport:
 
 def leibniz_extension(alg: AlgebraSpec, d: DerivationSpec) -> Callable[[TermDict], TermDict]:
     """The derivation d, given on generators, extended to all of alg by the
-    graded Leibniz rule with total-degree signs, as a map on term dicts.
-    Images are not reduced by any rewrite rules."""
+    graded Leibniz rule (graded_algebra.leibniz) and linearly, as a map on
+    term dicts.  Images are not reduced by any rewrite rules."""
     if any(g.kind == "divided" for g in alg.generators):
         raise UnsupportedKind("derivations on divided generators are not modeled")
-    p = alg.field.p
 
-    sigma: list[TermDict] = []
-    for g in alg.generators:
+    atoms: dict[Mono, TermDict] = {}
+    for i, g in enumerate(alg.generators):
         terms = alg.dict_from_input(d.images.get(g.name, []))  # type: ignore[arg-type]
         deg = alg.dict_total_degree(terms)
         if deg is not None and deg != g.total_degree + 1:
             raise DegreeMismatch(
                 f"sigma({g.name}) has total degree {deg}, expected {g.total_degree + 1}"
             )
-        sigma.append(terms)
+        atoms[tuple(int(j == i) for j in range(len(alg.generators)))] = terms
 
-    def sigma_mono(mono: Mono) -> TermDict:
-        out: TermDict = {}
-        prefix_parity = 0
-        for i, g in enumerate(alg.generators):
-            e = mono[i]
-            if e == 0:
-                continue
-            if sigma[i]:
-                before = mono[:i] + (0,) * (len(mono) - i)
-                after = (0,) * (i + 1) + mono[i + 1 :]
-                after = after[:i] + (e - 1,) + after[i + 1 :]
-                term = alg.mul_dicts({before: 1}, sigma[i])
-                term = alg.mul_dicts(term, {after: 1})
-                coeff = (e % p) * (-1 if prefix_parity else 1)
-                out = alg.add_dicts(out, alg.scale_dict(coeff, term))
-            prefix_parity = (prefix_parity + e * g.total_degree) % 2
-        return out
-
-    def sigma_dict(elt: TermDict) -> TermDict:
-        out: TermDict = {}
-        for m, c in elt.items():
-            out = alg.add_dicts(out, alg.scale_dict(c, sigma_mono(m)))
-        return out
-
-    return sigma_dict
+    of_mono = leibniz(alg, atoms)
+    return lambda elt: alg.linear(of_mono, elt)
 
 
 def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
@@ -324,9 +301,7 @@ def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
             (f"sigma({g.name}^{h}) -> 0", not residual, alg.format_dict(residual))
         )
     for rule in getattr(carrier, "rules", ()):
-        lhs_val = sigma({rule.lhs: 1})
-        rhs_val = sigma(rule.rhs)
-        residual = reduce(alg.add_dicts(lhs_val, alg.scale_dict(-1, rhs_val)))
+        residual = reduce(sigma(alg.add_dicts({rule.lhs: 1}, alg.scale_dict(-1, rule.rhs))))
         desc = (
             f"sigma compatible with {alg.format_mono(rule.lhs)} -> "
             f"{alg.format_dict(rule.rhs)}"

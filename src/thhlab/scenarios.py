@@ -515,19 +515,14 @@ def _ausoni(p: int, cap: int) -> list[Check]:
     checks = []
     seq = ku_sequence(p)
     morph = check_morphism(seq.A, seq.B, seq.rho, cap)
-    ranks = {dr.degree: dr.rank for dr in morph.degrees}
-    dims = {dr.degree: dr.dim_source for dr in morph.degrees}
+    ranks = [dr.rank for dr in morph.degrees]  # one row per degree 0..cap
+    dims = [dr.dim_source for dr in morph.degrees]
     ker_block = make_algebra(p, [exterior("l1", 2 * p - 1), polynomial("m2", 2 * p * p)])
     ker_dims = dims_shift(hilbert(ker_block, cap), 2 * p * p - 1, cap)
-    lines = []
-    for n in range(cap + 1):
-        want = ker_dims[n] + ranks.get(n, 0)
-        have = dims.get(n, 0)
-        if want != have:
-            lines.append(DegreeLine(n, want, have))
+    lines = _total_diff([k + r for k, r in zip(ker_dims, ranks)], dims, cap)
     checks.append(_check(
         "kernel-plus-rank-dimensions", morph.relations_ok and not lines,
-        SOURCE_LITERATURE, degrees=tuple(lines[:12]),
+        SOURCE_LITERATURE, degrees=lines,
     ))
 
     block = hilbert(make_algebra(p, [exterior("l1", 2 * p - 1),
@@ -538,13 +533,8 @@ def _ausoni(p: int, cap: int) -> list[Check]:
             ideal[2 * a] += 1
     shell = dims_convolve(ideal, hilbert(_log_answer(p), cap), cap)
     image = dims_add(block, shell, cap)
-    lines = tuple(
-        DegreeLine(n, image[n], ranks.get(n, 0))
-        for n in range(cap + 1)
-        if image[n] != ranks.get(n, 0)
-    )
-    checks.append(_check("image-decomposition", not lines, SOURCE_LITERATURE,
-                         degrees=lines[:12]))
+    lines = _total_diff(image, ranks, cap)
+    checks.append(_check("image-decomposition", not lines, SOURCE_LITERATURE, degrees=lines))
 
     lhs_degrees = sorted({
         seq.A.algebra.dict_total_degree({rule.lhs: 1}) for rule in seq.A.rules
@@ -689,15 +679,8 @@ def _inputs(p: int, cap: int) -> list[Check]:
     f, _ = algebra_map(cyclic, replete, _REPLETION_IMAGES)
     sigma_cyclic = leibniz_extension(cyclic, cyclic_d)
     sigma_replete = leibniz_extension(replete, replete_d)
-
-    def f_dict(elt: dict) -> dict:
-        out: dict = {}
-        for m, c in elt.items():
-            out = replete.add_dicts(out, replete.scale_dict(c, f(m)))
-        return out
-
     compatible = all(
-        f_dict(sigma_cyclic({g: 1})) == sigma_replete(f(g))
+        replete.linear(f, sigma_cyclic({g: 1})) == sigma_replete(f(g))
         for g in (cyclic.mono_from_names({gen.name: 1}) for gen in cyclic.generators)
     )
     checks.append(_check(

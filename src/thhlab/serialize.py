@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .fp_linalg import PrimeField
 from .graded_algebra import Generator, make_algebra
@@ -89,7 +89,14 @@ def _parse_element(text: str, p: int) -> ElementData:
     return tuple(out)
 
 
-def _parse_generator(line: str, abutment: bool) -> tuple[Generator, int]:
+def _integer(key: str, value: str, err: Callable[[str], ParseError]) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise err(f"{key} must be an integer, got {value!r}") from None
+
+
+def _parse_generator(line: str, abutment: bool, err: Callable[[str], ParseError]) -> tuple[Generator, int]:
     """Page generators bake filtration into their bidegree; abutment
     generators stay singly graded and return it as the assignment value."""
     parts = line.split()
@@ -108,9 +115,9 @@ def _parse_generator(line: str, abutment: bool) -> tuple[Generator, int]:
             raise ParseError(f"bad generator attribute {attr!r}")
         key, _, value = attr.partition("=")
         if key == "height":
-            height = int(value)
+            height = _integer(key, value, err)
         elif key == "filtration":
-            filtration = int(value)
+            filtration = _integer(key, value, err)
             seen_filtration = True
         else:
             raise ParseError(f"unknown generator attribute {key!r}")
@@ -155,10 +162,7 @@ def load_scenario(text: str) -> FileScenario:
             if key == "scenario":
                 name = value
             elif key in ("prime", "cap"):
-                try:
-                    number = int(value)
-                except ValueError:
-                    raise err(f"{key} must be an integer, got {value!r}") from None
+                number = _integer(key, value, err)
                 if key == "prime":
                     PrimeField(number)
                     prime = number
@@ -168,7 +172,7 @@ def load_scenario(text: str) -> FileScenario:
                 raise err(f"unknown header line {line!r}")
             continue
         if section == "[generators]":
-            gen, _ = _parse_generator(line, abutment=False)
+            gen, _ = _parse_generator(line, abutment=False, err=err)
             generators.append(gen)
         elif section == "[differentials]":
             if "->" not in line:
@@ -177,7 +181,7 @@ def load_scenario(text: str) -> FileScenario:
             parts = lhs.split()
             if len(parts) != 2 or not parts[0].startswith("page="):
                 raise err("differential lines read: page=R source -> target")
-            page_index = int(parts[0][len("page="):])
+            page_index = _integer("page", parts[0][len("page="):], err)
             coeff, src = _parse_term(parts[1], prime)
             if coeff != 1:
                 raise err("differential source must be a bare monomial")
@@ -186,7 +190,7 @@ def load_scenario(text: str) -> FileScenario:
                 raise err("differential target must be nonzero; omit the rule")
             differentials.append((page_index, src, target))
         elif section == "[abutment]":
-            gen, fil = _parse_generator(line, abutment=True)
+            gen, fil = _parse_generator(line, abutment=True, err=err)
             abut_gens.append(gen)
             abut_fil.append((gen.name, fil))
         elif section == "[extensions]":

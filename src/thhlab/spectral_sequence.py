@@ -5,9 +5,10 @@ t), optionally extended by labeled module summands (PageLabel) that carry a
 degree shift and may or may not admit divided powers of the spec's divided
 generators.  Differentials are declared on generators (for divided factors:
 on the gamma_{p^i} indecomposables) or on labeled basis elements, extended
-to every monomial by the graded Leibniz rule and checked for d.d = 0 term by
-term.  The next page is degreewise homology with monomial representatives,
-taken per connected component of the support of d (see run_differential).
+to every plain monomial by graded_algebra.leibniz, the one graded Leibniz
+rule the library has, and checked for d.d = 0 term by term.  The next page
+is degreewise homology with monomial representatives, taken per connected
+component of the support of d (see run_differential).
 
 E-infinity pages are compared against a stated abutment: per-degree totals,
 declared multiplicative extensions (filtration drops), and the associated
@@ -16,7 +17,6 @@ graded under the filtration assignment, bidegree by bidegree.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -28,9 +28,12 @@ from .fp_linalg import FpMatrix, map_matrix
 from .graded_algebra import (
     AlgebraSpec,
     GradedError,
+    LucasViolation,  # raised by the Leibniz extension; importable from here too
     Mono,
     TermDict,
+    _p_power_part,
     hilbert,
+    leibniz,
 )
 
 
@@ -52,10 +55,6 @@ class FamilyViolation(GradedError):
 
 class DimMismatch(GradedError):
     """E-infinity and abutment dimensions disagree."""
-
-
-class LucasViolation(GradedError):
-    """Peeling a divided-power atom gave a coefficient that is not a unit."""
 
 
 class ConservationViolation(GradedError):
@@ -237,15 +236,6 @@ class DifferentialRule:
     scalar: int = 1
 
 
-def _p_power_part(k: int, p: int) -> tuple[int, int]:
-    """(p^v, k / p^v) for the largest power p^v dividing k > 0."""
-    power = 1
-    while k % p == 0:
-        k //= p
-        power *= p
-    return power, k
-
-
 class _Differential:
     """Leibniz extension of generator-level rules on one page."""
 
@@ -262,7 +252,6 @@ class _Differential:
                 f"rules at page {self.r} cannot run on page {page.page_index}"
             )
         self.rule_map: dict[PageKey, dict[PageKey, int]] = {}
-        self._memo: dict[Mono, TermDict] = {}
         gamma = set(page._gamma_slots())
         self.gamma_mask = tuple(int(i in gamma) for i in range(len(spec.generators)))
         for rule in rules:
@@ -286,6 +275,11 @@ class _Differential:
                     f"source {page.format_key(src)} received two values"
                 )
             self.rule_map[src] = tgt
+        # the differential of a plain monomial, as a dict over the spec
+        self.of_mono = leibniz(spec, {
+            mono: {m: c for (m, _), c in tgt.items()}
+            for (mono, li), tgt in self.rule_map.items() if li is None
+        })
 
     def _check_source_shape(self, src: PageKey, gamma: set) -> None:
         mono, li = src
@@ -310,54 +304,6 @@ class _Differential:
             raise ValueError("plain rule sources must be single generators")
 
     # -- extension ---------------------------------------------------------------
-
-    def _peel(self, mono: Mono) -> tuple[Mono, Mono, int]:
-        """First atom, rest, and beta with atom*rest = beta*mono, beta a unit."""
-        spec = self.page.spec
-        i = next(j for j, e in enumerate(mono) if e)
-        g = spec.generators[i]
-        n = len(mono)
-        if g.kind != "divided":
-            atom = tuple(1 if j == i else 0 for j in range(n))
-            rest = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
-            return atom, rest, 1
-        power = _p_power_part(mono[i], self.p)[0]
-        atom = tuple(power if j == i else 0 for j in range(n))
-        rest = tuple(mono[i] - power if j == i else e for j, e in enumerate(mono))
-        beta = math.comb(mono[i], power) % self.p
-        if not beta:  # lowest nonzero digit, a unit by Lucas
-            raise LucasViolation(f"C({mono[i]}, {power}) = 0 mod {self.p}")
-        return atom, rest, beta
-
-    def _is_atom(self, mono: Mono) -> bool:
-        slots = [i for i, e in enumerate(mono) if e]
-        if len(slots) != 1:
-            return not slots  # the unit monomial counts
-        i = slots[0]
-        if self.page.spec.generators[i].kind != "divided":
-            return mono[i] == 1
-        return _p_power_part(mono[i], self.p)[1] == 1
-
-    def of_mono(self, mono: Mono) -> TermDict:
-        """Differential of a plain monomial, as a dict over the spec."""
-        memo = self._memo
-        if mono in memo:
-            return memo[mono]
-        spec = self.page.spec
-        if self._is_atom(mono):
-            val = {m: c for (m, _), c in self.rule_map.get((mono, None), {}).items()}
-            memo[mono] = val
-            return val
-        atom, rest, beta = self._peel(mono)
-        d_atom = self.of_mono(atom)
-        d_rest = self.of_mono(rest)
-        left = spec.mul_dicts(d_atom, {rest: 1})
-        right = spec.mul_dicts({atom: 1}, d_rest)
-        sign = -1 if spec.total_degree_of(atom) % 2 else 1
-        val = spec.add_dicts(left, spec.scale_dict(sign, right))
-        val = spec.scale_dict(pow(beta, -1, self.p), val)
-        memo[mono] = val
-        return val
 
     def of_key(self, key: PageKey) -> dict[PageKey, int]:
         mono, li = key

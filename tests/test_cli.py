@@ -121,12 +121,20 @@ def test_negative_cap_is_a_usage_error_on_every_path(tmp_path, capsys):
     assert "cap must be nonnegative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,lineno", [("prime", 2), ("cap", 3)])
+_NOT_INTEGERS = {"prime": "3.5", "cap": "3.5", "height": "abc", "filtration": "zz", "page": "two"}
+
+
+@pytest.mark.parametrize(
+    "key,lineno",
+    [("prime", 2), ("cap", 3), ("height", 7), ("filtration", 7), ("page", 10)],
+)
 def test_non_integer_header_is_a_parse_error_naming_its_line(tmp_path, capsys, key, lineno):
-    header = {"prime": "3", "cap": "12", key: "3.5"}
-    text = (f"scenario bad\nprime {header['prime']}\ncap {header['cap']}\n"
-            "\n[generators]\nx polynomial 2\n")
-    message = f"line {lineno}: {key} must be an integer, got '3.5'"
+    fields = {"prime": "3", "cap": "12", "height": "3", "filtration": "2", "page": "2",
+              key: _NOT_INTEGERS[key]}
+    text = ("scenario bad\nprime {prime}\ncap {cap}\n"
+            "\n[generators]\nx polynomial 2\ny truncated 2 height={height} filtration={filtration}\n"
+            "\n[differentials]\npage={page} y -> x\n").format(**fields)
+    message = f"line {lineno}: {key} must be an integer, got '{_NOT_INTEGERS[key]}'"
     with pytest.raises(ParseError) as exc:
         load_scenario(text)
     assert str(exc.value) == message

@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thhlab.fp_linalg import PrimeField
 from thhlab.graded_algebra import (
-    AlgebraSpec,
     DegreeMismatch,
     DuplicateName,
     MixedSpec,
@@ -17,6 +15,7 @@ from thhlab.graded_algebra import (
     divided,
     exterior,
     hilbert,
+    leibniz,
     make_algebra,
     polynomial,
     tensor,
@@ -359,3 +358,72 @@ def test_algebra_map_memo_matches_left_to_right_products(p, data):
                                min_size=1, max_size=8))
     for mono in monos:  # in drawn order, so later ones reuse earlier products
         assert image_of_mono(mono) == _left_to_right_image(src_alg, target, images, mono)
+
+
+def _per_slot_derivation(alg, sigma, mono):
+    """Reference Leibniz rule: the sum over slots i of
+    (-1)^|prefix| e_i * prefix * sigma(x_i) * x_i^(e_i - 1) * suffix,
+    with sigma given as one image per generator."""
+    p = alg.field.p
+    out = {}
+    prefix_parity = 0
+    for i, g in enumerate(alg.generators):
+        e = mono[i]
+        if e == 0:
+            continue
+        if sigma[i]:
+            before = mono[:i] + (0,) * (len(mono) - i)
+            after = (0,) * (i + 1) + mono[i + 1 :]
+            after = after[:i] + (e - 1,) + after[i + 1 :]
+            term = alg.mul_dicts({before: 1}, sigma[i])
+            term = alg.mul_dicts(term, {after: 1})
+            coeff = (e % p) * (-1 if prefix_parity else 1)
+            out = alg.add_dicts(out, alg.scale_dict(coeff, term))
+        prefix_parity = (prefix_parity + e * g.total_degree) % 2
+    return out
+
+
+@st.composite
+def algebra_with_derivation(draw):
+    """A random polynomial/exterior/truncated algebra with arbitrary degree +1
+    generator images.  It starts with a truncated x of degree 2 and an
+    exterior e of degree 3, so sigma(x) = c*e + ... often breaks x^h = 0
+    (h * x^(h-1) * sigma(x) != 0), which check_derivation would report."""
+    p = draw(st.sampled_from([3, 5]))
+    gens = [truncated("x", 2, draw(st.integers(2, p + 1))), exterior("e", 3)]
+    for i in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["polynomial", "exterior", "truncated"]))
+        if kind == "exterior":
+            gens.append(exterior(f"g{i}", draw(st.sampled_from([1, 3]))))
+        elif kind == "polynomial":
+            gens.append(polynomial(f"g{i}", draw(st.sampled_from([2, 4]))))
+        else:
+            degree = draw(st.sampled_from([2, 4]))
+            gens.append(truncated(f"g{i}", degree, draw(st.integers(2, p + 1))))
+    alg = make_algebra(p, gens)
+    by_degree = alg.basis_by_degree(5)
+    sigma = [
+        {m: c for m in by_degree[g.total_degree + 1] if (c := draw(st.integers(0, p - 1)))}
+        for g in gens
+    ]
+    return alg, sigma
+
+
+@given(algebra_with_derivation(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_leibniz_matches_per_slot_formula_and_linear_matches_fold(alg_sigma, data):
+    alg, sigma = alg_sigma
+    n = len(alg.generators)
+    atoms = {tuple(int(j == i) for j in range(n)): img for i, img in enumerate(sigma)}
+    of_mono = leibniz(alg, atoms)
+    basis = alg.basis(8)
+    for mono in basis:
+        assert of_mono(mono) == _per_slot_derivation(alg, sigma, mono), alg.format_mono(mono)
+
+    p = alg.field.p
+    elt = {m: data.draw(st.integers(-p, 2 * p)) for m in data.draw(
+        st.lists(st.sampled_from(basis), max_size=6, unique=True))}
+    fold = {}
+    for m, c in elt.items():
+        fold = alg.add_dicts(fold, alg.scale_dict(c, of_mono(m)))
+    assert alg.linear(of_mono, elt) == fold

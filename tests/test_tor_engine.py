@@ -17,14 +17,12 @@ from thhlab.graded_algebra import (
     bigraded_dims,
     dims_add,
     dims_convolve,
-    dims_shift,
     divided,
     exterior,
     hilbert,
     make_algebra,
     polynomial,
 )
-from thhlab.spectral_sequence import Page, PageLabel
 from thhlab.tor_engine import (
     ChainComplexOfFrees,
     ModuleSpec,
