@@ -502,19 +502,22 @@ def leibniz(spec: AlgebraSpec, atoms: Mapping[Mono, TermDict]) -> Callable[[Mono
             return mono[i] == 1
         return _p_power_part(mono[i], p)[1] == 1
 
+    # peel down to a memoised or atomic rest, then build back up: a loop,
+    # since a closure that calls itself is a reference cycle, and that would
+    # keep the memo alive until the next full garbage collection
     def of_mono(mono: Mono) -> TermDict:
-        if mono in memo:
-            return memo[mono]
-        if is_atom(mono):
-            val = atoms.get(mono, {})
-        else:
+        chain: list[tuple[Mono, Mono, Mono, int]] = []
+        while mono not in memo and not is_atom(mono):
             atom, rest, beta = peel(mono)
-            left = spec.mul_dicts(of_mono(atom), {rest: 1})
-            right = spec.mul_dicts({atom: 1}, of_mono(rest))
+            chain.append((mono, atom, rest, beta))
+            mono = rest
+        val = memo.setdefault(mono, atoms.get(mono, {}))
+        for mono, atom, rest, beta in reversed(chain):
+            left = spec.mul_dicts(atoms.get(atom, {}), {rest: 1})
+            right = spec.mul_dicts({atom: 1}, val)
             sign = -1 if spec.total_degree_of(atom) % 2 else 1
             val = spec.add_dicts(left, spec.scale_dict(sign, right))
-            val = spec.scale_dict(pow(beta, -1, p), val)
-        memo[mono] = val
+            val = memo[mono] = spec.scale_dict(pow(beta, -1, p), val)
         return val
 
     return of_mono
