@@ -1,5 +1,6 @@
 """Smoke tests for the tools beside the library: bench/tracer.py and scripts/."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -38,3 +39,16 @@ def test_dimension_tables_stable_page_matches_answer():
     rows = [l.split() for l in lines[header + 1: header + 32]]
     assert [int(r[0]) for r in rows] == list(range(31))
     assert all(r[2] == r[3] for r in rows)  # stable == answer in every degree
+
+
+def test_run_catalog_json_matches_the_catalog_golden():
+    done = _run([str(ROOT / "scripts" / "run_catalog.py"), "--primes", "3",
+                 "--format", "json"])
+    assert done.returncode == 0, done.stderr
+    decoder, docs, pos = json.JSONDecoder(), [], 0
+    while pos < len(done.stdout):
+        doc, pos = decoder.raw_decode(done.stdout, pos)
+        docs.append(doc)
+        pos += 1  # each document ends in one newline
+    golden = json.loads((ROOT / "tests" / "data" / "catalog-p3.json").read_text())
+    assert len(docs) == 10 and docs == golden
