@@ -125,33 +125,38 @@ def divided(name: str, degree: int, filtration: int = 0) -> Generator:
 
 
 def _walk_monomials(
-    gens: Sequence[Generator], cap: int, closing: Sequence[Sequence]
+    degrees: Sequence[int], limits: Sequence[int], cap: int, closing: Sequence[Sequence]
 ) -> dict[int, list[Mono]]:
-    """Monomials of total degree <= cap in ambient order, keyed by degree.
+    """Exponent words of degree <= cap in lexicographic order, keyed by degree.
 
-    closing[i] holds the rewrite rules whose lhs has its last nonzero slot
-    at i.  Once slots 0..i are fixed, the first of them to divide the prefix
-    stops the exponent at slot i from rising further, since every larger
-    exponent is reducible too.  A plain algebra passes empty lists.
+    The one enumerator of graded bases: algebra bases, rewriting bases and
+    the generator words of Tor resolutions.  Slot i has degree degrees[i]
+    and exponents 0..limits[i].  closing[i] holds the rewrite rules whose
+    lhs has its last nonzero slot at i; the first of them to divide the
+    prefix stops slot i from rising further, since every larger exponent is
+    reducible too.  A plain algebra passes empty lists.
+
+    An odometer: record the word, then raise the last slot that can still
+    rise and reset the slots after it.  A negative cap gives {}.
     """
     table: dict[int, list[Mono]] = {n: [] for n in range(cap + 1)}
-    mono = [0] * len(gens)
-
-    def rec(i: int, deg: int) -> None:
-        if i == len(gens):
-            table[deg].append(tuple(mono))
-            return
-        d = gens[i].total_degree
-        rules = closing[i]
-        for e in range(gens[i].max_exponent(cap - deg) + 1):
-            mono[i] = e
-            if rules and e and any(r.divides(mono) for r in rules):
-                break
-            rec(i + 1, deg + e * d)
-        mono[i] = 0
-
-    rec(0, 0)
-    return table
+    if cap < 0:
+        return table
+    word, deg = [0] * len(degrees), 0
+    while True:
+        table[deg].append(tuple(word))
+        for i in reversed(range(len(degrees))):
+            d, rules = degrees[i], closing[i]
+            if word[i] < limits[i] and deg + d <= cap:
+                word[i] += 1
+                if not (rules and any(r.divides(word) for r in rules)):
+                    deg += d
+                    break
+                word[i] -= 1
+            deg -= word[i] * d
+            word[i] = 0
+        else:
+            return table
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,9 @@ class AlgebraSpec:
 
     def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
         """All normal-form monomials of total degree <= cap, keyed by degree."""
-        return _walk_monomials(self.generators, cap, [()] * len(self.generators))
+        gens = self.generators
+        return _walk_monomials([g.total_degree for g in gens],
+                               [g.max_exponent(cap) for g in gens], cap, [()] * len(gens))
 
     def basis(self, cap: int) -> list[Mono]:
         table = self.basis_by_degree(cap)

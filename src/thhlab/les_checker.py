@@ -216,14 +216,43 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     return ExactnessReport(cap, tuple(rows), boundary_pairs, tau_pairs)
 
 
-# -- the two concrete sequences ------------------------------------------------------
+# -- the catalogued algebras, shared with the scenarios -------------------------------
 
 
-def _target_of_boundary(p: int):
+def _core(p: int):
+    """E(l1, l2) ox P(m2): the tower's coefficients and the source of ell_sequence."""
     return make_algebra(
         p,
-        [exterior("e1", 2 * p - 1), exterior("l1", 2 * p - 1), polynomial("m1", 2 * p)],
+        [exterior("l1", 2 * p - 1), exterior("l2", 2 * p * p - 1),
+         polynomial("m2", 2 * p * p)],
     )
+
+
+def _tower_answer(p: int):
+    """E(e1, l1) ox P(m1): the tower's abutment and the target of both boundaries."""
+    return make_algebra(
+        p, [exterior("e1", 2 * p - 1), exterior("l1", 2 * p - 1), polynomial("m1", 2 * p)]
+    )
+
+
+def _log_answer(p: int):
+    """E(l1, dlogv) ox P(k1): the log theory, the middle of ell_sequence."""
+    return make_algebra(
+        p,
+        [exterior("l1", 2 * p - 1), exterior("dlogv", 1), polynomial("k1", 2 * p)],
+    )
+
+
+def _ku_answer(p: int):
+    """P_{p-1}(u) ox E(l1, dlogu) ox P(k1): the middle of ku_sequence."""
+    return make_algebra(
+        p,
+        [truncated("u", 2, p - 1), exterior("l1", 2 * p - 1),
+         exterior("dlogu", 1), polynomial("k1", 2 * p)],
+    )
+
+
+# -- the two concrete sequences ------------------------------------------------------
 
 
 def _boundary_formula(C, p: int, ambiguity: int):
@@ -247,16 +276,7 @@ def _boundary_formula(C, p: int, ambiguity: int):
 def ell_sequence(p: int, ambiguity: int = 0) -> LongExactSpec:
     """The sequence relating E(l1,l2) ox P(m2), the log theory
     E(l1,dlogv) ox P(k1), and (shifted) E(e1,l1) ox P(m1)."""
-    A = make_algebra(
-        p,
-        [exterior("l1", 2 * p - 1), exterior("l2", 2 * p * p - 1),
-         polynomial("m2", 2 * p * p)],
-    )
-    B = make_algebra(
-        p,
-        [exterior("l1", 2 * p - 1), exterior("dlogv", 1), polynomial("k1", 2 * p)],
-    )
-    C = _target_of_boundary(p)
+    A, B, C = _core(p), _log_answer(p), _tower_answer(p)
     rho = {"l1": [(1, {"l1": 1})], "l2": [], "m2": [(1, {"k1": p})]}
     nu = {"l1": [(1, {"l1": 1})], "l2": [], "m2": [(1, {"m1": p})]}
     base = _boundary_formula(C, p, ambiguity)
@@ -282,12 +302,7 @@ def ku_sequence(p: int, ambiguity: int = 0) -> LongExactSpec:
     P_{p-1}(u) ox E(l1,dlogu) ox P(k1), and the boundary factors through the
     u-free part."""
     A = make_theta(p, extra_generators=(exterior("l1", 2 * p - 1),))
-    B = make_algebra(
-        p,
-        [truncated("u", 2, p - 1), exterior("l1", 2 * p - 1),
-         exterior("dlogu", 1), polynomial("k1", 2 * p)],
-    )
-    C = _target_of_boundary(p)
+    B, C = _ku_answer(p), _tower_answer(p)
     rho: dict[str, object] = {
         "l1": [(1, {"l1": 1})],
         "u": [(1, {"u": 1})],

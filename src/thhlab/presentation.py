@@ -133,7 +133,7 @@ class Presentation:
     def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
         """All irreducible monomials of total degree <= cap, keyed by degree.
 
-        Walks the ambient recursion of AlgebraSpec.basis_by_degree but visits
+        Walks the ambient monomials of AlgebraSpec.basis_by_degree but visits
         only irreducible monomials.  They form an order ideal: a rule lhs
         that divides m divides every multiple of m.  Each rule is tested
         where its lhs has its last nonzero slot, once that prefix of the
@@ -145,11 +145,8 @@ class Presentation:
         for rule in self.rules:
             last = max(i for i, e in enumerate(rule.lhs) if e)  # lhs is not the unit
             closing[last].append(rule)
-        return _walk_monomials(gens, cap, closing)
-
-    def basis(self, cap: int) -> list[Mono]:
-        table = self.basis_by_degree(cap)
-        return [m for n in range(cap + 1) for m in table[n]]
+        return _walk_monomials([g.total_degree for g in gens],
+                               [g.max_exponent(cap) for g in gens], cap, closing)
 
 
 def hilbert_pres(pres: Presentation, cap: int) -> list[int]:

@@ -28,7 +28,16 @@ from .graded_algebra import (
     polynomial,
     truncated,
 )
-from .les_checker import InexactAt, check_les, ell_sequence, ku_sequence
+from .les_checker import (
+    InexactAt,
+    _core,
+    _ku_answer,
+    _log_answer,
+    _tower_answer,
+    check_les,
+    ell_sequence,
+    ku_sequence,
+)
 from .presentation import (
     DerivationSpec,
     check_derivation,
@@ -172,35 +181,6 @@ def _abutment_check(name, out, abut, extensions, cap, *, conditional=False,
 
 
 # -- shared spec builders ------------------------------------------------------------
-
-
-def _core(p: int):
-    return make_algebra(
-        p,
-        [exterior("l1", 2 * p - 1), exterior("l2", 2 * p * p - 1),
-         polynomial("m2", 2 * p * p)],
-    )
-
-
-def _tower_answer(p: int):
-    return make_algebra(
-        p, [exterior("e1", 2 * p - 1), exterior("l1", 2 * p - 1), polynomial("m1", 2 * p)]
-    )
-
-
-def _log_answer(p: int):
-    return make_algebra(
-        p,
-        [exterior("l1", 2 * p - 1), exterior("dlogv", 1), polynomial("k1", 2 * p)],
-    )
-
-
-def _ku_answer(p: int):
-    return make_algebra(
-        p,
-        [truncated("u", 2, p - 1), exterior("l1", 2 * p - 1),
-         exterior("dlogu", 1), polynomial("k1", 2 * p)],
-    )
 
 
 def _tower_base(p: int):
@@ -367,15 +347,19 @@ def _sec8_summands(p: int, alternative: bool):
     return tuple(free + towers)
 
 
+def _sec8_coefficients(p: int):
+    """E(l1, dlogu) ox P(m2), carried along by the relative page."""
+    return make_algebra(
+        p,
+        [exterior("l1", 2 * p - 1), exterior("dlogu", 1), polynomial("m2", 2 * p * p)],
+    )
+
+
 def _sec8_page(p: int, cap: int, alternative: bool = False):
     du = exterior("du", 3)
     base = make_algebra(p, [du])
     module = ModuleSpec(base, summands=_sec8_summands(p, alternative))
-    coeff = make_algebra(
-        p,
-        [exterior("l1", 2 * p - 1), exterior("dlogu", 1), polynomial("m2", 2 * p * p)],
-    )
-    return base, module, tor_exterior_module(du, module, coeff, cap)
+    return base, module, tor_exterior_module(du, module, _sec8_coefficients(p), cap)
 
 
 def _sec8_rules(page: Page, p: int, window: Optional[int] = None):
@@ -429,11 +413,7 @@ def _sec8_representative(page: Page, p: int):
 def _thh_ku_ss(p: int, cap: int) -> list[Check]:
     checks = []
     base, module, page = _sec8_page(p, cap)
-    coeff_dims = hilbert(
-        make_algebra(p, [exterior("l1", 2 * p - 1), exterior("dlogu", 1),
-                         polynomial("m2", 2 * p * p)]),
-        cap,
-    )
+    coeff_dims = hilbert(_sec8_coefficients(p), cap)
     free = [0] * (cap + 1)
     towers = [0] * (cap + 1)
     for shift, _, action in module.summands:

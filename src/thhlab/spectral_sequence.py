@@ -107,23 +107,23 @@ class Page:
         )
 
     def raw_buckets(self) -> dict[tuple[int, int], tuple[PageKey, ...]]:
+        """The page's keys by bidegree, from one walk of the spec at work_cap:
+        a label of shift d takes the monomials of degree <= work_cap - d."""
         if self._buckets is not None:
             return self._buckets
-        buckets: dict[tuple[int, int], list[PageKey]] = {}
         if self.labels is None:
-            for m in self.spec.basis(self.work_cap):
-                buckets.setdefault(self.spec.bidegree_of(m), []).append((m, None))
+            labels = [(None, 0, True)]
         else:
-            gamma = self._gamma_slots()
-            for li, lab in enumerate(self.labels):
-                budget = self.work_cap - lab.shift
-                if budget < 0:
-                    continue
-                for m in self.spec.basis(budget):
-                    if not lab.allows_gamma and any(m[i] for i in gamma):
-                        continue
-                    s, t = self.spec.bidegree_of(m)
-                    buckets.setdefault((s, t + lab.shift), []).append((m, li))
+            labels = [(li, lab.shift, lab.allows_gamma) for li, lab in enumerate(self.labels)]
+        gamma = self._gamma_slots()
+        buckets: dict[tuple[int, int], list[PageKey]] = {}
+        for n, monos in self.spec.basis_by_degree(self.work_cap).items():
+            for m in monos:
+                s, t = self.spec.bidegree_of(m)
+                plain = not any(m[i] for i in gamma)
+                for li, shift, allows_gamma in labels:
+                    if n + shift <= self.work_cap and (allows_gamma or plain):
+                        buckets.setdefault((s, t + shift), []).append((m, li))
         self._buckets = {bd: tuple(sorted(ks)) for bd, ks in buckets.items()}
         return self._buckets
 

@@ -2,11 +2,13 @@
 
 The oracle resolves the unit module by an explicit complex of free modules
 (a Koszul two-term factor per polynomial generator, a divided-power tower per
-exterior generator), verifies over F_p that its only homology is F_p, and
-tensors the other side in without eliminating again.  The closed forms
-produce the same answers as algebra specs: an exterior class [x] per
-polynomial generator, a divided-power tower [y] per exterior generator.  Both
-feed second pages of spectral sequences.
+exterior generator), whose generator words come from the walk that
+enumerates every graded basis (graded_algebra._walk_monomials).  It
+verifies over F_p that the complex's only homology is F_p, then reads Tor
+off pairs of free and trivial module summands without eliminating again.
+The closed forms produce the same answers as algebra specs: an exterior
+class [x] per polynomial generator, a divided-power tower [y] per exterior
+generator.  Both feed second pages of spectral sequences.
 
 The resolution is checked block by block.  A basis element m.g (base
 monomial m, generator word g) has the weight m + g, one integer per base
@@ -42,8 +44,7 @@ from .graded_algebra import (
     Mono,
     UnsupportedKind,
     UnsupportedShape,
-    dims_add,
-    dims_shift,
+    _walk_monomials,
     divided,
     exterior,
     hilbert,
@@ -110,25 +111,6 @@ def fp_module(over: AlgebraSpec) -> ModuleSpec:
     return ModuleSpec(over)
 
 
-def module_dims(module: ModuleSpec, cap: int) -> list[int]:
-    """Dimensions of the underlying graded vector space, degrees 0..cap."""
-    dims = [0] * (cap + 1)
-    if module.summands is not None:
-        base = hilbert(module.over, cap)
-        for shift, _, action in module.summands:
-            if shift > cap:
-                continue
-            if action == "free":
-                dims = dims_add(dims, dims_shift(base, shift, cap), cap)
-            else:
-                dims[shift] += 1
-        return dims
-    if module.trivial_action_coefficients is not None:
-        return hilbert(module.trivial_action_coefficients, cap)
-    dims[0] = 1
-    return dims
-
-
 # -- resolutions ---------------------------------------------------------------------
 
 
@@ -136,10 +118,10 @@ def module_dims(module: ModuleSpec, cap: int) -> list[int]:
 class ResolutionGen:
     """One free-module generator, encoded as per-base-generator exponents:
     0/1 for a Koszul letter over a polynomial generator, k >= 0 for the k-th
-    stage of the divided tower over an exterior generator."""
+    stage of the divided tower over an exterior generator.  Its filtration
+    is sum(word)."""
 
     word: Mono
-    filtration: int
     internal_degree: int
 
 
@@ -341,62 +323,29 @@ def _require_monomial_base(algebra: AlgebraSpec) -> None:
 
 def resolution(algebra: AlgebraSpec, cap: int) -> ChainComplexOfFrees:
     """Free resolution of F_p over a tensor of polynomial and exterior
-    generators, exact in internal degrees <= cap (verified)."""
+    generators, exact in internal degrees <= cap (verified).
+
+    The generator words come from the walk that enumerates graded bases: a
+    polynomial slot takes one Koszul letter, an exterior slot any number of
+    tower stages.  The walk yields words in (internal degree, word) order,
+    so each layer, the words of one filtration sum(word), is in that order.
+    """
     _require_monomial_base(algebra)
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
     gens = algebra.generators
-    by_fil: dict[int, list[ResolutionGen]] = defaultdict(list)
-    word = [0] * len(gens)
-
-    def rec(i: int, s: int, t: int) -> None:
-        if i == len(gens):
-            by_fil[s].append(ResolutionGen(tuple(word), s, t))
-            return
-        d = gens[i].total_degree
-        emax = (cap - t) // d
-        if gens[i].kind == "polynomial":
-            emax = min(emax, 1)
-        for e in range(emax + 1):
-            word[i] = e
-            rec(i + 1, s + e, t + e * d)
-        word[i] = 0
-
-    rec(0, 0, 0)
-    top = max(by_fil)
-    layers = tuple(
-        tuple(sorted(by_fil.get(s, ()), key=lambda g: (g.internal_degree, g.word)))
-        for s in range(top + 1)
-    )
-    out = ChainComplexOfFrees(algebra, cap, layers)
+    degrees = [g.total_degree for g in gens]
+    limits = [1 if g.kind == "polynomial" else cap // g.total_degree for g in gens]
+    layers: defaultdict[int, list[ResolutionGen]] = defaultdict(list)
+    for t, words in _walk_monomials(degrees, limits, cap, [()] * len(gens)).items():
+        for word in words:
+            layers[sum(word)].append(ResolutionGen(word, t))
+    out = ChainComplexOfFrees(algebra, cap, tuple(tuple(layers[s]) for s in range(len(layers))))
     out.check_resolves_unit()
     return out
 
 
 # -- the oracle ----------------------------------------------------------------------
-
-
-def _tor_with_unit(res: ChainComplexOfFrees, module: ModuleSpec, cap: int) -> GradedDims:
-    """Tor(module, F_p), bigraded, read off the verified resolution P of F_p.
-
-    The module splits into shifted summands (_summand_view), and so does
-    module tensor P.  A trivial summand of degree d gives F_p[d] tensor P:
-    the generators of P shifted by d, with zero differential, because the
-    differential of P multiplies by positive-degree generators, which act by
-    zero on it.  A free summand A[shift] gives P[shift], whose homology is
-    F_p at (0, shift), since check_resolves_unit has already verified by
-    elimination that P resolves F_p in internal degrees <= cap.
-    """
-    out: defaultdict[tuple[int, int], int] = defaultdict(int)
-    for shift, _, action in _summand_view(module, cap):
-        if shift > cap:
-            continue
-        if action == "free":
-            out[(0, shift)] += 1
-            continue
-        for s, layer in enumerate(res.generators):
-            for g in layer:
-                if shift + g.internal_degree <= cap:
-                    out[(s, shift + g.internal_degree)] += 1
-    return dict(sorted(out.items()))
 
 
 def _check_same_base(algebra: AlgebraSpec, *modules: ModuleSpec) -> None:
@@ -411,43 +360,46 @@ def tor_oracle(
     right: ModuleSpec,
     cap: int,
 ) -> GradedDims:
-    """Bigraded dims of Tor(left, right): resolve the unit, verify the
-    resolution, and tensor both sides in summand by summand.  The window is
-    internal degree <= cap (all filtrations land inside it)."""
+    """Bigraded dims of Tor(left, right), read off summand pairs.
+
+    Both modules split into shifted free and trivial summands, and Tor of
+    a pair shifted by a and b is the pair's table shifted by a + b.  Two
+    trivial summands give the resolution P of F_p with zero differential,
+    since positive-degree generators act by zero: one class per generator
+    of P, which check_resolves_unit has verified by elimination.  Two free
+    summands give the algebra itself in filtration 0, and a free with a
+    trivial one gives F_p at (0, 0).  The window is internal degree <= cap
+    (all filtrations land inside it)."""
     _check_same_base(algebra, left, right)
     res = resolution(algebra, cap)
+    trivial: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for s, layer in enumerate(res.generators):
+        for g in layer:
+            trivial[(s, g.internal_degree)] += 1
+    tables = {
+        ("trivial", "trivial"): trivial,
+        ("free", "free"): {(0, n): d for n, d in enumerate(hilbert(algebra, cap)) if d},
+        ("free", "trivial"): {(0, 0): 1},
+        ("trivial", "free"): {(0, 0): 1},
+    }
     out: defaultdict[tuple[int, int], int] = defaultdict(int)
-    unit_part: Optional[GradedDims] = None
-    left_dims: Optional[list[int]] = None
-    for shift, _, action in _summand_view(right, cap):
-        if shift > cap:
-            continue
-        if action == "free":
-            if left_dims is None:
-                left_dims = module_dims(left, cap)
-            for n, d in enumerate(left_dims):
-                if d and n + shift <= cap:
-                    out[(0, n + shift)] += d
-        else:
-            if unit_part is None:
-                unit_part = _tor_with_unit(res, left, cap)
-            for (s, t), d in unit_part.items():
-                if t + shift <= cap:
-                    out[(s, t + shift)] += d
-    return {bd: d for bd, d in out.items() if d}
+    rights = _summand_view(right, cap)
+    for a, x in _summand_view(left, cap):
+        for b, y in rights:
+            for (s, t), d in tables[x, y].items():
+                if a + b + t <= cap:
+                    out[(s, a + b + t)] += d
+    return dict(out)
 
 
-def _summand_view(module: ModuleSpec, cap: int) -> list[tuple[int, str, str]]:
+def _summand_view(module: ModuleSpec, cap: int) -> list[tuple[int, str]]:
+    """(shift, action) per summand; a coefficient basis element is a trivial one."""
     if module.summands is not None:
-        return list(module.summands)
+        return [(shift, action) for shift, _, action in module.summands]
     if module.trivial_action_coefficients is not None:
         table = module.trivial_action_coefficients.basis_by_degree(cap)
-        return [
-            (t, f"m{t}.{i}", "trivial")
-            for t, monos in table.items()
-            for i, _ in enumerate(monos)
-        ]
-    return [(0, "1", "trivial")]
+        return [(t, "trivial") for t, monos in table.items() for _ in monos]
+    return [(0, "trivial")]
 
 
 # -- closed forms --------------------------------------------------------------------

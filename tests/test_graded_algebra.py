@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,27 @@ def test_hilbert_counts_basis():
     )
     table = spec.basis_by_degree(25)
     assert hilbert(spec, 25) == [len(table[n]) for n in range(26)]
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 7, 25])
+def test_basis_by_degree_is_the_capped_product_in_lexicographic_order(cap):
+    spec = make_algebra(
+        5, [exterior("y", 3), polynomial("x", 4), divided("g", 2), truncated("u", 2, 4)]
+    )
+    degrees = [g.total_degree for g in spec.generators]
+    words = itertools.product(range(2), range(7), range(13), range(4))
+    expected = {n: [] for n in range(cap + 1)}
+    for w in words:  # product yields lexicographic order
+        n = sum(e * d for e, d in zip(w, degrees))
+        if n <= cap:
+            expected[n].append(w)
+    assert spec.basis_by_degree(cap) == expected
+
+
+def test_negative_cap_gives_an_empty_basis_for_every_spec():
+    assert make_algebra(3, []).basis_by_degree(-1) == {}
+    assert E_P_page(3).basis_by_degree(-1) == {}
+    assert make_algebra(3, []).basis_by_degree(0) == {0: [()]}
 
 
 def test_bigraded_dims_track_filtration():

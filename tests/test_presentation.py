@@ -107,6 +107,12 @@ def test_presentation_rejects_divided_and_checks_degrees():
         Presentation(alg2, (RewriteRule((0, 0), {}),))
 
 
+def test_negative_cap_gives_an_empty_rewriting_basis():
+    pres = theta(3)
+    assert pres.basis_by_degree(-1) == {}
+    assert hilbert_pres(pres, -1) == []
+
+
 def test_non_termination_guard():
     alg = make_algebra(3, [polynomial("x", 2)])
     pres = Presentation(alg, (RewriteRule((2,), {(2,): 1}),))

@@ -27,7 +27,6 @@ from thhlab.tor_engine import (
     ChainComplexOfFrees,
     ModuleSpec,
     fp_module,
-    module_dims,
     resolution,
     tor_closed_form,
     tor_exterior_module,
@@ -175,6 +174,38 @@ def test_block_check_equals_dense_check_in_every_order(kinds, p, cap):
             assert cut.homology_dims() == _dense_homology(cut)
 
 
+@given(small_generators, st.sampled_from([3, 5]), st.integers(0, 10))
+@settings(max_examples=20, deadline=None)
+def test_resolution_words_are_the_capped_product_in_every_order(kinds, p, cap):
+    # Koszul exponents 0 or 1, tower exponents unbounded (range(cap + 1) is
+    # enough, every degree is positive); layered by sum(word), sorted by (t, word)
+    gens = [polynomial(f"x{i}", d) if kind == "polynomial" else exterior(f"y{i}", d)
+            for i, (kind, d) in enumerate(kinds)]
+    for order in set(itertools.permutations(range(len(gens)))):
+        alg = make_algebra(p, [gens[i] for i in order])
+        degrees = [g.total_degree for g in alg.generators]
+        ranges = [range(2) if g.kind == "polynomial" else range(cap + 1)
+                  for g in alg.generators]
+        layers = {}
+        for word in itertools.product(*ranges):
+            t = sum(e * d for e, d in zip(word, degrees))
+            if t <= cap:
+                layers.setdefault(sum(word), []).append((t, word))
+        expected = [sorted(layers[s]) for s in range(len(layers))]
+        res = resolution(alg, cap)
+        assert [[(g.internal_degree, g.word) for g in layer]
+                for layer in res.generators] == expected
+
+
+def test_negative_cap_is_a_value_error():
+    alg = make_algebra(3, [polynomial("x", 2), exterior("y", 3)])
+    for alg in (alg, make_algebra(3, [])):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            resolution(alg, -1)
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            tor_oracle(alg, fp_module(alg), fp_module(alg), -1)
+
+
 def test_block_check_rejects_a_dropped_top_layer():
     res = resolution(make_algebra(3, [polynomial("x", 2), exterior("y", 3)]), 12)
     broken = ChainComplexOfFrees(res.algebra, res.cap, res.generators[:-1])
@@ -266,10 +297,26 @@ def test_oracle_flatness():
     dims = tor_oracle(alg, fp_module(alg), free, 20)
     assert dims == {(0, 0): 1}  # A tensor_A F_p = F_p
     # resolved-side free summand against a nontrivial left module
-    left = ModuleSpec(alg, trivial_action_coefficients=make_algebra(3, [polynomial("m", 2)]))
+    coeffs = make_algebra(3, [polynomial("m", 2)])
+    left = ModuleSpec(alg, trivial_action_coefficients=coeffs)
     dims = tor_oracle(alg, left, ModuleSpec(alg, summands=((3, "g", "free"),)), 12)
-    expected = module_dims(left, 12)
+    expected = hilbert(coeffs, 12)
     assert dims == {(0, n + 3): d for n, d in enumerate(expected) if d and n + 3 <= 12}
+
+
+def test_oracle_free_and_trivial_summands_on_both_sides():
+    # over E(y), |y| = 3: Tor(F_p, F_p) is gamma_k at (k, 3k), A tensor_A A = A
+    alg = make_algebra(3, [exterior("y", 3)])
+    left = ModuleSpec(alg, summands=((0, "a", "trivial"), (2, "f", "free")))
+    right = ModuleSpec(alg, summands=((1, "b", "trivial"), (1, "g", "free")))
+    expected = {
+        (0, 1): 2,  # a.b: gamma_0, and a.g: F_p[1]
+        (1, 4): 1, (2, 7): 1, (3, 10): 1,  # a.b: gamma_1..gamma_3 shifted by 1
+        (0, 3): 2,  # f.b: F_p[3], and f.g: A[3] in degree 3
+        (0, 6): 1,  # f.g: y A[3]
+    }
+    assert tor_oracle(alg, left, right, 12) == expected
+    assert tor_oracle(alg, right, left, 12) == expected
 
 
 def test_oracle_kunneth():
@@ -322,14 +369,6 @@ def test_module_spec_validation():
                 3, [], coefficients=(CoefficientFactor("C"),)
             ),
         )
-
-
-def test_module_dims():
-    alg = e_dv()
-    m = ModuleSpec(alg, summands=((0, "a", "trivial"), (2, "b", "free")))
-    dims = module_dims(m, 10)
-    assert dims[0] == 1 and dims[2] == 1 and dims[7] == 1  # 1, b, dv.b
-    assert module_dims(fp_module(alg), 4) == [1, 0, 0, 0, 0]
 
 
 # -- closed forms --------------------------------------------------------------------
