@@ -131,10 +131,11 @@ def _walk_monomials(
 
     The one enumerator of graded bases: algebra bases, rewriting bases and
     the generator words of Tor resolutions.  Slot i has degree degrees[i]
-    and exponents 0..limits[i].  closing[i] holds the rewrite rules whose
-    lhs has its last nonzero slot at i; the first of them to divide the
-    prefix stops slot i from rising further, since every larger exponent is
-    reducible too.  A plain algebra passes empty lists.
+    and exponents 0..limits[i].  closing[i] holds the (position, rule) pairs
+    of the rewrite rules whose lhs has its last nonzero slot at i; the first
+    of them to divide the prefix stops slot i from rising further, since
+    every larger exponent is reducible too.  A plain algebra passes empty
+    lists.
 
     An odometer: record the word, then raise the last slot that can still
     rise and reset the slots after it.  A negative cap gives {}.
@@ -149,7 +150,7 @@ def _walk_monomials(
             d, rules = degrees[i], closing[i]
             if word[i] < limits[i] and deg + d <= cap:
                 word[i] += 1
-                if not (rules and any(r.divides(word) for r in rules)):
+                if not (rules and any(r.divides(word) for _, r in rules)):
                     deg += d
                     break
                 word[i] -= 1
@@ -196,6 +197,7 @@ class AlgebraSpec:
         object.__setattr__(
             self, "_odd_slots", tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         )
+        object.__setattr__(self, "_degrees", tuple(g.total_degree for g in self.generators))
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -210,7 +212,7 @@ class AlgebraSpec:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def total_degree_of(self, mono: Mono) -> int:
-        return sum(e * g.total_degree for e, g in zip(mono, self.generators))
+        return sum(e * d for e, d in zip(mono, self._degrees))  # type: ignore[attr-defined]
 
     def bidegree_of(self, mono: Mono) -> tuple[int, int]:
         s = sum(e * g.filtration for e, g in zip(mono, self.generators))
@@ -326,12 +328,8 @@ class AlgebraSpec:
     def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
         """All normal-form monomials of total degree <= cap, keyed by degree."""
         gens = self.generators
-        return _walk_monomials([g.total_degree for g in gens],
+        return _walk_monomials(self._degrees,  # type: ignore[attr-defined]
                                [g.max_exponent(cap) for g in gens], cap, [()] * len(gens))
-
-    def basis(self, cap: int) -> list[Mono]:
-        table = self.basis_by_degree(cap)
-        return [m for n in range(cap + 1) for m in table[n]]
 
     def format_mono(self, mono: Mono) -> str:
         parts = []

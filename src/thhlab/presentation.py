@@ -13,6 +13,11 @@ monomial is irreducible, since an lhs dividing the divisor divides the
 monomial too.  Basis enumeration relies on this to visit only irreducible
 monomials, never the whole ambient basis.
 
+Normal forms and basis enumeration share one rule index: the rules keyed by
+the last nonzero slot of their lhs.  A rule can divide a monomial only if
+that slot is in the monomial's support, so a rewrite step tests only the
+rules of the support's slots.
+
 The module also houses make_theta, the truncated two-family presentation
 used throughout, and check_derivation, which verifies that a declared
 degree +1 derivation is compatible with every relation and truncation of a
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .fp_linalg import PrimeField
 from .graded_algebra import (
@@ -56,8 +62,12 @@ class RewriteRule:
     lhs: Mono
     rhs: TermDict
 
-    def divides(self, mono: Mono) -> bool:
-        return all(l <= m for l, m in zip(self.lhs, mono))
+    def __post_init__(self) -> None:
+        # (slot, exponent) for every nonzero slot of the lhs
+        object.__setattr__(self, "_support", tuple((i, e) for i, e in enumerate(self.lhs) if e))
+
+    def divides(self, mono: Sequence[int]) -> bool:
+        return all(e <= mono[i] for i, e in self._support)  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +90,22 @@ class Presentation:
                 raise DegreeMismatch(
                     f"rule {self.algebra.format_mono(rule.lhs)} is not degree-homogeneous"
                 )
+        # the rule index: closing[i] holds the (position, rule) pairs whose lhs
+        # has its last nonzero slot at i
+        closing: list[list[tuple[int, RewriteRule]]] = [[] for _ in range(n)]
+        for pos, rule in enumerate(self.rules):
+            closing[rule._support[-1][0]].append((pos, rule))  # type: ignore[attr-defined]
+        object.__setattr__(self, "_closing", tuple(map(tuple, closing)))
 
     # -- rewriting -------------------------------------------------------------
 
     def _applicable(self, mono: Mono) -> list[RewriteRule]:
-        return [r for r in self.rules if r.divides(mono)]
-
-    def irreducible(self, mono: Mono) -> bool:
-        return not any(r.divides(mono) for r in self.rules)
+        """The rules that divide mono, in rule order, read off the index."""
+        closing = self._closing  # type: ignore[attr-defined]
+        hits = [(pos, r) for i, e in enumerate(mono) if e
+                for pos, r in closing[i] if r.divides(mono)]
+        hits.sort(key=itemgetter(0))
+        return [r for _, r in hits]
 
     def normal_form_dict(
         self,
@@ -137,16 +155,14 @@ class Presentation:
         only irreducible monomials.  They form an order ideal: a rule lhs
         that divides m divides every multiple of m.  Each rule is tested
         where its lhs has its last nonzero slot, once that prefix of the
-        monomial is fixed.  Lists come out in the ambient order, as if the
-        ambient table were filtered by irreducible.
+        monomial is fixed: the walk reads the same rule index as
+        normal_form_dict.  Lists come out in the ambient order, as if the
+        ambient table were filtered by irreducibility.
         """
         gens = self.algebra.generators
-        closing: list[list[RewriteRule]] = [[] for _ in gens]
-        for rule in self.rules:
-            last = max(i for i, e in enumerate(rule.lhs) if e)  # lhs is not the unit
-            closing[last].append(rule)
         return _walk_monomials([g.total_degree for g in gens],
-                               [g.max_exponent(cap) for g in gens], cap, closing)
+                               [g.max_exponent(cap) for g in gens], cap,
+                               self._closing)  # type: ignore[attr-defined]
 
 
 def hilbert_pres(pres: Presentation, cap: int) -> list[int]:

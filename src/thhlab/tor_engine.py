@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fp_linalg import CompositionNonzero, FpMatrix, map_matrix, stack_ranks
+from .fp_linalg import CompositionNonzero, stack_ranks
 from .graded_algebra import (
     AlgebraSpec,
     Generator,
@@ -223,21 +223,6 @@ class ChainComplexOfFrees:
         if (term & (key[target] != key[:, None] - 1)).any():
             raise AssertionError("the differential leaves a weight block")
         return gen_layer[eg], gen_degree[eg] + mono_degree[em], key, target, value
-
-    def matrix(self, s: int, t: int) -> FpMatrix:
-        """The differential (s, t) -> (s - 1, t) on the monomial bases."""
-        layer, degree, _, target, value = self._differential()
-        rows = np.flatnonzero((layer == s - 1) & (degree == t)).tolist()
-
-        def image(e: int) -> dict:
-            return {int(f): int(v) for f, v in zip(target[e], value[e]) if v}
-
-        return map_matrix(
-            self.algebra.field,
-            np.flatnonzero((layer == s) & (degree == t)).tolist(),
-            {f: r for r, f in enumerate(rows)},
-            image,
-        )
 
     def homology_dims(self) -> GradedDims:
         """Homology of the complex on the capped window (internal degree <= cap).

@@ -3,9 +3,9 @@
 The behaviour contract is the json schema, the text report and the exit
 codes; refactors of the layers underneath must leave every byte unchanged.
 The golden files in tests/data were written by `thhlab run --all --prime P`
-(json for P = 3, 5 and 7, text for P = 3), and by `thhz` and `thh-ell-log` at
-p = 3, cap 170 in json, whose page turns declare d on gamma_3, gamma_9 and
-gamma_27; they are compared byte for byte.
+(json for P = 3, 5, 7 and 11, text for P = 3), and by `thhz` and
+`thh-ell-log` at p = 3, cap 170 in json, whose page turns declare d on
+gamma_3, gamma_9 and gamma_27; they are compared byte for byte.
 
 This module sorts after test_acceptance.py on purpose: that module's
 runtime budget is measured from its own import.
@@ -26,6 +26,7 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
         (3, "json", "catalog-p3.json"),
         (5, "json", "catalog-p5.json"),
         (7, "json", "catalog-p7.json"),
+        (11, "json", "catalog-p11.json"),
         (3, "text", "catalog-p3.txt"),
     ],
 )

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thhlab.graded_algebra import (
@@ -33,6 +33,12 @@ from thhlab.presentation import (
 def theta(p, with_l1=False):
     extras = (exterior("l1", 2 * p - 1),) if with_l1 else ()
     return make_theta(p, extra_generators=extras)
+
+
+def ambient_basis(alg, cap):
+    """Every ambient monomial of total degree <= cap, in degree order."""
+    table = alg.basis_by_degree(cap)
+    return [m for n in range(cap + 1) for m in table[n]]
 
 
 def nf_names(pres, powers, coeff=1):
@@ -125,7 +131,7 @@ def test_rewriting_idempotent_and_shuffle_invariant(p):
     pres = theta(p)
     alg = pres.algebra
     cap = 2 * p * p + 6
-    basis = alg.basis(cap)
+    basis = ambient_basis(alg, cap)
     rng_pool = [random.Random(seed) for seed in (11, 57)]
     picker = random.Random(99)
     for m in basis:
@@ -148,7 +154,7 @@ def test_rewriting_shuffle_invariance_property(seed):
     pres = theta(3)
     alg = pres.algebra
     rng = random.Random(seed)
-    basis = alg.basis(30)
+    basis = ambient_basis(alg, 30)
     m1, m2 = rng.choice(basis), rng.choice(basis)
     raw = alg.mul_dicts({m1: 1}, {m2: 1})
     assert pres.normal_form_dict(raw, rng=rng) == pres.normal_form_dict(raw)
@@ -230,9 +236,11 @@ def test_derivation_rejects_divided_carrier():
 
 
 def filtered_basis(pres, cap):
-    """The reference table: the ambient basis filtered by irreducible."""
+    """The reference table: the ambient basis filtered by irreducibility,
+    each monomial tested against every rule, with no rule index."""
     table = pres.algebra.basis_by_degree(cap)
-    return {n: [m for m in table[n] if pres.irreducible(m)] for n in table}
+    return {n: [m for m in table[n] if not any(r.divides(m) for r in pres.rules)]
+            for n in table}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -270,6 +278,29 @@ def small_presentations(draw):
 @settings(max_examples=200, deadline=None)
 def test_pruned_basis_equals_filtered_property(pres, cap):
     assert pres.basis_by_degree(cap) == filtered_basis(pres, cap)
+
+
+def assert_index_matches_brute_force(pres, cap):
+    for m in ambient_basis(pres.algebra, cap):
+        assert pres._applicable(m) == [r for r in pres.rules if r.divides(m)]
+        for r in pres.rules:
+            assert r.divides(m) == all(l <= x for l, x in zip(r.lhs, m))
+
+
+# the second rule closes at an earlier slot than the first, so only the sort
+# by rule position puts the index's hits back in rule order
+@given(small_presentations(), st.integers(0, 16))
+@example(Presentation(make_algebra(3, [polynomial("g0", 2), polynomial("g1", 2)]),
+                      (RewriteRule((0, 1), {}), RewriteRule((1, 0), {}))), 4)
+@settings(max_examples=200, deadline=None)
+def test_indexed_rule_choice_equals_brute_force_property(pres, cap):
+    assert_index_matches_brute_force(pres, cap)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("with_l1", [False, True])
+def test_indexed_rule_choice_equals_brute_force_theta(p, with_l1):
+    assert_index_matches_brute_force(theta(p, with_l1), 2 * p * p + 4 * p)
 
 
 def test_rewrite_mismatch_survives_optimize():
