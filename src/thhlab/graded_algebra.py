@@ -131,11 +131,13 @@ def _walk_monomials(
 
     The one enumerator of graded bases: algebra bases, rewriting bases and
     the generator words of Tor resolutions.  Slot i has degree degrees[i]
-    and exponents 0..limits[i].  closing[i] holds the (position, rule) pairs
-    of the rewrite rules whose lhs has its last nonzero slot at i; the first
-    of them to divide the prefix stops slot i from rising further, since
-    every larger exponent is reducible too.  A plain algebra passes empty
-    lists.
+    and exponents 0..limits[i].  closing[i] holds the rewrite rules whose lhs
+    has its last nonzero slot at i, as (j, group) pairs: group holds the
+    (position, rule) pairs whose lhs has its first nonzero slot at j.  The
+    first rule to divide the prefix stops slot i from rising further, since
+    every larger exponent is reducible too.  Only groups whose slot j is
+    nonzero in the word are tested: a rule can divide the word only if its
+    whole lhs support is.  A plain algebra passes empty lists.
 
     An odometer: record the word, then raise the last slot that can still
     rise and reset the slots after it.  A negative cap gives {}.
@@ -150,7 +152,8 @@ def _walk_monomials(
             d, rules = degrees[i], closing[i]
             if word[i] < limits[i] and deg + d <= cap:
                 word[i] += 1
-                if not (rules and any(r.divides(word) for _, r in rules)):
+                if not (rules and any(r.divides(word) for j, group in rules if word[j]
+                                      for _, r in group)):
                     deg += d
                     break
                 word[i] -= 1
@@ -239,16 +242,18 @@ class AlgebraSpec:
         """Product of two monomials: (coefficient, monomial), or None if zero.
 
         The Koszul sign moves each odd letter of m2 left past the odd letters
-        of m1 that sit at a later generator index; divided slots combine by
-        the binomial law, which is the only source of coefficients besides
-        the sign.
+        of m1 that sit at a later generator index.  One pass over the odd
+        slots from the last counts these swaps, keeping the running sum of
+        m1 over the odd slots already passed.  Divided slots combine by the
+        binomial law, which is the only source of coefficients besides the
+        sign.
         """
         p = self.field.p
-        odd_slots = self._odd_slots  # type: ignore[attr-defined]
-        swaps = 0
-        for pos, j in enumerate(odd_slots):
+        swaps = later = 0
+        for j in reversed(self._odd_slots):  # type: ignore[attr-defined]
             if m2[j]:
-                swaps += m2[j] * sum(m1[i] for i in odd_slots[pos + 1 :])
+                swaps += m2[j] * later
+            later += m1[j]
         coeff = p - 1 if swaps % 2 else 1
         exps = list(m1)
         for i, g in enumerate(self.generators):

@@ -108,6 +108,28 @@ def _require_algebra_map(source, target: _Graded, images, what: str) -> Callable
     return image_of_mono
 
 
+def _checked(fn: Callable[[Mono], object], src: _Graded, dst: _Graded, drop: int,
+             name: str) -> Callable[[Mono], TermDict]:
+    """fn normalized into dst, each image degree-checked against its monomial's
+    degree minus drop and memoised per monomial.  An image is cached only once
+    its degree check has passed, so a bad image raises DegreeMismatch on every
+    call.  Callers only read the returned dicts."""
+    memo: dict[Mono, TermDict] = {}
+
+    def image(mono: Mono) -> TermDict:
+        d = memo.get(mono)
+        if d is not None:
+            return d
+        d = dst.normalize(fn(mono))
+        want = src.spec.dict_total_degree({mono: 1}) - drop
+        got = dst.spec.dict_total_degree(d) if d and dst.spec else None
+        if d and got != want:
+            raise DegreeMismatch(f"{name} image of degree {want + drop} monomial has degree {got}")
+        memo[mono] = d
+        return d
+    return image
+
+
 def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     """Verify exactness in every degree <= cap, raising InexactAt on the first
     failure (lowest degree, joints in sequence order).  Also checks that rho
@@ -130,18 +152,8 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     if spec.coefficient_action is not None and A.spec is not None and C.spec is not None:
         _require_algebra_map(spec.A, C, spec.coefficient_action, "the coefficient action")
 
-    def checked(fn, graded_src, graded_dst, drop, name):
-        def image(mono: Mono) -> TermDict:
-            d = graded_dst.normalize(fn(mono))
-            want = graded_src.spec.dict_total_degree({mono: 1}) - drop
-            got = graded_dst.spec.dict_total_degree(d) if d and graded_dst.spec else None
-            if d and got != want:
-                raise DegreeMismatch(f"{name} image of degree {want + drop} monomial has degree {got}")
-            return d
-        return image
-
-    bdy_img = checked(spec.boundary, B, C, 1, "boundary") if B.spec is not None else None
-    tau_img = checked(spec.tau, C, A, 0, "tau") if C.spec is not None else None
+    bdy_img = _checked(spec.boundary, B, C, 1, "boundary") if B.spec is not None else None
+    tau_img = _checked(spec.tau, C, A, 0, "tau") if C.spec is not None else None
 
     def mat_rho(n: int) -> FpMatrix:
         return map_matrix(field, A.at(n), B.index.get(n, {}), rho_of)

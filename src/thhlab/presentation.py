@@ -14,9 +14,10 @@ monomial too.  Basis enumeration relies on this to visit only irreducible
 monomials, never the whole ambient basis.
 
 Normal forms and basis enumeration share one rule index: the rules keyed by
-the last nonzero slot of their lhs.  A rule can divide a monomial only if
-that slot is in the monomial's support, so a rewrite step tests only the
-rules of the support's slots.
+the last nonzero slot of their lhs, and under it by the first.  A rule can
+divide a monomial only if both slots are in the monomial's support, so a
+rewrite step or a step of the basis walk tests only the rules keyed by
+support slots.
 
 The module also houses make_theta, the truncated two-family presentation
 used throughout, and check_derivation, which verifies that a declared
@@ -90,12 +91,15 @@ class Presentation:
                 raise DegreeMismatch(
                     f"rule {self.algebra.format_mono(rule.lhs)} is not degree-homogeneous"
                 )
-        # the rule index: closing[i] holds the (position, rule) pairs whose lhs
-        # has its last nonzero slot at i
-        closing: list[list[tuple[int, RewriteRule]]] = [[] for _ in range(n)]
+        # the rule index: closing[i] holds, as (j, group) pairs, the
+        # (position, rule) pairs whose lhs has its last nonzero slot at i and
+        # its first at j
+        closing: list[dict[int, list[tuple[int, RewriteRule]]]] = [{} for _ in range(n)]
         for pos, rule in enumerate(self.rules):
-            closing[rule._support[-1][0]].append((pos, rule))  # type: ignore[attr-defined]
-        object.__setattr__(self, "_closing", tuple(map(tuple, closing)))
+            support = rule._support  # type: ignore[attr-defined]
+            closing[support[-1][0]].setdefault(support[0][0], []).append((pos, rule))
+        object.__setattr__(self, "_closing", tuple(
+            tuple((j, tuple(group)) for j, group in by_first.items()) for by_first in closing))
 
     # -- rewriting -------------------------------------------------------------
 
@@ -103,7 +107,8 @@ class Presentation:
         """The rules that divide mono, in rule order, read off the index."""
         closing = self._closing  # type: ignore[attr-defined]
         hits = [(pos, r) for i, e in enumerate(mono) if e
-                for pos, r in closing[i] if r.divides(mono)]
+                for j, group in closing[i] if mono[j]
+                for pos, r in group if r.divides(mono)]
         hits.sort(key=itemgetter(0))
         return [r for _, r in hits]
 
@@ -155,7 +160,8 @@ class Presentation:
         only irreducible monomials.  They form an order ideal: a rule lhs
         that divides m divides every multiple of m.  Each rule is tested
         where its lhs has its last nonzero slot, once that prefix of the
-        monomial is fixed: the walk reads the same rule index as
+        monomial is fixed, and only if the prefix is nonzero at its lhs's
+        first nonzero slot: the walk reads the same rule index as
         normal_form_dict.  Lists come out in the ambient order, as if the
         ambient table were filtered by irreducibility.
         """

@@ -89,10 +89,9 @@ class Page:
     def __post_init__(self) -> None:
         if self.page_index < 2:
             raise ValueError("pages are indexed from 2")
-        if self.labels is not None:
-            names = [L.name for L in self.labels]
-            if len(set(names)) != len(names):
-                raise ValueError("duplicate page labels")
+        self._label_at = {L.name: i for i, L in enumerate(self.labels or ())}
+        if self.labels is not None and len(self._label_at) != len(self.labels):
+            raise ValueError("duplicate page labels")
         self._buckets: Optional[dict[tuple[int, int], tuple[PageKey, ...]]] = None
 
     # raw chain groups are enumerated one degree past the trusted cap so that
@@ -108,21 +107,27 @@ class Page:
 
     def raw_buckets(self) -> dict[tuple[int, int], tuple[PageKey, ...]]:
         """The page's keys by bidegree, from one walk of the spec at work_cap:
-        a label of shift d takes the monomials of degree <= work_cap - d."""
+        a label of shift d takes the monomials of degree <= work_cap - d.
+        Labels are visited by shift, so each monomial stops at the first label
+        it no longer fits; every bucket is sorted at the end."""
         if self._buckets is not None:
             return self._buckets
         if self.labels is None:
             labels = [(None, 0, True)]
         else:
-            labels = [(li, lab.shift, lab.allows_gamma) for li, lab in enumerate(self.labels)]
+            labels = sorted(((li, lab.shift, lab.allows_gamma)
+                             for li, lab in enumerate(self.labels)), key=operator.itemgetter(1))
         gamma = self._gamma_slots()
+        work_cap = self.work_cap
         buckets: dict[tuple[int, int], list[PageKey]] = {}
-        for n, monos in self.spec.basis_by_degree(self.work_cap).items():
+        for n, monos in self.spec.basis_by_degree(work_cap).items():
             for m in monos:
                 s, t = self.spec.bidegree_of(m)
                 plain = not any(m[i] for i in gamma)
                 for li, shift, allows_gamma in labels:
-                    if n + shift <= self.work_cap and (allows_gamma or plain):
+                    if n + shift > work_cap:
+                        break
+                    if allows_gamma or plain:
                         buckets.setdefault((s, t + shift), []).append((m, li))
         self._buckets = {bd: tuple(sorted(ks)) for bd, ks in buckets.items()}
         return self._buckets
@@ -164,13 +169,14 @@ class Page:
     def label_index(self, name: str) -> int:
         if self.labels is None:
             raise ValueError("page has no labels")
-        for i, lab in enumerate(self.labels):
-            if lab.name == name:
-                return i
-        raise ValueError(f"unknown page label {name!r}")
+        try:
+            return self._label_at[name]
+        except KeyError:
+            raise ValueError(f"unknown page label {name!r}") from None
 
     def key_from_input(self, source) -> PageKey:
-        """Accept a powers mapping, a raw monomial, or (powers, label_name)."""
+        """Accept a powers mapping, a raw monomial, or (powers, label), the
+        label a name or an index into labels."""
         label: Optional[int] = None
         if (
             isinstance(source, tuple)
@@ -181,7 +187,9 @@ class Page:
             inner, lab = source
             if isinstance(lab, str):
                 label = self.label_index(lab)
-            else:
+            elif lab is not None:
+                if not 0 <= lab < len(self.labels or ()):
+                    raise ValueError(f"page label {lab!r} is not a label index of this page")
                 label = lab
             source = inner
         if isinstance(source, Mapping):

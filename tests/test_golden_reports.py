@@ -3,9 +3,11 @@
 The behaviour contract is the json schema, the text report and the exit
 codes; refactors of the layers underneath must leave every byte unchanged.
 The golden files in tests/data were written by `thhlab run --all --prime P`
-(json for P = 3, 5, 7 and 11, text for P = 3), and by `thhz` and
-`thh-ell-log` at p = 3, cap 170 in json, whose page turns declare d on
-gamma_3, gamma_9 and gamma_27; they are compared byte for byte.
+(json for P = 3, 5, 7 and 11, text for P = 3), and by `thhz`,
+`thh-ell-log` and `thh-ku-ss` at p = 3, cap 170 in json: the first two page
+turns declare d on gamma_3, gamma_9 and gamma_27, the third turns the
+labeled Section 8 page, whose labels are not sorted by shift.  They are
+compared byte for byte.
 
 This module sorts after test_acceptance.py on purpose: that module's
 runtime budget is measured from its own import.
@@ -41,6 +43,7 @@ def test_catalog_report_matches_golden_bytes(prime, fmt, golden, capsysbinary):
     [
         ("thhz", "thhz-p3-cap170.json"),
         ("thh-ell-log", "thh-ell-log-p3-cap170.json"),
+        ("thh-ku-ss", "thh-ku-ss-p3-cap170.json"),
     ],
 )
 def test_divided_power_atom_report_matches_golden_bytes(scenario, golden, capsysbinary):

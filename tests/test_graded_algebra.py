@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from thhlab.graded_algebra import (
     DegreeMismatch,
     DuplicateName,
+    Generator,
     MixedSpec,
     ParityViolation,
     UnsupportedKind,
@@ -23,6 +26,7 @@ from thhlab.graded_algebra import (
     tensor,
     truncated,
 )
+from thhlab.presentation import make_theta
 
 
 def E_P_page(p):
@@ -451,3 +455,80 @@ def test_leibniz_matches_per_slot_formula_and_linear_matches_fold(alg_sigma, dat
     for m, c in elt.items():
         fold = alg.add_dicts(fold, alg.scale_dict(c, of_mono(m)))
     assert alg.linear(of_mono, elt) == fold
+
+
+# -- the Koszul sign of mono_mul against the per-slot formula -------------------------
+
+
+def mono_mul_reference(spec, m1, m2):
+    """mono_mul with its sign counted slot by slot: each odd slot of m2 sums
+    m1 over every later odd slot again."""
+    p = spec.field.p
+    odd_slots = tuple(i for i, g in enumerate(spec.generators) if g.is_odd)
+    swaps = 0
+    for pos, j in enumerate(odd_slots):
+        if m2[j]:
+            swaps += m2[j] * sum(m1[i] for i in odd_slots[pos + 1:])
+    coeff = p - 1 if swaps % 2 else 1
+    exps = list(m1)
+    for i, g in enumerate(spec.generators):
+        e2 = m2[i]
+        if e2 == 0:
+            continue
+        e = exps[i] + e2
+        if g.kind == "exterior" and e > 1:
+            return None
+        if g.kind == "truncated" and e >= g.height:
+            return None
+        if g.kind == "divided" and exps[i]:
+            c = math.comb(e, e2) % p
+            if c == 0:
+                return None
+            coeff = coeff * c % p
+        exps[i] = e
+    return coeff, tuple(exps)
+
+
+def random_mono(spec, rng):
+    out = []
+    for g in spec.generators:
+        top = 1 if g.kind == "exterior" else g.height - 1 if g.kind == "truncated" else 5
+        out.append(rng.randint(0, top))
+    return tuple(out)
+
+
+@st.composite
+def mixed_spec(draw):
+    """Exterior, polynomial, truncated and divided generators, some with
+    filtration, in shuffled slot order."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    gens = []
+    for i in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["exterior", "polynomial", "truncated", "divided"]))
+        filtration = draw(st.integers(0, 1))
+        degree = 2 * draw(st.integers(1, 4)) - filtration + (kind == "exterior")
+        height = draw(st.integers(2, p)) if kind == "truncated" else None
+        gens.append(Generator(f"{kind[0]}{i}", degree, kind, height, filtration))
+    return make_algebra(p, draw(st.permutations(gens)))
+
+
+@given(mixed_spec(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_mono_mul_sign_matches_the_per_slot_count(spec, rng):
+    for _ in range(40):
+        m1, m2 = random_mono(spec, rng), random_mono(spec, rng)
+        assert spec.mono_mul(m1, m2) == mono_mul_reference(spec, m1, m2)
+
+
+def test_mono_mul_on_theta_p5_matches_the_per_slot_count():
+    spec = make_theta(5, extra_generators=(exterior("l1", 9),)).algebra
+    assert sum(g.is_odd for g in spec.generators) == 6
+    rng = random.Random(5)
+    signs = set()
+    for _ in range(3000):
+        m1, m2 = random_mono(spec, rng), random_mono(spec, rng)
+        got = spec.mono_mul(m1, m2)
+        assert got == mono_mul_reference(spec, m1, m2)
+        if got is not None:
+            signs.add(got[0])
+    assert signs == {1, 4}  # both Koszul signs occur

@@ -11,6 +11,8 @@ from thhlab.les_checker import (
     ExactnessReport,
     InexactAt,
     LongExactSpec,
+    _checked,
+    _Graded,
     check_les,
     ell_sequence,
     ku_sequence,
@@ -213,3 +215,80 @@ def test_ell_tau_not_killing_boundary_image_detected():
         check_les(spec, cap=20)
     assert exc.value.degree == 17
     assert exc.value.joint == JOINT_BOUNDARY_TAU
+
+
+# -- the memo of boundary and tau images keeps every failure point -------------
+
+
+def _scaled(c):
+    return lambda img: {m: c * v for m, v in dict(img).items()}
+
+
+def _mutated(seq, which, source, powers, change):
+    """seq with its boundary or tau changed at the one monomial of source
+    named by powers."""
+    good = getattr(seq, which)
+    target = source.mono_from_names(powers)
+    setattr(seq, which, lambda mono: change(good(mono)) if mono == target else good(mono))
+    return seq
+
+
+# each expected failure was read off the checker before its images were memoised
+@pytest.mark.parametrize("make, which, side, powers, change, expected", [
+    (ell_sequence, "boundary", "B", {"k1": 2}, _scaled(2),
+     (17, "boundary module structure",
+      "not exact in degree 17 at boundary module structure: over l1 at k1^2")),
+    (ku_sequence, "tau", "C", {"e1": 1, "m1": 2}, _scaled(2),
+     (22, "tau module structure",
+      "not exact in degree 22 at tau module structure: over l1 at e1*m1^2")),
+    (ku_sequence, "boundary", "B", {"dlogu": 1, "k1": 1}, _scaled(0),
+     (6, JOINT_BOUNDARY_TAU,
+      "not exact in degree 6 at im(boundary) = ker(tau): ker tau has dim 1, im boundary 0")),
+    (ell_sequence, "tau", "C", {"e1": 1, "m1": 2}, _scaled(0),
+     (17, JOINT_TAU_RHO,
+      "not exact in degree 17 at im(tau) = ker(rho): ker rho has dim 1, im tau 0")),
+])
+def test_wrong_coefficient_at_one_monomial_fails_where_it_did(make, which, side, powers,
+                                                              change, expected):
+    seq = make(3)
+    seq = _mutated(seq, which, getattr(seq, side), powers, change)
+    with pytest.raises(InexactAt) as exc:
+        check_les(seq, cap=40)
+    assert (exc.value.degree, exc.value.joint, str(exc.value)) == expected
+
+
+@pytest.mark.parametrize("make, which, side, powers, target_side, image, message", [
+    (ell_sequence, "boundary", "B", {"k1": 2}, "C", {"m1": 1},
+     "boundary image of degree 12 monomial has degree 6"),
+    (ku_sequence, "tau", "C", {"e1": 1, "m1": 2}, "A", {"l1": 1},
+     "tau image of degree 17 monomial has degree 5"),
+])
+def test_wrong_degree_image_at_one_monomial_fails_where_it_did(make, which, side, powers,
+                                                               target_side, image, message):
+    seq = make(3)
+    target = getattr(seq, target_side)
+    target = getattr(target, "algebra", target)
+    wrong = {target.mono_from_names(image): 1}
+    seq = _mutated(seq, which, getattr(seq, side), powers, lambda img: wrong)
+    with pytest.raises(DegreeMismatch) as exc:
+        check_les(seq, cap=40)
+    assert str(exc.value) == message
+
+
+def test_checked_image_is_memoised_only_after_its_degree_check():
+    seq = ell_sequence(3)
+    B, C = _Graded(seq.B, 20), _Graded(seq.C, 20)
+    good, bad = seq.B.mono_from_names({"k1": 1}), seq.B.mono_from_names({"k1": 2})
+    calls = []
+
+    def boundary(mono):
+        calls.append(mono)
+        return [(1, {"m1": 1})] if mono == bad else seq.boundary(mono)
+
+    image = _checked(boundary, B, C, 1, "boundary")
+    assert image(good) is image(good)
+    assert calls == [good]
+    for _ in range(2):
+        with pytest.raises(DegreeMismatch, match="boundary image of degree 12"):
+            image(bad)
+    assert calls == [good, bad, bad]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thhlab import scenarios
 from thhlab.fp_linalg import FpMatrix, map_matrix
 from thhlab.graded_algebra import (
     bigraded_dims,
@@ -495,6 +496,64 @@ def test_labeled_rule_sources_must_be_gamma_pure():
     bad = DifferentialRule(2, ({"dlogu": 1, "[du]": 2}, "u"), [(1, {"dlogu": 1}, "a1")])
     with pytest.raises(ValueError):
         run_differential(page, [bad])
+
+
+def raw_buckets_by_scan(page):
+    """Every label tested for every monomial, in label order, then sorted."""
+    gamma = [i for i, g in enumerate(page.spec.generators) if g.kind == "divided"]
+    buckets = {}
+    for n, monos in page.spec.basis_by_degree(page.work_cap).items():
+        for m in monos:
+            s, t = page.spec.bidegree_of(m)
+            plain = not any(m[i] for i in gamma)
+            for li, lab in enumerate(page.labels):
+                if n + lab.shift <= page.work_cap and (lab.allows_gamma or plain):
+                    buckets.setdefault((s, t + lab.shift), []).append((m, li))
+    return {bd: tuple(sorted(ks)) for bd, ks in buckets.items()}
+
+
+def sec8_page(p, cap, alternative=False):
+    return scenarios._sec8_page(p, cap, alternative)[2]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sec8_page(3, 40),
+    lambda: sec8_page(3, 61, alternative=True),
+    lambda: sec8_page(5, 70),
+    lambda: module_page(cap=45, drop_z_from_free=True),
+])
+def test_raw_buckets_match_a_scan_of_every_label(make):
+    page = make()
+    shifts = [lab.shift for lab in page.labels]
+    assert shifts != sorted(shifts)
+    assert page.raw_buckets() == raw_buckets_by_scan(page)
+
+
+def test_label_index_finds_every_name():
+    page = sec8_page(3, 40)
+    assert [lab.shift for lab in page.labels] == [0, 14, 2, 8, 9, 15]
+    for i, lab in enumerate(page.labels):
+        assert page.label_index(lab.name) == i
+    with pytest.raises(ValueError) as exc:
+        page.label_index("nope")
+    assert str(exc.value) == "unknown page label 'nope'"
+    with pytest.raises(ValueError, match="page has no labels"):
+        tower_page(3, 20).label_index("u")
+
+
+def test_integer_labels_are_range_checked():
+    # labels[-4] is "u" on this page, but a key labelled -4 matches no raw key,
+    # so a rule written with it would be dropped without a word
+    page = sec8_page(3, 40)
+
+    def e3_dims(label):
+        rule = DifferentialRule(2, ({"[du]": 2}, label), [(1, {}, "a1")])
+        return run_differential(page, [rule]).total_dims()
+
+    assert e3_dims(2) == e3_dims("u") != page.total_dims()
+    for label in (-4, 99):
+        with pytest.raises(ValueError, match=f"page label {label} "):
+            e3_dims(label)
 
 
 # -- properties ----------------------------------------------------------------------
