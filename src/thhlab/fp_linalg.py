@@ -1,17 +1,18 @@
 """Exact linear algebra over prime fields F_p for odd primes p.
 
-Everything is dense int64 numpy with explicit mod-p reduction.  Primes are
+Matrices are dense int64 numpy with explicit mod-p reduction.  Primes are
 bounded below 2^31, so every product of two reduced entries fits in int64
 and elimination stays exact.  Matrix products route through float64 BLAS
 when every entry is provably below 2^53, and through exact Python integers
 otherwise.  Matrices act on column vectors; subspaces are passed around as
-row-spanning matrices.
+row-spanning matrices.  A map given on bases becomes a matrix through
+map_matrix, and map_rank ranks it one component of its support at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -54,9 +55,6 @@ class PrimeField:
         if self.p == 2 or not _is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
 
 @dataclass(frozen=True, eq=False)
 class FpMatrix:
@@ -73,12 +71,6 @@ class FpMatrix:
         object.__setattr__(self, "data", arr)
 
     @classmethod
-    def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> "FpMatrix":
-        if len(rows) == 0:
-            return cls(field, np.zeros((0, 0), dtype=np.int64))
-        return cls(field, np.array(rows, dtype=np.int64))
-
-    @classmethod
     def from_columns(
         cls, field: PrimeField, nrows: int, cols: Sequence[dict[int, int]]
     ) -> "FpMatrix":
@@ -88,14 +80,6 @@ class FpMatrix:
             for i, c in col.items():
                 data[i, j] = c % field.p
         return cls(field, data)
-
-    @classmethod
-    def zeros(cls, field: PrimeField, nrows: int, ncols: int) -> "FpMatrix":
-        return cls(field, np.zeros((nrows, ncols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FpMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -145,11 +129,7 @@ class FpMatrix:
         return FpMatrix(self.field, R), tuple(pivots)
 
     def rank(self) -> int:
-        cached = getattr(self, "_rank", None)
-        if cached is None:
-            cached = len(self.rref()[1])
-            object.__setattr__(self, "_rank", cached)
-        return cached
+        return len(self.rref()[1])
 
     def kernel(self) -> "FpMatrix":
         """Matrix whose rows span {x : self @ x = 0}."""
@@ -174,11 +154,11 @@ def stack_ranks(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     below a pivot a by row <- a * row - b * pivot_row, which needs no
     inverse, and every intermediate stays below p^2 < 2^62.
 
-    FpMatrix.rref stays the single-matrix kernel: it returns the reduced
-    form and the pivots, and on one matrix its loop, which touches only the
-    rows that need clearing, beats a stack of one (routing FpMatrix.rank
-    through here took a page-turns pass from 1.9 s to 2.8 s on a 2-core x86
-    host).
+    FpMatrix.rref stays the single-matrix kernel, which map_rank and the
+    page turns call on a map's larger support components: on one matrix
+    its loop, which touches only the rows that need clearing, beats a stack
+    of one (routing FpMatrix.rank through here took a page-turns pass from
+    1.9 s to 2.8 s on a 2-core x86 host).
     """
     p = field.p
     R = np.asarray(stack, dtype=np.int64) % p
@@ -210,6 +190,47 @@ def map_matrix(field: PrimeField, source: Sequence, target_index: Mapping,
     a {target key: coefficient} dict, with rows placed by target_index."""
     cols = [{target_index[k]: c for k, c in image(s).items()} for s in source]
     return FpMatrix.from_columns(field, len(target_index), cols)
+
+
+def support_components(entries: Mapping[Hashable, Mapping[Hashable, int]]) -> list[list]:
+    """Connected components of the support of a sparse map {key: {key: coefficient}}, by
+    set union with path compression (Tarjan, J. ACM 22, 1975); a key in no entry is in none."""
+    root: dict = {}
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for a, img in entries.items():
+        for b in img:
+            root[find(root.setdefault(b, b))] = find(root.setdefault(a, a))
+    comps: dict = {}
+    for k in root:
+        comps.setdefault(find(k), []).append(k)
+    return list(comps.values())
+
+
+def map_rank(field: PrimeField, source: Sequence, target_index: Mapping,
+             image: Callable) -> int:
+    """The rank of map_matrix(field, source, target_index, image), one connected
+    component of its support at a time: a one-entry component has rank 1, and
+    only the larger ones are eliminated.  Sources and targets are tagged apart,
+    since they may share keys; a target goes by its row, so a key off the
+    target raises KeyError."""
+    entries = {}
+    for s in source:
+        img = {(1, target_index[k]): c % field.p for k, c in image(s).items()}
+        entries[(0, s)] = {k: c for k, c in img.items() if c}
+    rank = 0
+    for keys in support_components(entries):
+        if len(keys) == 2:
+            rank += 1
+        else:
+            rows = {k: i for i, k in enumerate(k for k in keys if k not in entries)}
+            rank += map_matrix(field, [k for k in keys if k in entries], rows,
+                               entries.__getitem__).rank()
+    return rank
 
 
 def solve(A: FpMatrix, b: Sequence[int]) -> Optional[np.ndarray]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .fp_linalg import PrimeField, map_matrix
+from .fp_linalg import PrimeField, map_rank
 
 Mono = tuple[int, ...]
 TermDict = dict[Mono, int]
@@ -691,6 +691,6 @@ def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], ca
     for n in range(cap + 1):
         srcs = src_basis.get(n, [])
         tgts = tgt_basis.get(n, [])
-        mat = map_matrix(target.field, srcs, {m: i for i, m in enumerate(tgts)}, image_of_mono)
-        rows.append(DegreeRank(n, len(srcs), len(tgts), mat.rank()))
+        rank = map_rank(target.field, srcs, {m: i for i, m in enumerate(tgts)}, image_of_mono)
+        rows.append(DegreeRank(n, len(srcs), len(tgts), rank))
     return MorphismReport(tuple(rows), relation_results)

@@ -522,9 +522,11 @@ def _ausoni(p: int, cap: int) -> list[Check]:
     bound = max(lhs_degrees)
     kerd = dims_shift(hilbert(ker_block, bound), 2 * p * p - 1, bound)
     obstructions = [n for n in lhs_degrees if kerd[n] > 0]
+    # rho's kernel in each rule's lhs degree, read off the rank table, is the ker_block count
+    lifted = all(dims[n] - ranks[n] == kerd[n] for n in lhs_degrees if n <= cap)
     checks.append(_check(
-        "theta-lift", True, SOURCE_LITERATURE, conditional=bool(obstructions),
-        obstruction_degrees=obstructions,
+        "theta-lift", morph.relations_ok and lifted, SOURCE_LITERATURE,
+        conditional=bool(obstructions), obstruction_degrees=obstructions,
     ))
     return checks
 

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .fp_linalg import FpMatrix, map_matrix
+from .fp_linalg import FpMatrix, map_matrix, support_components
 from .graded_algebra import (
     AlgebraSpec,
     GradedError,
@@ -337,7 +337,7 @@ class _Differential:
     def entries(self) -> tuple[dict[PageKey, dict[PageKey, int]], dict[PageKey, tuple[int, int]]]:
         """d of every raw key with a nonzero image, and every key's bidegree;
         d must stay in its lane, then square to zero term by term."""
-        page, r, p = self.page, self.r, self.p
+        page, r = self.page, self.r
         where = {k: bd for bd, ks in page.raw_buckets().items() for k in ks}
         d: dict[PageKey, dict[PageKey, int]] = {}
         for key, (s, t) in where.items():
@@ -347,11 +347,7 @@ class _Differential:
                     raise BidegreeViolation(f"d({page.format_key(key)}) leaves its bidegree lane")
                 d[key] = val
         for key, img in d.items():
-            dd: dict[PageKey, int] = {}
-            for b, c in img.items():
-                for k, c2 in d.get(b, {}).items():
-                    dd[k] = (dd.get(k, 0) + c * c2) % p
-            if any(dd.values()):
+            if page.spec.linear(lambda b: d.get(b, {}), img):
                 raise NotADifferential(f"d.d != 0 out of bidegree {where[key]} on page {r}")
         return d, where
 
@@ -397,11 +393,12 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     monomial representatives; classes with no monomial cycle representative
     are counted in extra_classes.
 
-    Rank and homology split over the connected components of d's support,
-    so the page turns component by component: a component of one entry
-    a -> b has rank 1 and removes a as a non-cycle and b as a boundary, a
-    key in no entry survives, and only the components with more than one
-    entry are eliminated, bidegree by bidegree.
+    Rank and homology split over the connected components of d's support
+    (fp_linalg.support_components, which map_rank uses too), so the page
+    turns component by component: a component of one entry a -> b has rank
+    1 and removes a as a non-cycle and b as a boundary, a key in no entry
+    survives, and only the larger components are eliminated, bidegree by
+    bidegree.
     """
     if not rules:
         return Page(
@@ -418,27 +415,16 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     d, where = diff.entries()
     diff.check_leibniz_samples()
 
-    root: dict[PageKey, PageKey] = {}  # union-find over the entries of d
-
-    def find(k: PageKey) -> PageKey:
-        while root[k] != k:
-            root[k] = k = root[root[k]]
-        return k
-
-    for a, img in d.items():
-        for b in img:
-            root[find(root.setdefault(b, b))] = find(root.setdefault(a, a))
-    comps: dict[PageKey, list[PageKey]] = {}
-    for k in root:
-        comps.setdefault(find(k), []).append(k)
+    comps = support_components(d)
+    touched = {k for keys in comps for k in keys}
     field, r = page.spec.field, diff.r
     rank: dict[tuple[int, int], int] = {}
     dense: dict[tuple[int, int], list[PageKey]] = {}  # keys of the larger components
-    for keys in comps.values():
+    for keys in comps:
         if len(keys) == 2:  # one entry: its source, r filtrations up, is no cycle
             bd = max(where[k] for k in keys)
             rank[bd] = rank.get(bd, 0) + 1
-    for k in sorted(k for keys in comps.values() if len(keys) > 2 for k in keys):
+    for k in sorted(k for keys in comps if len(keys) > 2 for k in keys):
         dense.setdefault(where[k], []).append(k)  # in bucket key order
     mats: dict[tuple[int, int], FpMatrix] = {}
     for (s, t), ks in dense.items():
@@ -454,7 +440,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
         dim_h = len(keys) - rank.get((s, t), 0) - rank.get((s + r, t - r + 1), 0)
         if dim_h < 0:
             raise NotADifferential(f"negative homology at {(s, t)}")
-        chosen = [k for k in keys if k not in root]
+        chosen = [k for k in keys if k not in touched]
         if (s, t) in mats:
             # a monomial cycle survives when it is outside the span of the
             # boundaries and the cycles before it: exactly the pivot columns

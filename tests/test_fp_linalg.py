@@ -10,16 +10,27 @@ from thhlab.fp_linalg import (
     PrimeField,
     homology_dim,
     map_matrix,
+    map_rank,
     solve,
     span_contains,
     spans_equal,
     stack_ranks,
+    support_components,
 )
+from thhlab.graded_algebra import exterior, make_algebra
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 odd_primes = st.sampled_from([3, 5, 7])
+
+
+def mat(field, rows):
+    return FpMatrix(field, np.array(rows, dtype=np.int64))
+
+
+def zeros(field, nrows, ncols):
+    return FpMatrix(field, np.zeros((nrows, ncols), dtype=np.int64))
 
 
 @st.composite
@@ -40,18 +51,14 @@ def test_field_rejects_two_and_composites():
             PrimeField(bad)
 
 
-def test_field_arithmetic():
-    assert F5.normalize(-1) == 4
-
-
 def test_rank_frozen_examples():
-    assert FpMatrix.from_rows(F5, [[1, 2], [2, 4]]).rank() == 1
-    assert FpMatrix.identity(F3, 2).rank() == 2
-    assert FpMatrix.zeros(F3, 3, 4).rank() == 0
+    assert mat(F5, [[1, 2], [2, 4]]).rank() == 1
+    assert FpMatrix(F3, np.eye(2, dtype=np.int64)).rank() == 2
+    assert zeros(F3, 3, 4).rank() == 0
 
 
 def test_rref_normalizes_pivots():
-    A = FpMatrix.from_rows(F5, [[2, 4], [1, 3]])
+    A = mat(F5, [[2, 4], [1, 3]])
     R, pivots = A.rref()
     assert pivots == (0, 1)
     assert np.array_equal(R.data, np.eye(2, dtype=np.int64))
@@ -70,46 +77,132 @@ def test_map_matrix_places_images_by_target_index():
     assert map_matrix(F3, [], {"c": 0}, images.get).shape == (1, 0)
 
 
+# -- sparse ranks and composites against a dense reference ---------------------------
+
+
+@st.composite
+def sparse_maps(draw, p, source=None):
+    """A map on a basis as sparse images {target key: coefficient}.  Keys are
+    one-tuples on both sides, so a source key often equals a target key, and
+    coefficients hit multiples of p."""
+    if source is None:
+        source = [(i,) for i in range(draw(st.integers(0, 6)))]
+    target = draw(st.permutations([(j,) for j in range(draw(st.integers(0, 6)))]))
+    images = {}
+    for s in source:
+        keys = draw(st.lists(st.sampled_from(target), max_size=3, unique=True)) if target else []
+        images[s] = {k: draw(st.integers(-2 * p, 2 * p)) for k in keys}
+    return source, {k: i for i, k in enumerate(target)}, images
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_map_rank_matches_the_dense_rank(data):
+    p = data.draw(odd_primes)
+    field = PrimeField(p)
+    source, index, images = data.draw(sparse_maps(p))
+    dense = map_matrix(field, source, index, images.__getitem__).rank()
+    assert map_rank(field, source, index, images.__getitem__) == dense
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_map_rank_frozen_maps(p):
+    field = PrimeField(p)
+    keys = [(0,), (1,), (2,)]
+    index = {k: i for i, k in enumerate(keys)}
+
+    def rank(images, source=keys, target=index):
+        image = lambda s: images.get(s, {})
+        got = map_rank(field, source, target, image)
+        assert got == map_matrix(field, source, target, image).rank()
+        return got
+
+    # the identity: every source key equals its target key
+    assert rank({k: {k: 1} for k in keys}) == 3
+    # a multiple of p is no entry, so it does not count as a rank-1 component
+    assert rank({(0,): {(0,): p}, (1,): {(1,): -2 * p}}) == 0
+    # components with several entries: rank 1 and rank 2
+    assert rank({(0,): {(0,): 1, (1,): 1}, (1,): {(0,): 2, (1,): 2}}) == 1
+    assert rank({(0,): {(0,): 1, (1,): 1}, (1,): {(1,): 1, (2,): 1}}) == 2
+    # empty source, empty target, and a map into the zero space
+    assert rank({}, source=[]) == 0
+    assert rank({}, target={}) == 0
+    assert rank({(0,): {}}, source=[(0,)], target={}) == 0
+
+
+def test_map_rank_rejects_an_image_outside_the_target():
+    images = {"a": {"b": 1}, "b": {"z": 0}}
+    for build in (map_matrix, map_rank):
+        with pytest.raises(KeyError):
+            build(F3, ["a", "b"], {"b": 0}, images.get)
+
+
+def test_support_components_join_keys_through_entries():
+    comps = support_components({"a": {"x": 1}, "b": {"x": 2, "y": 1}, "c": {"z": 1}})
+    assert sorted(map(sorted, comps)) == [["a", "b", "x", "y"], ["c", "z"]]
+    assert support_components({}) == []
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_sparse_composite_matches_the_dense_product(data):
+    p = data.draw(odd_primes)
+    field = PrimeField(p)
+    x, y_index, f = data.draw(sparse_maps(p))
+    y = list(y_index)
+    _, z_index, g = data.draw(sparse_maps(p, source=y))
+    linear = make_algebra(p, [exterior("e", 1)]).linear
+    F = map_matrix(field, x, y_index, f.__getitem__).data
+    G = map_matrix(field, y, z_index, g.__getitem__).data
+    product = (G @ F) % p  # entries below p, so int64 is exact
+    for j, s in enumerate(x):
+        col = linear(g.__getitem__, f[s])
+        assert all(c % p for c in col.values())
+        assert {k: c % p for k, c in col.items()} == {
+            k: int(product[i, j]) for k, i in z_index.items() if product[i, j]
+        }
+
+
 def test_matmul_shape_check():
     with pytest.raises(DimensionMismatch):
-        FpMatrix.zeros(F3, 2, 3) @ FpMatrix.zeros(F3, 2, 3)
+        zeros(F3, 2, 3) @ zeros(F3, 2, 3)
     with pytest.raises(DimensionMismatch):
-        FpMatrix.zeros(F3, 2, 2) @ FpMatrix.zeros(F5, 2, 2)
+        zeros(F3, 2, 2) @ zeros(F5, 2, 2)
 
 
 def test_homology_dim_small_complex():
     # F_3 --0--> F_3^2 --[1 2]--> F_3 has one-dimensional middle homology.
-    d_in = FpMatrix.zeros(F3, 2, 1)
-    d_out = FpMatrix.from_rows(F3, [[1, 2]])
+    d_in = zeros(F3, 2, 1)
+    d_out = mat(F3, [[1, 2]])
     assert homology_dim(d_in, d_out) == 1
 
 
 def test_homology_dim_rejects_nonzero_composition():
-    d_in = FpMatrix.from_rows(F3, [[1], [0]])
-    d_out = FpMatrix.from_rows(F3, [[1, 0]])
+    d_in = mat(F3, [[1], [0]])
+    d_out = mat(F3, [[1, 0]])
     with pytest.raises(CompositionNonzero):
         homology_dim(d_in, d_out)
 
 
 def test_homology_dim_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
-        homology_dim(FpMatrix.zeros(F3, 2, 1), FpMatrix.zeros(F3, 1, 3))
+        homology_dim(zeros(F3, 2, 1), zeros(F3, 1, 3))
 
 
 def test_solve_inconsistent_returns_none():
-    A = FpMatrix.from_rows(F5, [[1, 2], [2, 4]])
+    A = mat(F5, [[1, 2], [2, 4]])
     assert solve(A, [1, 0]) is None
     assert solve(A, [1, 2]) is not None
 
 
 def test_span_helpers_frozen():
-    A = FpMatrix.from_rows(F5, [[1, 0], [0, 1]])
-    B = FpMatrix.from_rows(F5, [[2, 3]])
+    A = mat(F5, [[1, 0], [0, 1]])
+    B = mat(F5, [[2, 3]])
     assert span_contains(A, B)
     assert not span_contains(B, A)
-    assert spans_equal(B, FpMatrix.from_rows(F5, [[4, 6]]))
+    assert spans_equal(B, mat(F5, [[4, 6]]))
     with pytest.raises(DimensionMismatch):
-        spans_equal(A, FpMatrix.from_rows(F5, [[1, 0, 0]]))
+        spans_equal(A, mat(F5, [[1, 0, 0]]))
 
 
 @given(fp_matrices())
@@ -139,8 +232,8 @@ def test_kernel_rows_annihilate(A):
 @given(fp_matrices())
 def test_homology_of_zero_maps_is_full_dimension(A):
     n = A.shape[1]
-    d_in = FpMatrix.zeros(A.field, n, 2)
-    d_out = FpMatrix.zeros(A.field, 3, n)
+    d_in = zeros(A.field, n, 2)
+    d_out = zeros(A.field, 3, n)
     assert homology_dim(d_in, d_out) == n
 
 
@@ -194,7 +287,7 @@ def test_matmul_exact_at_the_bound():
 
 
 def test_rank_exact_at_the_bound():
-    assert FpMatrix.from_rows(F_TOP, [[1, P_TOP - 1], [P_TOP - 1, 1]]).rank() == 1
+    assert mat(F_TOP, [[1, P_TOP - 1], [P_TOP - 1, 1]]).rank() == 1
 
 
 @given(st.data())

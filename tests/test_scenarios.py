@@ -1,7 +1,10 @@
+import copy
 import json
 
 import pytest
 
+from thhlab import scenarios
+from thhlab.graded_algebra import check_morphism
 from thhlab.scenarios import (
     CapTooSmall,
     DegreeLine,
@@ -79,6 +82,23 @@ def test_theta_lift_clear_at_p5():
     lift = by_name(report)["theta-lift"]
     assert lift.status == "pass"
     assert lift.witnesses["obstruction_degrees"] == []
+
+
+def test_theta_lift_fails_on_a_perturbed_rho(monkeypatch):
+    # rho(m2) = 0 still respects every relation, so only the kernel count can see it
+    good = scenarios.ku_sequence
+
+    def perturbed(p, ambiguity=0):
+        seq = copy.copy(good(p, ambiguity))
+        seq.rho = {**seq.rho, "m2": []}
+        return seq
+
+    seq = perturbed(3)
+    assert check_morphism(seq.A, seq.B, seq.rho, 30).relations_ok
+    monkeypatch.setattr(scenarios, "ku_sequence", perturbed)
+    lift = by_name(run_scenario("ausoni", 3, 30))["theta-lift"]
+    assert lift.status == "fail"
+    assert lift.witnesses["obstruction_degrees"] == [17, 22]
 
 
 def test_alternative_excluded_witnesses():
