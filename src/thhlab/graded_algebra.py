@@ -533,6 +533,24 @@ def leibniz(spec: AlgebraSpec, atoms: Mapping[Mono, TermDict]) -> Callable[[Mono
     return of_mono
 
 
+def truncation_residuals(spec: AlgebraSpec, d: Callable[[Mono], TermDict]) -> dict[int, TermDict]:
+    """h g^(h-1) d(g) for every truncated generator g of height h, by slot.
+
+    spec is a tensor product of one-generator factors.  An exterior square
+    gives d(g)g - g d(g) = 0, and a divided factor is a tensor product of
+    height-p truncations in the gamma_{p^i}, so only a relation g^h = 0 with
+    h prime to p constrains d: the Leibniz extension of d is a derivation
+    exactly when every element returned here vanishes.
+    """
+    out: dict[int, TermDict] = {}
+    for i, g in enumerate(spec.generators):
+        if g.kind == "truncated":
+            h = g.height or 0
+            top, dg = spec.mono_from_names({g.name: h - 1}), d(spec.mono_from_names({g.name: 1}))
+            out[i] = spec.scale_dict(h, spec.mul_dicts({top: 1}, dg))
+    return out
+
+
 # -- morphism checking --------------------------------------------------------
 
 

@@ -47,6 +47,7 @@ from .graded_algebra import (
     make_algebra,
     polynomial,
     truncated,
+    truncation_residuals,
 )
 
 
@@ -296,9 +297,9 @@ def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
 
     carrier is an AlgebraSpec or a Presentation.  The derivation extends by
     leibniz_extension.  Checks: for every truncated generator g of height h,
-    sigma(g^h) = h g^{h-1} sigma(g) reduces to zero; for every rewrite rule,
-    sigma(lhs) - sigma(rhs) reduces to zero.  Exterior squares need no check:
-    sigma(g)g - g sigma(g) vanishes identically for odd g.
+    sigma(g^h) = h g^{h-1} sigma(g), read off
+    graded_algebra.truncation_residuals, reduces to zero; for every rewrite
+    rule, sigma(lhs) - sigma(rhs) reduces to zero.
     """
     alg: AlgebraSpec = getattr(carrier, "algebra", carrier)
     sigma = leibniz_extension(alg, d)
@@ -309,15 +310,11 @@ def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
         reduce = lambda x: x  # noqa: E731 - plain algebras are already normal
 
     checks: list[tuple[str, bool, str]] = []
-    for i, g in enumerate(alg.generators):
-        if g.kind != "truncated":
-            continue
-        h = g.height or 0
-        top = tuple(h - 1 if j == i else 0 for j in range(len(alg.generators)))
-        unit = tuple(int(j == i) for j in range(len(alg.generators)))
-        residual = reduce(alg.scale_dict(h, alg.mul_dicts({top: 1}, sigma({unit: 1}))))
+    for i, elt in truncation_residuals(alg, lambda m: sigma({m: 1})).items():
+        g = alg.generators[i]
+        residual = reduce(elt)
         checks.append(
-            (f"sigma({g.name}^{h}) -> 0", not residual, alg.format_dict(residual))
+            (f"sigma({g.name}^{g.height}) -> 0", not residual, alg.format_dict(residual))
         )
     for rule in getattr(carrier, "rules", ()):
         residual = reduce(sigma(alg.add_dicts({rule.lhs: 1}, alg.scale_dict(-1, rule.rhs))))

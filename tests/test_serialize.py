@@ -68,6 +68,30 @@ def test_sabotaged_target_fails_consistency():
     assert "detail" in report.checks[0].witnesses
 
 
+TRUNCATED = """
+scenario truncated-leibniz
+prime 5
+cap 7
+
+[generators]
+x truncated 2 height=3 filtration=2
+y exterior 3
+
+[differentials]
+page=2 x -> y
+"""
+
+
+def test_truncation_residual_fails_consistency():
+    # d(x^3) = 3 x^2 y is not 0, and the pair x * x^2 fits the window at cap 7
+    (check,) = run_file_scenario(load_scenario(TRUNCATED)).checks
+    assert check.name == "differentials-consistent"
+    assert check.status == "fail"
+    assert check.witnesses["detail"] == "Leibniz fails on x * x^2"
+    assert run_file_scenario(load_scenario(TRUNCATED), cap=6).ok
+    assert run_file_scenario(load_scenario(TRUNCATED.replace("height=3", "height=5")), cap=16).ok
+
+
 def test_inconsistent_extension_degree_fails_cleanly():
     # wrong extension degree is a failed claim, not a crash
     text = (DOCS / "thhz.scenario").read_text().replace(

@@ -313,6 +313,49 @@ def test_leibniz_conflict_on_duplicate_sources():
         run_differential(page, rules)
 
 
+def truncated_page(height, cap):
+    # x of height h at p = 5 with d2(x) = y: d(x^h) = h x^(h-1) y, which is
+    # not zero unless 5 divides h
+    spec = make_algebra(5, [truncated("x", 2, height, filtration=2), exterior("y", 3)])
+    return Page(spec, page_index=2, cap=cap), [DifferentialRule(2, {"x": 1}, [(1, {"y": 1})])]
+
+
+def test_truncation_residual_breaks_leibniz_once_the_pair_fits():
+    # the failing pair x * x^2 needs x^2, of total degree 8, in the window
+    # up to work_cap = cap + 1
+    assert run_differential(*truncated_page(3, 6)).page_index == 3
+    for cap in (7, 16):
+        with pytest.raises(LeibnizConflict, match=r"^Leibniz fails on x \* x\^2$"):
+            run_differential(*truncated_page(3, cap))
+
+
+def test_truncation_height_divisible_by_p_passes():
+    # 5 x^4 y = 0 at p = 5, so no relation constrains d(x)
+    out = run_differential(*truncated_page(5, 24))
+    assert out.total_dims()[:5] == [1, 0, 0, 0, 0]
+
+
+def test_truncation_residual_is_caught_under_python_O():
+    script = (
+        "import sys\n"
+        "from thhlab.graded_algebra import exterior, make_algebra, truncated\n"
+        "from thhlab.spectral_sequence import DifferentialRule, LeibnizConflict\n"
+        "from thhlab.spectral_sequence import Page, run_differential\n"
+        "spec = make_algebra(5, [truncated('x', 2, 3, 2), exterior('y', 3)])\n"
+        "rules = [DifferentialRule(2, {'x': 1}, [(1, {'y': 1})])]\n"
+        "try:\n"
+        "    run_differential(Page(spec, 2, 7), rules)\n"
+        "except LeibnizConflict as exc:\n"
+        "    sys.exit(0 if str(exc) == 'Leibniz fails on x * x^2' else 2)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert done.returncode == 0
+
+
 def test_rule_source_shape_validation():
     page = tower_page(3, 24)
     with pytest.raises(ValueError):
@@ -556,6 +599,20 @@ def test_integer_labels_are_range_checked():
             e3_dims(label)
 
 
+def test_page_inputs_take_powers_only():
+    page = sec8_page(3, 40)
+    mono = page.spec.mono_from_names({"[du]": 2})
+    for source in (mono, (mono, "u"), (mono, 2), ({"[du]": 2}, None)):
+        with pytest.raises(ValueError):
+            page.key_from_input(source)
+    assert page.key_from_input(({"[du]": 2}, "u")) == (mono, page.label_index("u"))
+    with pytest.raises(ValueError, match="must be \\(coeff, powers, label\\)"):
+        page.element_from_input({(mono, 2): 1})
+    plain = tower_page(3, 24)
+    with pytest.raises(ValueError):
+        plain.key_from_input(plain.spec.mono_from_names({"l1": 1}))
+
+
 # -- properties ----------------------------------------------------------------------
 
 
@@ -655,6 +712,66 @@ def test_component_turn_matches_dense_reference(page_rules):
     assert out.bigraded_dims() == dims
     assert out.survivors == survivors
     assert out.extra_classes == extra
+
+
+def leibniz_holds_on_every_pair(page, rules):
+    """The product rule d(m1 m2) = d(m1) m2 + (-1)^|m1| m1 d(m2) on every pair
+    of window monomials: the reference for the truncation check."""
+    spec = page.spec
+    d = _Differential(page, rules).of_mono
+    monos = [m for ks in page.raw_buckets().values() for m, _ in ks]
+    for m1 in monos:
+        sign = -1 if spec.total_degree_of(m1) % 2 else 1
+        for m2 in monos:
+            prod = spec.mono_mul(m1, m2)
+            lhs = spec.scale_dict(prod[0], d(prod[1])) if prod is not None else {}
+            rhs = spec.add_dicts(spec.mul_dicts(d(m1), {m2: 1}),
+                                 spec.scale_dict(sign, spec.mul_dicts({m1: 1}, d(m2))))
+            if lhs != rhs:
+                return False
+    return True
+
+
+@st.composite
+def truncated_pages(draw):
+    """A two-layer page with a truncated x of height 2..2p in filtration 2,
+    beside up to two fillers of any kind.  d_2 of x, and of each filler
+    that draws one, hits a random combination in the filtration-0 algebra
+    E(a) ox (an exterior, polynomial, divided or truncated c)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    c = draw(st.sampled_from([exterior("c", 3), polynomial("c", 2), divided("c", 2),
+                              truncated("c", 2, draw(st.integers(2, 2 * p)))]))
+    low = [exterior("a", 1), c]
+    base = make_algebra(p, low).basis_by_degree(11)
+    high = [truncated("x", draw(st.sampled_from([0, 2])), draw(st.integers(2, 2 * p)),
+                      filtration=2)]
+    for i in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from([exterior, polynomial, divided]))
+        high.append(kind(f"f{i}", draw(st.sampled_from([1, 3] if kind is exterior else [2, 4])),
+                         filtration=2))
+    names = [g.name for g in low]
+    rules = []
+    for g in high:
+        targets = base[g.total_degree - 1]
+        if targets and (g is high[0] or draw(st.booleans())):
+            picked = draw(st.lists(st.sampled_from(targets), min_size=1, unique=True))
+            tgt = [(draw(st.integers(1, p - 1)), {n: e for n, e in zip(names, m) if e})
+                   for m in picked]
+            rules.append(DifferentialRule(2, {g.name: 1}, tgt))
+    return Page(make_algebra(p, low + high), page_index=2, cap=draw(st.integers(1, 12))), rules
+
+
+@given(truncated_pages())
+@settings(max_examples=60, deadline=None)
+def test_truncation_check_matches_every_pair(page_rules):
+    page, rules = page_rules
+    try:
+        run_differential(page, rules)
+        exact = True
+    except LeibnizConflict as exc:
+        assert str(exc).startswith("Leibniz fails on x")
+        exact = False
+    assert exact == leibniz_holds_on_every_pair(page, rules)
 
 
 def test_component_reference_sees_larger_components():
