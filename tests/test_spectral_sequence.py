@@ -329,6 +329,16 @@ def test_truncation_residual_breaks_leibniz_once_the_pair_fits():
             run_differential(*truncated_page(3, cap))
 
 
+def test_truncation_failure_is_found_among_many_monomials():
+    # 45 window monomials make 2 025 pairs, and only x * x^2 and x^2 * x
+    # break the product rule
+    gens = [truncated("x", 6, 3, 2), exterior("y", 7)] + [exterior(f"f{i}", 9) for i in range(20)]
+    page = Page(make_algebra(5, gens), page_index=2, cap=15)
+    assert sum(len(ks) for ks in page.raw_buckets().values()) == 45
+    with pytest.raises(LeibnizConflict, match=r"^Leibniz fails on x \* x\^2$"):
+        run_differential(page, [DifferentialRule(2, {"x": 1}, [(1, {"y": 1})])])
+
+
 def test_truncation_height_divisible_by_p_passes():
     # 5 x^4 y = 0 at p = 5, so no relation constrains d(x)
     out = run_differential(*truncated_page(5, 24))
