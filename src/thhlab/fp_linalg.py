@@ -193,8 +193,23 @@ def map_matrix(field: PrimeField, source: Sequence, target_index: Mapping,
 
 
 def support_components(entries: Mapping[Hashable, Mapping[Hashable, int]]) -> list[list]:
-    """Connected components of the support of a sparse map {key: {key: coefficient}}, by
-    set union with path compression (Tarjan, J. ACM 22, 1975); a key in no entry is in none."""
+    """Connected components of the support of a sparse map {key: {key: coefficient}}, in
+    order of first entry; a key in no entry is in none.  A partial matching (one key per
+    nonempty image, none hit twice, none hit that is a source) gives its [source, target]
+    pairs in one pass; any other map, set union with path compression (Tarjan, J. ACM 22,
+    1975)."""
+    pairs, hit = [], set()
+    for a, img in entries.items():
+        if img:
+            if len(img) > 1:
+                break
+            b, = img
+            if b in hit or entries.get(b):
+                break
+            hit.add(b)
+            pairs.append([a, b])
+    else:
+        return pairs
     root: dict = {}
 
     def find(k):

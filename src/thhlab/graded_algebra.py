@@ -14,6 +14,7 @@ dicts map monomials to nonzero coefficients, with zero as the empty dict.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -201,6 +202,8 @@ class AlgebraSpec:
             self, "_odd_slots", tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         )
         object.__setattr__(self, "_degrees", tuple(g.total_degree for g in self.generators))
+        object.__setattr__(self, "_filtrations", tuple(g.filtration for g in self.generators))
+        object.__setattr__(self, "_inner", tuple(g.degree for g in self.generators))
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -215,12 +218,11 @@ class AlgebraSpec:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def total_degree_of(self, mono: Mono) -> int:
-        return sum(e * d for e, d in zip(mono, self._degrees))  # type: ignore[attr-defined]
+        return sum(map(operator.mul, mono, self._degrees))  # type: ignore[attr-defined]
 
     def bidegree_of(self, mono: Mono) -> tuple[int, int]:
-        s = sum(e * g.filtration for e, g in zip(mono, self.generators))
-        t = sum(e * g.degree for e, g in zip(mono, self.generators))
-        return s, t
+        return (sum(map(operator.mul, mono, self._filtrations)),  # type: ignore[attr-defined]
+                sum(map(operator.mul, mono, self._inner)))  # type: ignore[attr-defined]
 
     def mono_from_names(self, powers: Mapping[str, int]) -> Mono:
         exps = [0] * len(self.generators)
@@ -475,60 +477,77 @@ def _p_power_part(k: int, p: int) -> tuple[int, int]:
 
 
 def leibniz(spec: AlgebraSpec, atoms: Mapping[Mono, TermDict]) -> Callable[[Mono], TermDict]:
-    """An odd derivation given on atoms, extended to every monomial of spec
-    by the graded Leibniz rule and memoised.
+    """An odd derivation given on atoms (the single generators and, on a
+    divided slot, the gamma_{p^i}; a missing atom maps to zero), extended to
+    every monomial by the graded Leibniz rule, one slot at a time.
 
-    The atoms are the single generators and, on a divided slot, the
-    indecomposables gamma_{p^i}; an atom missing from atoms maps to zero.
-    A monomial peels off its first atom a as a * rest = beta * mono, beta a
-    unit by Lucas, and d(mono) = (d(a) rest + (-1)^|a| a d(rest)) / beta.
-    Returned dicts are shared with the memo and must not be mutated.
+    For m = f_1 ... f_n, f_i = x_i^(e_i), d(m) sums over the slots with
+    d(f_i) != 0 the terms (-1)^|f_1 ... f_(i-1)| f_1 ... f_(i-1) d(f_i) f_(i+1) ... f_n;
+    by graded commutativity a term t of d(f_i) is one product,
+    (-1)^(|f_1 ... f_(i-1)| (1 + |t|)) t m_i, m_i being m with slot i cleared.
+    d(f) is memoised by (slot, exponent) and peeled: a * (f - a) = beta * f
+    for the lowest atom a, beta a unit by Lucas, and
+    d(f) = (d(a) (f - a) + (-1)^|a| a d(f - a)) / beta.  The sum regroups the
+    peel of the whole monomial from its first slot: by associativity and
+    a * (f - a) = beta * f alone, peeling f_1 off m = f_1 R atom by atom gives
+    d(f_1) R + (-1)^|f_1| f_1 d(R), so values agree even where a nonzero
+    truncation residual makes d no derivation.  Each call returns a fresh dict.
     """
     p = spec.field.p
     gens = spec.generators
-    memo: dict[Mono, TermDict] = {}
+    unit = spec.unit
+    mono_mul = spec.mono_mul
+    factors: list[dict[int, TermDict]] = [{} for _ in gens]
 
-    def peel(mono: Mono) -> tuple[Mono, Mono, int]:
-        i = next(j for j, e in enumerate(mono) if e)
-        n = len(mono)
-        if gens[i].kind != "divided":
-            atom = tuple(1 if j == i else 0 for j in range(n))
-            rest = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
-            return atom, rest, 1
-        power = _p_power_part(mono[i], p)[0]
-        atom = tuple(power if j == i else 0 for j in range(n))
-        rest = tuple(mono[i] - power if j == i else e for j, e in enumerate(mono))
-        beta = math.comb(mono[i], power) % p
-        if not beta:  # lowest nonzero digit, a unit by Lucas
-            raise LucasViolation(f"C({mono[i]}, {power}) = 0 mod {p}")
-        return atom, rest, beta
-
-    def is_atom(mono: Mono) -> bool:
-        slots = [i for i, e in enumerate(mono) if e]
-        if len(slots) != 1:
-            return not slots  # the unit monomial counts
-        i = slots[0]
-        if gens[i].kind != "divided":
-            return mono[i] == 1
-        return _p_power_part(mono[i], p)[1] == 1
-
-    # peel down to a memoised or atomic rest, then build back up: a loop,
-    # since a closure that calls itself is a reference cycle, and that would
-    # keep the memo alive until the next full garbage collection
-    def of_mono(mono: Mono) -> TermDict:
-        chain: list[tuple[Mono, Mono, Mono, int]] = []
-        while mono not in memo and not is_atom(mono):
-            atom, rest, beta = peel(mono)
-            chain.append((mono, atom, rest, beta))
-            mono = rest
-        val = memo.setdefault(mono, atoms.get(mono, {}))
-        for mono, atom, rest, beta in reversed(chain):
+    def factor(i: int, e: int) -> TermDict:
+        """d(x_i^e): peel atoms down to a memoised or atomic exponent, then
+        build back up (a loop: a closure that calls itself is a reference
+        cycle, which keeps the memo alive until a full garbage collection)."""
+        memo, divided = factors[i], gens[i].kind == "divided"
+        chain: list[tuple[int, int, int]] = []
+        while e not in memo:
+            power = _p_power_part(e, p)[0] if divided else 1
+            if power == e:
+                break
+            beta = math.comb(e, power) % p if divided else 1
+            if not beta:  # lowest nonzero digit, a unit by Lucas
+                raise LucasViolation(f"C({e}, {power}) = 0 mod {p}")
+            chain.append((e, power, beta))
+            e -= power
+        val = memo.setdefault(e, atoms.get(unit[:i] + (e,) + unit[i + 1:], {}))
+        for e, power, beta in reversed(chain):
+            atom, rest = unit[:i] + (power,) + unit[i + 1:], unit[:i] + (e - power,) + unit[i + 1:]
             left = spec.mul_dicts(atoms.get(atom, {}), {rest: 1})
             right = spec.mul_dicts({atom: 1}, val)
             sign = -1 if spec.total_degree_of(atom) % 2 else 1
             val = spec.add_dicts(left, spec.scale_dict(sign, right))
-            val = memo[mono] = spec.scale_dict(pow(beta, -1, p), val)
+            val = memo[e] = spec.scale_dict(pow(beta, -1, p), val)
         return val
+
+    def of_mono(mono: Mono) -> TermDict:
+        out: TermDict = {}
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            df = factors[i].get(e)
+            if df is None:
+                df = factor(i, e)
+            if not df:
+                continue
+            rest, odd = mono[:i] + (0,) + mono[i + 1:], spec.total_degree_of(mono[:i]) % 2
+            for t, c in df.items():
+                prod = mono_mul(t, rest)
+                if prod is None:
+                    continue
+                if odd and not spec.total_degree_of(t) % 2:
+                    c = -c
+                m = prod[1]
+                v = (out.get(m, 0) + c * prod[0]) % p
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+        return out
 
     return of_mono
 
@@ -662,8 +681,10 @@ def algebra_map(
 
     def image_of_mono(mono: Mono) -> TermDict:
         steps: list[tuple[Mono, TermDict]] = []
+        i = len(mono) - 1
         while mono not in memo:
-            i = max(j for j, e in enumerate(mono) if e)
+            while not mono[i]:  # the last nonzero slot; the unit is in memo
+                i -= 1
             g, e = src_alg.generators[i], mono[i]
             if g.kind == "divided":
                 c, slot = divided_images[g.name]
@@ -676,7 +697,13 @@ def algebra_map(
             mono = mono[:i] + (e,) + mono[i + 1:]
         acc = memo[mono]
         for m, factor in reversed(steps):
-            acc = memo[m] = target.mul_dicts(acc, factor)
+            if len(acc) == 1 and len(factor) == 1:  # units times monomials
+                (m1, c1), (m2, c2) = *acc.items(), *factor.items()
+                prod = target.mono_mul(m1, m2)
+                acc = {} if prod is None else {prod[1]: c1 * c2 * prod[0] % p}
+            else:
+                acc = target.mul_dicts(acc, factor)
+            memo[m] = acc
         return acc
 
     # relation checks: kind truncations, then declared rewrite rules if any

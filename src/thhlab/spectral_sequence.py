@@ -12,6 +12,10 @@ which graded_algebra.truncation_residuals decides exactly.  The next page
 is degreewise homology with monomial representatives, taken per connected
 component of the support of d (see run_differential).
 
+A turn pays per nonzero entry of d, not per basis key: leibniz works slot
+by slot, keys of labels without rules are skipped, a matching support
+splits in one pass, and a page counts its totals once.
+
 E-infinity pages are compared against a stated abutment: per-degree totals,
 declared multiplicative extensions (filtration drops), and the associated
 graded under the filtration assignment, bidegree by bidegree.
@@ -19,6 +23,7 @@ graded under the filtration assignment, bidegree by bidegree.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -94,7 +99,10 @@ class Page:
         self._label_at = {L.name: i for i, L in enumerate(self.labels or ())}
         if self.labels is not None and len(self._label_at) != len(self.labels):
             raise ValueError("duplicate page labels")
+        if any(L.shift < 0 for L in self.labels or ()):
+            raise ValueError("page label shifts must be nonnegative")
         self._buckets: Optional[dict[tuple[int, int], tuple[PageKey, ...]]] = None
+        self._totals: Optional[list[int]] = None
         self._gamma = tuple(i for i, g in enumerate(self.spec.generators) if g.kind == "divided")
 
     # raw chain groups are enumerated one degree past the trusted cap so that
@@ -150,14 +158,21 @@ class Page:
         for bd, n in (self.extra_classes or {}).items():
             if sum(bd) <= cap:
                 out[bd] = out.get(bd, 0) + n
-        return {bd: n for bd, n in out.items() if n}
+        for bd in [bd for bd, n in out.items() if not n]:  # in place: one dict, not a copy
+            del out[bd]
+        return out
 
     def total_dims(self, cap: Optional[int] = None) -> list[int]:
+        """Dimensions by total degree 0..cap, counted once per page from the
+        key table (no bigraded_dims dict); a smaller cap is a prefix."""
+        if self._totals is None:
+            self._totals = [0] * (self.cap + 1)
+            counts = ((bd, len(ks)) for bd, ks in self._table().items())
+            for (s, t), n in itertools.chain(counts, (self.extra_classes or {}).items()):
+                if s + t <= self.cap:
+                    self._totals[s + t] += n
         cap = self.cap if cap is None else min(cap, self.cap)
-        out = [0] * (cap + 1)
-        for (s, t), n in self.bigraded_dims(cap).items():
-            out[s + t] += n
-        return out
+        return self._totals[:max(cap + 1, 0)]
 
     def label_index(self, name: str) -> int:
         if self.labels is None:
@@ -262,6 +277,7 @@ class _Differential:
                     f"source {page.format_key(src)} received two values"
                 )
             self.rule_map[src] = tgt
+        self.ruled_labels = {li for (_, li), tgt in self.rule_map.items() if tgt}
         # the differential of a plain monomial, as a dict over the spec
         self.of_mono = leibniz(spec, {
             mono: {m: c for (m, _), c in tgt.items()}
@@ -315,11 +331,14 @@ class _Differential:
 
     def entries(self) -> tuple[dict[PageKey, dict[PageKey, int]], dict[PageKey, tuple[int, int]]]:
         """d of every raw key with a nonzero image, and every key's bidegree;
-        d must stay in its lane, then square to zero term by term."""
-        page, r = self.page, self.r
+        d must stay in its lane, then square to zero term by term.  A key
+        whose label carries no rule has d = 0 (of_key), so it is skipped."""
+        page, r, ruled = self.page, self.r, self.ruled_labels
         where = {k: bd for bd, ks in page.raw_buckets().items() for k in ks}
         d: dict[PageKey, dict[PageKey, int]] = {}
         for key, (s, t) in where.items():
+            if key[1] is not None and key[1] not in ruled:
+                continue
             val = self.of_key(key)
             if val:
                 if any(where.get(k) != (s - r, t + r - 1) for k in val):
@@ -373,13 +392,13 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
             raise LeibnizConflict(f"Leibniz fails on {lo} * {hi}")
 
     comps = support_components(d)
-    touched = {k for keys in comps for k in keys}
+    hit = {k for img in d.values() for k in img}  # a key in a component is a source or hit
     field, r = spec.field, diff.r
     rank: dict[tuple[int, int], int] = {}
     dense: dict[tuple[int, int], list[PageKey]] = {}  # keys of the larger components
     for keys in comps:
         if len(keys) == 2:  # one entry: its source, r filtrations up, is no cycle
-            bd = max(where[k] for k in keys)
+            bd = max(where[keys[0]], where[keys[1]])
             rank[bd] = rank.get(bd, 0) + 1
     for k in sorted(k for keys in comps if len(keys) > 2 for k in keys):
         dense.setdefault(where[k], []).append(k)  # in bucket key order
@@ -397,7 +416,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
         dim_h = len(keys) - rank.get((s, t), 0) - rank.get((s + r, t - r + 1), 0)
         if dim_h < 0:
             raise NotADifferential(f"negative homology at {(s, t)}")
-        chosen = [k for k in keys if k not in touched]
+        chosen = [k for k in keys if k not in d and k not in hit]
         if (s, t) in mats:
             # a monomial cycle survives when it is outside the span of the
             # boundaries and the cycles before it: exactly the pivot columns

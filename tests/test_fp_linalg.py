@@ -323,3 +323,71 @@ def test_stack_ranks_match_rank_on_random_stacks(p):
     assert (stack_ranks(field, stack) <= 2).all()
     with pytest.raises(DimensionMismatch):
         stack_ranks(field, np.zeros((2, 2), dtype=np.int64))
+
+
+# -- the one-pass matching path of support_components against set union -------------
+
+
+def union_find_components(entries):
+    """Reference components: set union with path compression over every entry."""
+    root = {}
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for a, img in entries.items():
+        for b in img:
+            root[find(root.setdefault(b, b))] = find(root.setdefault(a, a))
+    comps = {}
+    for k in root:
+        comps.setdefault(find(k), []).append(k)
+    return list(comps.values())
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_support_components_match_set_union_in_order(data):
+    # one-tuple keys shared by sources and targets, images of at most two
+    # keys, often one: many draws are matchings, many just miss being one
+    keys = [(i,) for i in range(data.draw(st.integers(0, 8)))]
+    entries = {}
+    for a in data.draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []:
+        img = data.draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+        entries[a] = {b: 1 for b in img}
+    assert support_components(entries) == union_find_components(entries)
+
+
+@pytest.mark.parametrize("entries", [
+    {"a": {"x": 1}, "b": {"y": 2}, "c": {}},  # a matching, with an empty image
+    {"a": {"x": 1}, "b": {"x": 2}},  # a repeated target
+    {"a": {"x": 1}, "x": {"y": 1}},  # a target that is also a source
+    {"a": {"b": 1}, "c": {"a": 1}},  # a source hit after its own entry
+    {"a": {"a": 1}},  # a key mapping to itself
+    {"a": {"x": 1}, "b": {"y": 1, "z": 1}},  # an image of two keys
+    {"a": {}, "b": {}},  # empty images only
+])
+def test_support_components_edge_cases_match_set_union(entries):
+    assert support_components(entries) == union_find_components(entries)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_map_rank_on_matchings_and_near_matchings(p):
+    field = PrimeField(p)
+    keys = [(i,) for i in range(4)]
+    index = {k: i for i, k in enumerate(keys)}
+    cases = [
+        {(0,): {(1,): 1}, (1,): {(2,): 2}, (2,): {}},  # source keys equal target keys
+        {(0,): {(1,): 1}, (1,): {(1,): 1}},  # a repeated target: rank 1
+        {(0,): {(1,): 1, (2,): p}, (1,): {(2,): 1}},  # p * (2,) drops, then a matching
+        {(0,): {(1,): 2 * p}, (1,): {}, (2,): {}},  # every image vanishes mod p
+    ]
+    for images in cases:
+        image = lambda s: images.get(s, {})
+        dense = map_matrix(field, keys, index, image).rank()
+        assert map_rank(field, keys, index, image) == dense
+    assert [map_rank(field, keys, index, lambda s, im=im: im.get(s, {})) for im in cases] \
+        == [2, 1, 2, 0]
+    with pytest.raises(KeyError):  # off the target, even on a matching
+        map_rank(field, keys, index, lambda s: {(9,): 1} if s == (2,) else {})

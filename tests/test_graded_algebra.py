@@ -25,6 +25,7 @@ from thhlab.graded_algebra import (
     polynomial,
     tensor,
     truncated,
+    truncation_residuals,
 )
 from thhlab.presentation import make_theta
 
@@ -532,3 +533,108 @@ def test_mono_mul_on_theta_p5_matches_the_per_slot_count():
         if got is not None:
             signs.add(got[0])
     assert signs == {1, 4}  # both Koszul signs occur
+
+
+# -- the factorwise Leibniz extension against the whole-monomial peel -------------------
+
+
+def _peel_leibniz(spec, atoms):
+    """Reference Leibniz extension: peel the first atom a of the whole
+    monomial, a * rest = beta * mono, and set
+    d(mono) = (d(a) rest + (-1)^|a| a d(rest)) / beta, memoised by monomial."""
+    p = spec.field.p
+    gens = spec.generators
+    memo = {}
+
+    def lowest_power(k):
+        power = 1
+        while k % (power * p) == 0:
+            power *= p
+        return power
+
+    def is_atom(mono):
+        slots = [i for i, e in enumerate(mono) if e]
+        if len(slots) != 1:
+            return not slots
+        e = mono[slots[0]]
+        return e == lowest_power(e) if gens[slots[0]].kind == "divided" else e == 1
+
+    def of_mono(mono):
+        if mono in memo:
+            return memo[mono]
+        if is_atom(mono):
+            return memo.setdefault(mono, atoms.get(mono, {}))
+        i = next(j for j, e in enumerate(mono) if e)
+        power = lowest_power(mono[i]) if gens[i].kind == "divided" else 1
+        beta = math.comb(mono[i], power) % p if gens[i].kind == "divided" else 1
+        atom = tuple(power if j == i else 0 for j in range(len(mono)))
+        rest = tuple(e - power if j == i else e for j, e in enumerate(mono))
+        left = spec.mul_dicts(atoms.get(atom, {}), {rest: 1})
+        right = spec.mul_dicts({atom: 1}, of_mono(rest))
+        sign = -1 if spec.total_degree_of(atom) % 2 else 1
+        val = spec.add_dicts(left, spec.scale_dict(sign, right))
+        memo[mono] = spec.scale_dict(pow(beta, -1, p), val)
+        return memo[mono]
+
+    return of_mono
+
+
+@st.composite
+def atoms_on_mixed_slots(draw):
+    """Polynomial, exterior, truncated and divided slots in shuffled order at
+    p = 3 or 5, with random images of degree + 1 on every atom (the single
+    generators and the gamma_{p^i}).  A truncated x of degree 2 and an
+    exterior e of degree 3 are always there, and d(x) = e, when drawn, leaves
+    the truncation residual h x^(h-1) e nonzero, so the rules often define no
+    derivation."""
+    p = draw(st.sampled_from([3, 5]))
+    gens = [truncated("x", 2, draw(st.integers(2, p + 1))), exterior("e", 3),
+            exterior("f", 1), divided("g", draw(st.sampled_from([2, 4])))]
+    for i in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["polynomial", "exterior", "truncated", "divided"]))
+        if kind == "exterior":
+            gens.append(exterior(f"y{i}", draw(st.sampled_from([1, 3]))))
+        elif kind == "truncated":
+            gens.append(truncated(f"y{i}", draw(st.sampled_from([2, 4])),
+                                  draw(st.integers(2, p + 1))))
+        else:
+            gens.append(Generator(f"y{i}", draw(st.sampled_from([2, 4])), kind))
+    spec = make_algebra(p, draw(st.permutations(gens)))
+    cap = 10
+    by_degree = spec.basis_by_degree(cap + 1)
+    atoms = {}
+    for i, g in enumerate(spec.generators):
+        power = 1
+        while power * g.total_degree <= cap:
+            mono = tuple(power if j == i else 0 for j in range(len(gens)))
+            atoms[mono] = {m: c for m in by_degree[power * g.total_degree + 1]
+                           if (c := draw(st.integers(0, p - 1)))}
+            if g.kind != "divided":
+                break
+            power *= p
+    return spec, atoms, cap
+
+
+@given(atoms_on_mixed_slots())
+@settings(max_examples=80, deadline=None)
+def test_factorwise_leibniz_equals_the_whole_monomial_peel(case):
+    spec, atoms, cap = case
+    of_mono, reference = leibniz(spec, atoms), _peel_leibniz(spec, atoms)
+    table = spec.basis_by_degree(cap)
+    for mono in (m for n in range(cap + 1) for m in table[n]):
+        assert of_mono(mono) == reference(mono), spec.format_mono(mono)
+
+
+def test_factorwise_leibniz_equals_the_peel_where_a_truncation_breaks_it():
+    # x truncated of height 3 at p = 5 with d(x) = e: h x^2 e = 3 x^2 e != 0,
+    # so the extension is no derivation, and both orders still agree
+    spec = make_algebra(5, [exterior("e", 3), truncated("x", 2, 3), divided("g", 2)])
+    atoms = {(0, 1, 0): {(1, 0, 0): 1}, (0, 0, 1): {(1, 0, 0): 2},
+             (0, 0, 5): {(1, 0, 4): 1}}
+    assert truncation_residuals(spec, leibniz(spec, atoms)) == {1: {(1, 2, 0): 3}}
+    of_mono, reference = leibniz(spec, atoms), _peel_leibniz(spec, atoms)
+    table = spec.basis_by_degree(16)
+    monos = [m for n in range(17) for m in table[n]]
+    assert any(m[2] >= 5 for m in monos)
+    for mono in monos:
+        assert of_mono(mono) == reference(mono), spec.format_mono(mono)

@@ -850,3 +850,68 @@ def test_component_blocks_share_one_key_order():
     out = run_differential(page, rules)
     assert (out.bigraded_dims(), out.survivors, out.extra_classes) == (dims, survivors, extra)
     assert out.keys_at(2, 8) == ((spec.mono_from_names({"b": 1, "c": 1, "x0": 1}), None),)
+
+
+# -- page totals, counted once per page ------------------------------------------------
+
+
+def _recounted_totals(page, cap):
+    """total_dims recounted from bigraded_dims at the clamped cap."""
+    cap = min(cap, page.cap)
+    out = [0] * (cap + 1)
+    for (s, t), n in page.bigraded_dims(cap).items():
+        out[s + t] += n
+    return out
+
+
+def _non_monomial_page():
+    spec = make_algebra(3, [polynomial("x", 2, filtration=2), polynomial("y", 2, filtration=2),
+                            exterior("z", 3)])
+    rules = [DifferentialRule(2, {"x": 1}, [(1, {"z": 1})]),
+             DifferentialRule(2, {"y": 1}, [(1, {"z": 1})])]
+    return run_differential(Page(spec, page_index=2, cap=12), rules)
+
+
+@pytest.mark.parametrize("make_page", [
+    lambda: tower_page(3, 30),  # raw
+    lambda: module_page(cap=30),  # labeled
+    _non_monomial_page,  # turned, with extra_classes
+])
+def test_total_dims_equals_the_bigraded_recount_at_every_cap(make_page):
+    page = make_page()
+    assert page.total_dims(-3) == page.total_dims(-1) == []  # the first call fills the cache
+    for cap in range(-3, page.cap + 3):
+        assert page.total_dims(cap) == _recounted_totals(page, cap), cap
+    assert page.total_dims() == _recounted_totals(page, page.cap)
+    got = page.total_dims()
+    got[0] += 7
+    got.append(1)
+    page.total_dims(4)[1] = 99
+    assert page.total_dims() == _recounted_totals(page, page.cap)
+    assert page.total_dims(4) == _recounted_totals(page, 4)
+
+
+def test_total_dims_of_a_turned_page_counts_its_extra_classes():
+    # degree 4 is the bidegree (2, 2) alone, whose one class x - y has no
+    # monomial representative: it counts through extra_classes only
+    out = _non_monomial_page()
+    assert out.keys_at(2, 2) == () and out.extra_classes[(2, 2)] == 1
+    assert out.total_dims()[4] == 1
+
+
+def test_page_labels_need_nonnegative_shifts():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Page(make_algebra(3, [exterior("e", 1)]), page_index=2, cap=6,
+             labels=(PageLabel("a", 0), PageLabel("b", -2)))
+
+
+def test_bigraded_dims_drop_zero_counts_and_keep_table_order():
+    spec = make_algebra(3, [exterior("e", 1), polynomial("x", 2)])
+    unit, x = (0, 0), (0, 1)
+    page = Page(spec, page_index=3, cap=4,
+                survivors={(0, 2): ((x, None),), (0, 1): (), (0, 0): ((unit, None),)},
+                extra_classes={(0, 1): 2, (0, 3): 0, (0, 4): 1})
+    assert list(page.bigraded_dims().items()) == [((0, 2), 1), ((0, 1), 2), ((0, 0), 1),
+                                                  ((0, 4), 1)]
+    assert list(page.bigraded_dims(3).items()) == [((0, 2), 1), ((0, 1), 2), ((0, 0), 1)]
+    assert page.total_dims() == [1, 2, 1, 0, 1]
