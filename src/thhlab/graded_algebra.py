@@ -697,12 +697,7 @@ def algebra_map(
             mono = mono[:i] + (e,) + mono[i + 1:]
         acc = memo[mono]
         for m, factor in reversed(steps):
-            if len(acc) == 1 and len(factor) == 1:  # units times monomials
-                (m1, c1), (m2, c2) = *acc.items(), *factor.items()
-                prod = target.mono_mul(m1, m2)
-                acc = {} if prod is None else {prod[1]: c1 * c2 * prod[0] % p}
-            else:
-                acc = target.mul_dicts(acc, factor)
+            acc = target.mul_dicts(acc, factor)
             memo[m] = acc
         return acc
 

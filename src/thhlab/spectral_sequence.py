@@ -99,8 +99,6 @@ class Page:
         self._label_at = {L.name: i for i, L in enumerate(self.labels or ())}
         if self.labels is not None and len(self._label_at) != len(self.labels):
             raise ValueError("duplicate page labels")
-        if any(L.shift < 0 for L in self.labels or ()):
-            raise ValueError("page label shifts must be nonnegative")
         self._buckets: Optional[dict[tuple[int, int], tuple[PageKey, ...]]] = None
         self._totals: Optional[list[int]] = None
         self._gamma = tuple(i for i, g in enumerate(self.spec.generators) if g.kind == "divided")
@@ -164,7 +162,9 @@ class Page:
 
     def total_dims(self, cap: Optional[int] = None) -> list[int]:
         """Dimensions by total degree 0..cap, counted once per page from the
-        key table (no bigraded_dims dict); a smaller cap is a prefix."""
+        key table (no bigraded_dims dict); a smaller cap is a prefix.  Every
+        key has nonnegative total degree: tor_engine rejects negative
+        summand shifts before it builds the page labels."""
         if self._totals is None:
             self._totals = [0] * (self.cap + 1)
             counts = ((bd, len(ks)) for bd, ks in self._table().items())

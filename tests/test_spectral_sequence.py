@@ -899,12 +899,6 @@ def test_total_dims_of_a_turned_page_counts_its_extra_classes():
     assert out.total_dims()[4] == 1
 
 
-def test_page_labels_need_nonnegative_shifts():
-    with pytest.raises(ValueError, match="nonnegative"):
-        Page(make_algebra(3, [exterior("e", 1)]), page_index=2, cap=6,
-             labels=(PageLabel("a", 0), PageLabel("b", -2)))
-
-
 def test_bigraded_dims_drop_zero_counts_and_keep_table_order():
     spec = make_algebra(3, [exterior("e", 1), polynomial("x", 2)])
     unit, x = (0, 0), (0, 1)
