@@ -6,7 +6,7 @@ the single-graded answers those totals collapse onto."""
 import argparse
 
 from thhlab.graded_algebra import hilbert
-from thhlab.scenarios import _log_answer, _tower_answer, _tower_base, _tower_rules
+from thhlab.scenarios import _log_answer, _tower_answer, _tower_base, _tower_rules, default_cap
 from thhlab.spectral_sequence import run_differential
 from thhlab.tor_engine import fp_module, tor_closed_form
 
@@ -25,7 +25,7 @@ def main(argv=None) -> int:
                         help="list stable classes up to this total degree")
     args = parser.parse_args(argv)
     p = args.prime
-    cap = args.cap if args.cap is not None else 2 * p * p + 4 * p
+    cap = default_cap(p) if args.cap is None else args.cap
 
     start = tower_page(p, cap)
     stable = run_differential(tower_page(p, cap), _tower_rules(p, cap))

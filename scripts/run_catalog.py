@@ -5,7 +5,7 @@ import argparse
 import sys
 import time
 
-from thhlab.scenarios import emit_report, list_scenarios, run_scenario
+from thhlab.scenarios import default_cap, emit_report, list_scenarios, run_scenario
 
 
 def main(argv=None) -> int:
@@ -18,7 +18,7 @@ def main(argv=None) -> int:
 
     failed = 0
     for p in args.primes:
-        cap = args.cap if args.cap is not None else 2 * p * p + 4 * p
+        cap = default_cap(p) if args.cap is None else args.cap
         for name, _ in list_scenarios():
             t0 = time.perf_counter()
             report = run_scenario(name, p, cap)

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 from .scenarios import (
     Report,
     UnknownScenario,
+    default_cap,
     emit_report,
     list_scenarios,
     run_scenario,
@@ -74,7 +75,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             reports.append(run_file_scenario(fs, args.prime, args.cap))
         else:
             prime = 3 if args.prime is None else args.prime
-            cap = 2 * prime * prime + 4 * prime if args.cap is None else args.cap
+            cap = default_cap(prime) if args.cap is None else args.cap
             names = [n for n, _ in list_scenarios()] if args.all else [args.scenario]
             for name in names:
                 reports.append(run_scenario(name, prime, cap))

@@ -6,11 +6,14 @@ and elimination stays exact.  Matrix products route through float64 BLAS
 when every entry is provably below 2^53, and through exact Python integers
 otherwise.  Matrices act on column vectors; subspaces are passed around as
 row-spanning matrices.  A map given on bases becomes a matrix through
-map_matrix, and map_rank ranks it one component of its support at a time.
+map_matrix.  sparse_homology is the one routine that splits a sparse map
+into the components of its support and takes the rank and the surviving
+keys of each; map_rank and the page turns call it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
@@ -154,8 +157,8 @@ def stack_ranks(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     below a pivot a by row <- a * row - b * pivot_row, which needs no
     inverse, and every intermediate stays below p^2 < 2^62.
 
-    FpMatrix.rref stays the single-matrix kernel, which map_rank and the
-    page turns call on a map's larger support components: on one matrix
+    FpMatrix.rref stays the single-matrix kernel, which sparse_homology
+    calls on a map's larger support components: on one matrix
     its loop, which touches only the rows that need clearing, beats a stack
     of one (routing FpMatrix.rank through here took a page-turns pass from
     1.9 s to 2.8 s on a 2-core x86 host).
@@ -226,26 +229,57 @@ def support_components(entries: Mapping[Hashable, Mapping[Hashable, int]]) -> li
     return list(comps.values())
 
 
+def sparse_homology(field: PrimeField, d: Mapping[Hashable, Mapping[Hashable, int]],
+                    grade: Callable) -> tuple[dict, set]:
+    """The rank of a sparse map d = {key: {key: nonzero coefficient}} out of each grade,
+    and the set of keys that do not survive; every image lies in one grade.  The support
+    splits into components (support_components).  A one-entry component a -> b adds rank
+    1 at a's grade, and neither key survives.  A larger one is eliminated grade by grade:
+    the pivots of [its boundaries into the grade | unit columns of its cycles there] give
+    the rank and the surviving cycles, each outside the span of the boundaries and the
+    cycles before it in key order.  By block-diagonality these are the pivots of one
+    matrix across components.  A source's rank goes to its own grade, so the ranks per
+    grade are exact when the sources into any one grade share a grade (a differential of
+    one degree); their sum always is."""
+    rank: dict = {}
+    dead: set = set()
+    for keys in support_components(d):
+        dead.update(keys)
+        if len(keys) == 2 and not d.get(keys[1]):
+            g = grade(keys[0])
+            rank[g] = rank.get(g, 0) + 1
+            continue
+        rows: dict = {}
+        bounds: dict = {}
+        for k in keys:
+            rows.setdefault(grade(k), []).append(k)
+            if d.get(k):
+                bounds.setdefault(grade(next(iter(d[k]))), []).append(k)
+        for g, srcs in bounds.items():  # each cycle of the component is hit, so its grade is here
+            cycles = sorted(k for k in rows[g] if not d.get(k))
+            index = {k: i for i, k in enumerate(rows[g])}
+            _, pivots = map_matrix(field, srcs + cycles, index,
+                                   lambda k: d.get(k) or {k: 1}).rref()
+            for c in pivots:
+                if c < len(srcs):
+                    h = grade(srcs[c])
+                    rank[h] = rank.get(h, 0) + 1
+                else:
+                    dead.discard(cycles[c - len(srcs)])
+    return rank, dead
+
+
 def map_rank(field: PrimeField, source: Sequence, target_index: Mapping,
              image: Callable) -> int:
-    """The rank of map_matrix(field, source, target_index, image), one connected
-    component of its support at a time: a one-entry component has rank 1, and
-    only the larger ones are eliminated.  Sources and targets are tagged apart,
-    since they may share keys; a target goes by its row, so a key off the
-    target raises KeyError."""
-    entries = {}
+    """The rank of map_matrix(field, source, target_index, image), through
+    sparse_homology with sources in grade 0 and targets in grade 1, tagged
+    apart since they may share keys; a target goes by its row, so a key off
+    the target raises KeyError."""
+    d = {}
     for s in source:
         img = {(1, target_index[k]): c % field.p for k, c in image(s).items()}
-        entries[(0, s)] = {k: c for k, c in img.items() if c}
-    rank = 0
-    for keys in support_components(entries):
-        if len(keys) == 2:
-            rank += 1
-        else:
-            rows = {k: i for i, k in enumerate(k for k in keys if k not in entries)}
-            rank += map_matrix(field, [k for k in keys if k in entries], rows,
-                               entries.__getitem__).rank()
-    return rank
+        d[(0, s)] = {k: c for k, c in img.items() if c}
+    return sparse_homology(field, d, operator.itemgetter(0))[0].get(0, 0)
 
 
 def solve(A: FpMatrix, b: Sequence[int]) -> Optional[np.ndarray]:

@@ -588,10 +588,6 @@ class DegreeRank:
     def surjective(self) -> bool:
         return self.rank == self.dim_target
 
-    @property
-    def iso(self) -> bool:
-        return self.injective and self.surjective
-
 
 @dataclass(frozen=True)
 class MorphismReport:
@@ -613,12 +609,6 @@ class MorphismReport:
     @property
     def iso(self) -> bool:
         return self.injective and self.surjective
-
-    def failures(self) -> list[str]:
-        out = [f"relation {desc} not preserved" for desc, ok in self.relation_results if not ok]
-        out += [f"degree {r.degree}: rank {r.rank} of {r.dim_source} -> {r.dim_target}"
-                for r in self.degrees if not r.iso]
-        return out
 
 
 def algebra_map(

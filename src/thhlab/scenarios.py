@@ -462,19 +462,12 @@ def _thh_ku_ss(p: int, cap: int) -> list[Check]:
     _, _, alt_page = _sec8_page(p, alt_cap, alternative=True)
     alt_out = run_differential(alt_page, _sec8_rules(alt_page, p, window=top))
     survivors = alt_out.total_dims(alt_cap)[top - 1]
-    survivor_keys = []
-    kill_sources = 0
-    for (s, t), n in sorted(alt_out.bigraded_dims(alt_cap).items()):
-        if not n:
-            continue
-        if s + t == top - 1:
-            survivor_keys += [alt_out.format_key(k) for k in alt_out.keys_at(s, t)]
-        if s + t == top and s >= 3:
-            # only unit-coefficient classes can hit the survivors: a multiple
-            # of l1 or dlogu maps to multiples of the same class
-            kill_sources += sum(
-                1 for mono, _ in alt_out.keys_at(s, t) if mono[0] == mono[1] == 0
-            )
+    survivor_keys = [alt_out.format_key(k)
+                     for s in range(top) for k in alt_out.keys_at(s, top - 1 - s)]
+    # only unit-coefficient classes can hit the survivors: a multiple
+    # of l1 or dlogu maps to multiples of the same class
+    kill_sources = sum(1 for s in range(3, top + 1)
+                       for mono, _ in alt_out.keys_at(s, top - s) if mono[0] == mono[1] == 0)
     abut_dim = hilbert(_ku_answer(p), top - 1)[top - 1]
     m = (p - 1) // 2
     ok = (survivors == m + 2 and kill_sources == m and abut_dim == 1
@@ -721,6 +714,11 @@ def get_scenario(name: str) -> Scenario:
         known = ", ".join(_SCENARIOS)
         raise UnknownScenario(f"unknown scenario {name!r} (known: {known})")
     return _SCENARIOS[name]
+
+
+def default_cap(p: int) -> int:
+    """The catalog's total-degree cap when none is given: 2p^2 + 4p."""
+    return 2 * p * p + 4 * p
 
 
 def run_scenario(name: str, p: int, cap: int) -> Report:

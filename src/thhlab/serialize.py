@@ -164,7 +164,10 @@ def load_scenario(text: str) -> FileScenario:
             elif key in ("prime", "cap"):
                 number = _integer(key, value, err)
                 if key == "prime":
-                    PrimeField(number)
+                    try:
+                        PrimeField(number)
+                    except ValueError as exc:
+                        raise err(str(exc)) from None
                     prime = number
                 else:
                     cap = number

@@ -9,8 +9,8 @@ to every plain monomial by graded_algebra.leibniz, the one graded Leibniz
 rule the library has, and checked for d.d = 0 term by term.  On a plain
 page the extension must also be a derivation as far as the window sees,
 which graded_algebra.truncation_residuals decides exactly.  The next page
-is degreewise homology with monomial representatives, taken per connected
-component of the support of d (see run_differential).
+is degreewise homology with monomial representatives, which
+fp_linalg.sparse_homology takes per connected component of the support of d.
 
 A turn pays per nonzero entry of d, not per basis key: leibniz works slot
 by slot, keys of labels without rules are skipped, a matching support
@@ -28,9 +28,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-import numpy as np
-
-from .fp_linalg import FpMatrix, map_matrix, support_components
+from .fp_linalg import sparse_homology
 from .graded_algebra import (
     AlgebraSpec,
     GradedError,
@@ -359,12 +357,11 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     monomial representatives; classes with no monomial cycle representative
     are counted in extra_classes.
 
-    Rank and homology split over the connected components of d's support
-    (fp_linalg.support_components, which map_rank uses too), so the page
-    turns component by component: a component of one entry a -> b has rank
-    1 and removes a as a non-cycle and b as a boundary, a key in no entry
-    survives, and only the larger components are eliminated, bidegree by
-    bidegree.
+    fp_linalg.sparse_homology, which map_rank calls too, turns the page
+    component by component of d's support: it returns the rank of d out of
+    each bidegree and the keys that die, and every other key survives.  A
+    component of one entry a -> b has rank 1 and removes a as a non-cycle
+    and b as a boundary; only the larger components are eliminated.
     """
     if not rules:
         return Page(
@@ -391,23 +388,8 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
             lo, hi = (spec.format_mono(spec.mono_from_names({g.name: e})) for e in (h // 2, (h + 1) // 2))
             raise LeibnizConflict(f"Leibniz fails on {lo} * {hi}")
 
-    comps = support_components(d)
-    hit = {k for img in d.values() for k in img}  # a key in a component is a source or hit
-    field, r = spec.field, diff.r
-    rank: dict[tuple[int, int], int] = {}
-    dense: dict[tuple[int, int], list[PageKey]] = {}  # keys of the larger components
-    for keys in comps:
-        if len(keys) == 2:  # one entry: its source, r filtrations up, is no cycle
-            bd = max(where[keys[0]], where[keys[1]])
-            rank[bd] = rank.get(bd, 0) + 1
-    for k in sorted(k for keys in comps if len(keys) > 2 for k in keys):
-        dense.setdefault(where[k], []).append(k)  # in bucket key order
-    mats: dict[tuple[int, int], FpMatrix] = {}
-    for (s, t), ks in dense.items():
-        rows = {k: i for i, k in enumerate(dense.get((s - r, t + r - 1), ()))}
-        mats[(s, t)] = map_matrix(field, ks, rows, lambda k: d.get(k, {}))
-        rank[(s, t)] = rank.get((s, t), 0) + mats[(s, t)].rank()
-
+    rank, dead = sparse_homology(spec.field, d, where.__getitem__)
+    r = diff.r
     survivors: dict[tuple[int, int], tuple[PageKey, ...]] = {}
     extra: dict[tuple[int, int], int] = {}
     for (s, t), keys in page.raw_buckets().items():
@@ -416,18 +398,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
         dim_h = len(keys) - rank.get((s, t), 0) - rank.get((s + r, t - r + 1), 0)
         if dim_h < 0:
             raise NotADifferential(f"negative homology at {(s, t)}")
-        chosen = [k for k in keys if k not in d and k not in hit]
-        if (s, t) in mats:
-            # a monomial cycle survives when it is outside the span of the
-            # boundaries and the cycles before it: exactly the pivot columns
-            # of [boundaries | unit columns of the cycles] past the boundaries
-            ks, in_m = dense[(s, t)], mats.get((s + r, t - r + 1))
-            cycles = np.flatnonzero(~mats[(s, t)].data.any(axis=0))
-            bounds = in_m.data if in_m is not None else np.zeros((len(ks), 0), np.int64)
-            units = np.eye(len(ks), dtype=np.int64)[:, cycles]
-            _, pivots = FpMatrix(field, np.hstack([bounds, units])).rref()
-            nb = bounds.shape[1]
-            chosen = sorted(chosen + [ks[cycles[c - nb]] for c in pivots if c >= nb])
+        chosen = [k for k in keys if k not in dead]
         if len(chosen) < dim_h:
             extra[(s, t)] = dim_h - len(chosen)
         if chosen:

@@ -142,3 +142,16 @@ def test_non_integer_header_is_a_parse_error_naming_its_line(tmp_path, capsys, k
     path.write_text(text)
     assert main(["run", "--scenario-file", str(path)]) == 2
     assert capsys.readouterr().err == f"thhlab: {message}\n"
+
+
+@pytest.mark.parametrize("prime", [4, 2])
+def test_bad_prime_header_is_a_parse_error_naming_its_line(tmp_path, capsys, prime):
+    text = f"scenario bad\nprime {prime}\ncap 12\n\n[generators]\nx polynomial 2\n"
+    message = f"line 2: p must be an odd prime, got {prime}"
+    with pytest.raises(ParseError) as exc:
+        load_scenario(text)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    assert main(["run", "--scenario-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"thhlab: {message}\n"

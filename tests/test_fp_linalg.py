@@ -13,6 +13,7 @@ from thhlab.fp_linalg import (
     map_rank,
     solve,
     span_contains,
+    sparse_homology,
     spans_equal,
     stack_ranks,
     support_components,
@@ -141,6 +142,60 @@ def test_support_components_join_keys_through_entries():
     comps = support_components({"a": {"x": 1}, "b": {"x": 2, "y": 1}, "c": {"z": 1}})
     assert sorted(map(sorted, comps)) == [["a", "b", "x", "y"], ["c", "z"]]
     assert support_components({}) == []
+
+
+@st.composite
+def graded_sparse_maps(draw):
+    """A sparse map of degree -1 on keys (grade, i) in grades 0..3, drawn in a
+    shuffled order.  Images of one or two keys make larger components that
+    share grades beside one-entry ones, and grades 1 and 2 hold keys without
+    an image that boundaries from the grade above hit.  d.d need not vanish."""
+    p = draw(odd_primes)
+    grades = [[(g, i) for i in range(draw(st.integers(0, 8)))] for g in range(4)]
+    d = {}
+    for g in range(1, 4):
+        sources = st.lists(st.sampled_from(grades[g]), min_size=len(grades[g]) // 2, unique=True)
+        for a in draw(sources) if grades[g] else []:
+            img = draw(st.lists(st.sampled_from(grades[g - 1]), min_size=1, max_size=2,
+                                unique=True)) if grades[g - 1] else []
+            d[a] = {b: draw(st.integers(1, p - 1)) for b in img}
+    return PrimeField(p), dict(draw(st.permutations(list(d.items())))), grades
+
+
+@settings(max_examples=150)
+@given(graded_sparse_maps())
+def test_sparse_homology_matches_a_dense_reference_per_grade(drawn):
+    # per grade: the rank of d out of it, and as survivors the cycles whose
+    # unit columns are pivots of [boundaries into the grade | unit columns]
+    field, d, grades = drawn
+    image = lambda k: d.get(k, {})
+    index = [{k: i for i, k in enumerate(keys)} for keys in grades]
+    rank, survivors = {}, set()
+    for g, keys in enumerate(grades):
+        out = map_matrix(field, keys, index[g - 1], image).rank() if g else 0
+        if out:
+            rank[g] = out
+        inward = grades[g + 1] if g + 1 < len(grades) else []
+        cycles = [k for k in keys if not image(k)]
+        _, pivots = map_matrix(field, inward + cycles, index[g],
+                               lambda k: {k: 1} if k[0] == g else image(k)).rref()
+        survivors |= {cycles[c - len(inward)] for c in pivots if c >= len(inward)}
+    got_rank, dead = sparse_homology(field, d, lambda k: k[0])
+    assert got_rank == rank
+    assert {k for keys in grades for k in keys} - dead == survivors
+
+
+def test_sparse_homology_frozen_cases():
+    grade = {"a": 0, "b": 1, "c": 1, "x": 2, "y": 2}.__getitem__
+    # two keys mapping to each other are two entries, one rank in each grade
+    assert sparse_homology(F3, {"a": {"b": 1}, "b": {"a": 2}}, grade) == ({0: 1, 1: 1}, {"a", "b"})
+    # a key mapping to itself; a key in no entry survives
+    assert sparse_homology(F3, {"a": {"a": 2}, "c": {}}, grade) == ({0: 1}, {"a"})
+    # x and y hit b + c and b - c: rank 2, and neither cycle survives
+    assert sparse_homology(F5, {"x": {"b": 1, "c": 1}, "y": {"b": 1, "c": 4}}, grade) \
+        == ({2: 2}, {"x", "y", "b", "c"})
+    # x hits b + c: c is in the span of the boundary and b, so b survives
+    assert sparse_homology(F5, {"x": {"b": 1, "c": 1}}, grade) == ({2: 1}, {"x", "c"})
 
 
 @settings(max_examples=200)
