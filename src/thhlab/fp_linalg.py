@@ -161,7 +161,11 @@ def stack_ranks(field: PrimeField, stack: np.ndarray) -> np.ndarray:
     calls on a map's larger support components: on one matrix
     its loop, which touches only the rows that need clearing, beats a stack
     of one (routing FpMatrix.rank through here took a page-turns pass from
-    1.9 s to 2.8 s on a 2-core x86 host).
+    1.9 s to 2.8 s on a 2-core x86 host).  The other way round, the Tor check
+    keeps this routine: ranking every tor-grid resolution (198 cases, seed 1)
+    through sparse_homology gave the same homology in 2.1-2.5 s, against
+    0.37-0.44 s for ChainComplexOfFrees.homology_dims, on the same host and
+    although that run skipped the d o d check.
     """
     p = field.p
     R = np.asarray(stack, dtype=np.int64) % p

@@ -308,17 +308,35 @@ def _thh_ku_basechange(p: int, cap: int) -> list[Check]:
         "dimension-convolution", direct == convolved, SOURCE_LITERATURE,
         degrees=_total_diff(convolved, direct, cap),
     ))
-    rep = check_morphism(
-        _log_answer(p), answer,
-        {"l1": [(1, {"l1": 1})], "dlogv": [(p - 1, {"dlogu": 1})],
-         "k1": [(1, {"k1": 1})]},
-        cap,
-    )
+    log = _log_answer(p)
+    images = _dlog_sign_images(p)
+    rep = check_morphism(log, answer, images, cap)
+    # the sign is the one that carries sigma(k1) = k1 dlogv to sigma(k1) = -k1 dlogu
+    compatible = _commutes_with_sigma(log, answer, images, DerivationSpec(_LOG_SIGMA_IMAGES),
+                                      DerivationSpec(_relative_sigma_images(p)))
     checks.append(_check(
-        "dlog-sign-morphism", rep.relations_ok and rep.injective, SOURCE_LITERATURE,
-        image_of_dlogv="-dlogu", degrees_checked=len(rep.degrees),
+        "dlog-sign-morphism", rep.relations_ok and rep.injective and compatible,
+        SOURCE_LITERATURE, image_of_dlogv="-dlogu", degrees_checked=len(rep.degrees),
     ))
     return checks
+
+
+def _dlog_sign_images(p: int) -> dict:
+    """The base change of the log answer into the ku answer: dlogv -> -dlogu."""
+    return {"l1": [(1, {"l1": 1})], "dlogv": [(p - 1, {"dlogu": 1})], "k1": [(1, {"k1": 1})]}
+
+
+def _commutes_with_sigma(source, target, images: dict, source_d: DerivationSpec,
+                         target_d: DerivationSpec) -> bool:
+    """f(sigma g) = sigma(f g) on every generator g of source, f the
+    multiplicative extension of images and sigma each side's derivation."""
+    f, _ = algebra_map(source, target, images)
+    sigma_source = leibniz_extension(source, source_d)
+    sigma_target = leibniz_extension(target, target_d)
+    return all(
+        target.linear(f, sigma_source({g: 1})) == sigma_target(f(g))
+        for g in (source.mono_from_names({gen.name: 1}) for gen in source.generators)
+    )
 
 
 # -- scenario: the relative page over one exterior class -----------------------------
@@ -411,6 +429,12 @@ def _sec8_representative(page: Page, p: int):
 
 
 def _thh_ku_ss(p: int, cap: int) -> list[Check]:
+    # the main page and its turn are released before the alternative is built
+    return _sec8_main_checks(p, cap) + [_sec8_alternative_check(p, cap)]
+
+
+def _sec8_main_checks(p: int, cap: int) -> list[Check]:
+    """The relative page: its E2 dims, the oracle cross-check, and d2 up to E-infinity."""
     checks = []
     base, module, page = _sec8_page(p, cap)
     coeff_dims = hilbert(_sec8_coefficients(p), cap)
@@ -454,9 +478,12 @@ def _thh_ku_ss(p: int, cap: int) -> list[Check]:
         "einfty-vs-abutment", out, abut, extensions, cap, conditional=not rules,
         representative=_sec8_representative(out, p), page_index=out.page_index,
     ))
+    return checks
 
-    # the excluded alternative: the degree 2p^2-4 class rides its own tower,
-    # differentials only defensible on sources of total degree < 2p^2
+
+def _sec8_alternative_check(p: int, cap: int) -> Check:
+    """The excluded alternative: the degree 2p^2-4 class rides its own tower,
+    differentials only defensible on sources of total degree < 2p^2."""
     top = 2 * p * p
     alt_cap = max(cap, top + 1)
     _, _, alt_page = _sec8_page(p, alt_cap, alternative=True)
@@ -472,13 +499,12 @@ def _thh_ku_ss(p: int, cap: int) -> list[Check]:
     m = (p - 1) // 2
     ok = (survivors == m + 2 and kill_sources == m and abut_dim == 1
           and survivors - kill_sources >= 2)
-    checks.append(_check(
+    return _check(
         "alternative-excluded", ok, SOURCE_LITERATURE,
         expected_failure_reproduced=bool(ok),
         survivors=survivors, kill_sources=kill_sources, abutment_dim=abut_dim,
         surplus=survivors - kill_sources, survivor_classes=survivor_keys,
-    ))
-    return checks
+    )
 
 
 # -- scenario: kernel/image bookkeeping for the algebra map --------------------------
@@ -557,6 +583,13 @@ def _les_ku(p: int, cap: int) -> list[Check]:
 # -- scenario: the suspension operator on its four carriers --------------------------
 
 
+_LOG_SIGMA_IMAGES = {"k1": [(1, {"k1": 1, "dlogv": 1})]}
+
+
+def _relative_sigma_images(p: int) -> dict:
+    return {"u": [(1, {"u": 1, "dlogu": 1})], "k1": [(p - 1, {"k1": 1, "dlogu": 1})]}
+
+
 def _theta_sigma_images(p: int) -> dict:
     images = {"u": [(1, {"a0": 1})]}
     for j in range(1, p):
@@ -573,13 +606,10 @@ def _suspension(p: int, cap: int) -> list[Check]:
                              relations_checked=len(report.checks)))
 
     carrier("tower-carrier", _core(p), {})
-    carrier("log-carrier", _log_answer(p), {"k1": [(1, {"k1": 1, "dlogv": 1})]})
+    carrier("log-carrier", _log_answer(p), _LOG_SIGMA_IMAGES)
     theta = make_theta(p, extra_generators=(exterior("l1", 2 * p - 1),))
     carrier("theta-carrier", theta, _theta_sigma_images(p))
-    carrier("relative-carrier", _ku_answer(p), {
-        "u": [(1, {"u": 1, "dlogu": 1})],
-        "k1": [(p - 1, {"k1": 1, "dlogu": 1})],
-    })
+    carrier("relative-carrier", _ku_answer(p), _relative_sigma_images(p))
 
     mutated = _theta_sigma_images(p)
     mutated["b1"] = [(2, {"a1": 1})]  # (1+j) in place of (1-j) at j = 1
@@ -649,15 +679,9 @@ def _inputs(p: int, cap: int) -> list[Check]:
                          relations_checked=len(r.checks)))
 
     morph = check_morphism(cyclic, replete, _REPLETION_IMAGES, cap)
-    # the map commutes with the derivations: f(sigma g) = sigma(f g) on every
-    # generator g (for g = dx both sides vanish, sigma(x dlogx) by dlogx^2 = 0)
-    f, _ = algebra_map(cyclic, replete, _REPLETION_IMAGES)
-    sigma_cyclic = leibniz_extension(cyclic, cyclic_d)
-    sigma_replete = leibniz_extension(replete, replete_d)
-    compatible = all(
-        replete.linear(f, sigma_cyclic({g: 1})) == sigma_replete(f(g))
-        for g in (cyclic.mono_from_names({gen.name: 1}) for gen in cyclic.generators)
-    )
+    # the map commutes with the derivations (for g = dx both sides vanish,
+    # sigma(x dlogx) by dlogx^2 = 0)
+    compatible = _commutes_with_sigma(cyclic, replete, _REPLETION_IMAGES, cyclic_d, replete_d)
     checks.append(_check(
         "repletion-morphism", morph.relations_ok and morph.injective and compatible,
         SOURCE_LITERATURE, degrees_checked=len(morph.degrees),

@@ -23,8 +23,11 @@ over blocks, so d o d = 0 and the homology at (s, t), the sum over its
 levels of size - rank(d out) - rank(d in), are exactly the numbers the dense
 (s, t) matrices give (Miller & Sturmfels, Combinatorial Commutative Algebra,
 ch. 1, for multigraded resolutions).  The differential comes from index
-arithmetic, and the blocks of one shape are ranked by one lockstep
-elimination (fp_linalg.stack_ranks).
+arithmetic, each term's generator and monomial found by one sorted search
+per slot.  Most blocks have one row or one column, and such a block has
+rank 1 exactly when one of its entries is nonzero mod p, so their ranks are
+counted all at once; the blocks of each larger shape are ranked by one
+lockstep elimination (fp_linalg.stack_ranks).
 """
 
 from __future__ import annotations
@@ -140,6 +143,15 @@ def _word_signs(poly: np.ndarray, words: np.ndarray) -> np.ndarray:
     return 1 - 2 * (odd % 2)
 
 
+def _lookup(keys: np.ndarray, queries: np.ndarray, missing: int) -> np.ndarray:
+    """The index of each query in keys (distinct integers), missing where absent."""
+    if not keys.size:
+        return np.full(queries.shape, missing, dtype=np.int64)
+    order = np.argsort(keys)
+    at = np.minimum(np.searchsorted(keys[order], queries), keys.size - 1)
+    return np.where(keys[order[at]] == queries, order[at], missing)
+
+
 @dataclass(eq=False)
 class ChainComplexOfFrees:
     """Free resolution of F_p, expanded over F_p.
@@ -199,12 +211,8 @@ class ChainComplexOfFrees:
 
         # per slot: the generator with word - e_i (-1: none) and the monomial
         # m + e_i (-1: zero, -2: outside the window)
-        gen_at = dict(zip(gen_key.tolist(), range(len(gens))))
-        mono_at = dict(zip(mono_key.tolist(), range(len(mono_list))))
-        below = np.array([[gen_at.get(k, -1) for k in (gen_key - w).tolist()] for w in stride],
-                         dtype=np.int64).reshape(n, len(gens)).T
-        up = np.array([[mono_at.get(k, -2) for k in (mono_key + w).tolist()] for w in stride],
-                      dtype=np.int64).reshape(n, len(mono_list)).T
+        below = _lookup(gen_key, gen_key[:, None] - stride, -1)
+        up = _lookup(mono_key, mono_key[:, None] + stride, -2)
         up[(monos > 0) & ~poly] = -1
         odd = monos * ~poly
         after = odd.sum(axis=1, keepdims=True) - np.cumsum(odd, axis=1)
@@ -229,7 +237,9 @@ class ChainComplexOfFrees:
 
         Checked level by level, a level being the elements of one weight in
         one layer (see the module docstring): d o d = 0 on every element, then
-        the ranks of all level blocks of one shape in one stack_ranks call.
+        the rank of every level block, counted for a block of one row or one
+        column (1 iff an entry is nonzero mod p) and taken in one stack_ranks
+        call per shape for the blocks with at least two of each.
         """
         layer, degree, key, target, value = self._differential()
         field = self.algebra.field
@@ -237,8 +247,7 @@ class ChainComplexOfFrees:
         if not n_elems:
             return {}
         # levels are the runs of equal keys; pos is the place inside a level
-        keys = key.tolist()
-        order = np.array(sorted(range(n_elems), key=keys.__getitem__), dtype=np.int64)
+        order = np.argsort(key, kind="stable")
         new = np.ones(n_elems, dtype=bool)
         new[1:] = key[order[1:]] != key[order[:-1]]
         starts = np.flatnonzero(new)
@@ -270,8 +279,11 @@ class ChainComplexOfFrees:
         rows[src_level] = size[dst_level]
         shape = rows * (size.max() + 1) + size
         mapped = rows > 0
-        rank = np.zeros(starts.size, dtype=np.int64)
-        for code in np.flatnonzero(np.bincount(shape[mapped])):
+        # a block of one row or one column has rank 1 iff an entry is nonzero mod p
+        thin = mapped & ((rows == 1) | (size == 1))
+        live = np.bincount(src_level[val % field.p != 0], minlength=starts.size)
+        rank = np.where(thin & (live > 0), 1, 0)
+        for code in np.flatnonzero(np.bincount(shape[mapped & ~thin])):
             blocks = np.flatnonzero(mapped & (shape == code))
             slot = np.zeros(starts.size, dtype=np.int64)
             slot[blocks] = np.arange(blocks.size)
@@ -363,7 +375,6 @@ def tor_oracle(
             trivial[(s, g.internal_degree)] += 1
     tables = {
         ("trivial", "trivial"): trivial,
-        ("free", "free"): {(0, n): d for n, d in enumerate(hilbert(algebra, cap)) if d},
         ("free", "trivial"): {(0, 0): 1},
         ("trivial", "free"): {(0, 0): 1},
     }
@@ -371,6 +382,8 @@ def tor_oracle(
     rights = _summand_view(right, cap)
     for a, x in _summand_view(left, cap):
         for b, y in rights:
+            if (x, y) not in tables:  # free with free: the algebra, built on first use
+                tables[x, y] = {(0, n): d for n, d in enumerate(hilbert(algebra, cap)) if d}
             for (s, t), d in tables[x, y].items():
                 if a + b + t <= cap:
                     out[(s, a + b + t)] += d

@@ -327,3 +327,19 @@ def test_repletion_check_fails_when_dx_maps_to_twice_its_image(monkeypatch):
     assert morph.relations_ok and morph.injective
     monkeypatch.setattr(sc, "_REPLETION_IMAGES", doubled)
     assert by_name(run_scenario("inputs", 3, 30))["repletion-morphism"].status == "fail"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_dlog_sign_morphism_passes_only_for_the_sign_that_commutes_with_sigma(monkeypatch, p):
+    import thhlab.scenarios as sc
+
+    cap = sc.default_cap(p)
+    log, answer = sc._log_answer(p), sc._ku_answer(p)
+    for c in sorted({1, 2, p - 1}):
+        images = {**sc._dlog_sign_images(p), "dlogv": [(c, {"dlogu": 1})]}
+        # every unit scalar keeps the relations and injectivity
+        morph = check_morphism(log, answer, images, cap)
+        assert morph.relations_ok and morph.injective
+        monkeypatch.setattr(sc, "_dlog_sign_images", lambda p, images=images: images)
+        check = by_name(run_scenario("thh-ku-basechange", p, cap))["dlog-sign-morphism"]
+        assert check.status == ("pass" if c == p - 1 else "fail"), c

@@ -260,6 +260,39 @@ def test_block_check_rejects_a_sign_that_breaks_d_squared(monkeypatch):
         resolution(alg, 8)
 
 
+def test_counted_ranks_read_the_entries_of_one_row_and_one_column_blocks(monkeypatch):
+    # on P(x) ox E(y) every level block has one row or one column, so no
+    # block reaches stack_ranks and every rank is counted
+    alg = make_algebra(3, [polynomial("x", 2), exterior("y", 3)])
+
+    def no_stack(field, stack):
+        pytest.fail("a block with two rows and two columns")
+
+    monkeypatch.setattr(tor_engine, "stack_ranks", no_stack)
+    resolution(alg, 12)
+    signs = tor_engine._word_signs
+    # the Koszul slot's terms vanish: dropped (0) or kept as zero mod p (3)
+    for factor in (0, 3):
+        def dead_koszul(poly, words, factor=factor):
+            out = signs(poly, words)
+            out[:, 0] *= factor
+            return out
+
+        monkeypatch.setattr(tor_engine, "_word_signs", dead_koszul)
+        with pytest.raises(AssertionError, match="not a resolution"):
+            resolution(alg, 12)
+
+
+def test_key_lookup_marks_absent_keys():
+    keys = np.array([40, 7, 19, -3], dtype=np.int64)
+    queries = np.array([[19, 8], [-3, 41], [40, -4], [7, 0]], dtype=np.int64)
+    found = tor_engine._lookup(keys, queries, -1)
+    assert found.tolist() == [[2, -1], [3, -1], [0, -1], [1, -1]]
+    assert tor_engine._lookup(keys, queries[:0], -1).shape == (0, 2)
+    empty = np.zeros(0, dtype=np.int64)
+    assert tor_engine._lookup(empty, queries, -2).tolist() == [[-2, -2]] * 4
+
+
 def test_oracle_matches_closed_form_at_the_largest_prime():
     p, cap = 2**31 - 1, 14
     alg = make_algebra(p, [exterior("y", 1), polynomial("x", 2), exterior("w", 3)])
