@@ -12,9 +12,21 @@ which graded_algebra.truncation_residuals decides exactly.  The next page
 is degreewise homology with monomial representatives, which
 fp_linalg.sparse_homology takes per connected component of the support of d.
 
-A turn pays per nonzero entry of d, not per basis key: leibniz works slot
-by slot, keys of labels without rules are skipped, a matching support
-splits in one pass, and a page counts its totals once.
+A page holds its keys as int64 arrays, one entry per key: the row of its
+monomial in one basis_by_degree walk, its label (-1 on a plain page), and
+its bidegree s, t, which matrix products with the generators' degrees give.
+One stable sort puts the keys in bucket order: the bidegrees in the order
+the walk first reaches them, and inside each the order of the (monomial,
+label) tuples.  Totals and bigraded dimensions are counts over the arrays;
+the tuples of PageKey are built bucket by bucket, and only when
+raw_buckets, survivors or keys_at is read.
+
+A turn evaluates d only on the keys a rule can reach: on a plain page the
+monomials with a factor x_i^e whose d is nonzero, on a labeled page the keys
+whose gamma part and label are a rule source.  One sorted search over the
+key table finds every target and checks its lane, sparse_homology runs on
+key positions, and the next page keeps its survivors as a mask of the
+arrays.
 
 E-infinity pages are compared against a stated abutment: per-degree totals,
 declared multiplicative extensions (filtration drops), and the associated
@@ -28,6 +40,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .fp_linalg import sparse_homology
 from .graded_algebra import (
     AlgebraSpec,
@@ -40,6 +54,7 @@ from .graded_algebra import (
     leibniz,
     truncation_residuals,
 )
+from .key_arrays import KeyTable, PageKey
 
 
 class NotADifferential(GradedError):
@@ -70,9 +85,6 @@ class ExtensionDegreeError(GradedError):
     """An extension rule is degree- or filtration-inconsistent."""
 
 
-PageKey = tuple[Mono, Optional[int]]  # (spec monomial, label index or None)
-
-
 @dataclass(frozen=True)
 class PageLabel:
     """A module summand label: shifts internal degree, may carry gamma powers."""
@@ -81,25 +93,36 @@ class PageLabel:
     shift: int
     allows_gamma: bool = True
 
-
-@dataclass(eq=False)
-class Page:
-    spec: AlgebraSpec
-    page_index: int
-    cap: int
-    labels: Optional[tuple[PageLabel, ...]] = None
-    survivors: Optional[dict[tuple[int, int], tuple[PageKey, ...]]] = None
-    extra_classes: Optional[dict[tuple[int, int], int]] = None
-
     def __post_init__(self) -> None:
-        if self.page_index < 2:
+        if self.shift < 0:
+            raise ValueError(f"page label {self.name!r} has negative shift")
+
+
+class Page:
+    """One page of a spectral sequence, up to total degree cap.
+
+    A freshly declared page holds the raw keys of spec and labels, enumerated
+    to work_cap; run_differential returns the next page, which holds the
+    surviving keys up to cap and counts in extra_classes the classes that
+    have no monomial representative.  survivors may also be given, as
+    {bidegree: keys} in table order."""
+
+    def __init__(self, spec: AlgebraSpec, page_index: int, cap: int,
+                 labels: Optional[tuple[PageLabel, ...]] = None,
+                 survivors: Optional[Mapping[tuple[int, int], tuple[PageKey, ...]]] = None,
+                 extra_classes: Optional[dict[tuple[int, int], int]] = None):
+        if page_index < 2:
             raise ValueError("pages are indexed from 2")
-        self._label_at = {L.name: i for i, L in enumerate(self.labels or ())}
-        if self.labels is not None and len(self._label_at) != len(self.labels):
+        self.spec, self.page_index, self.cap = spec, page_index, cap
+        self.labels, self.extra_classes = labels, extra_classes
+        self._label_at = {L.name: i for i, L in enumerate(labels or ())}
+        if labels is not None and len(self._label_at) != len(labels):
             raise ValueError("duplicate page labels")
-        self._buckets: Optional[dict[tuple[int, int], tuple[PageKey, ...]]] = None
+        self._gamma = tuple(i for i, g in enumerate(spec.generators) if g.kind == "divided")
+        self._raw = survivors is None
+        self._keys = None if survivors is None else KeyTable.from_buckets(survivors)
+        self._decoded: dict[tuple[int, int], tuple[PageKey, ...]] = {}
         self._totals: Optional[list[int]] = None
-        self._gamma = tuple(i for i, g in enumerate(self.spec.generators) if g.kind == "divided")
 
     # raw chain groups are enumerated one degree past the trusted cap so that
     # homology at total degree cap still sees its incoming differential
@@ -107,39 +130,34 @@ class Page:
     def work_cap(self) -> int:
         return self.cap + 1
 
-    def raw_buckets(self) -> dict[tuple[int, int], tuple[PageKey, ...]]:
-        """The page's keys by bidegree, from one walk of the spec at work_cap:
-        a label of shift d takes the monomials of degree <= work_cap - d.
-        Labels are visited by shift, so each monomial stops at the first label
-        it no longer fits; every bucket is sorted at the end."""
-        if self._buckets is not None:
-            return self._buckets
-        if self.labels is None:
-            labels = [(None, 0, True)]
-        else:
-            labels = sorted(((li, lab.shift, lab.allows_gamma)
-                             for li, lab in enumerate(self.labels)), key=operator.itemgetter(1))
-        gamma = self._gamma
-        work_cap = self.work_cap
-        buckets: dict[tuple[int, int], list[PageKey]] = {}
-        for n, monos in self.spec.basis_by_degree(work_cap).items():
-            for m in monos:
-                s, t = self.spec.bidegree_of(m)
-                plain = not any(m[i] for i in gamma)
-                for li, shift, allows_gamma in labels:
-                    if n + shift > work_cap:
-                        break
-                    if allows_gamma or plain:
-                        buckets.setdefault((s, t + shift), []).append((m, li))
-        self._buckets = {bd: tuple(sorted(ks)) for bd, ks in buckets.items()}
-        return self._buckets
+    def _table(self, sort: bool = True) -> KeyTable:
+        """The key table: the raw walk until the page is turned.  sort=False
+        may leave a fresh walk in walk order, which is enough to count."""
+        if self._keys is None:
+            self._keys = KeyTable.walk(self.spec, self.labels, self.work_cap)
+        return self._keys.sort() if sort else self._keys
 
-    def _table(self) -> dict[tuple[int, int], tuple[PageKey, ...]]:
-        """The keys by bidegree: survivors once turned, else the raw buckets."""
-        return self.raw_buckets() if self.survivors is None else self.survivors
+    def raw_buckets(self) -> dict[tuple[int, int], tuple[PageKey, ...]]:
+        """The raw keys by bidegree, each bucket sorted, the bidegrees in the
+        order the walk at work_cap first reaches them (KeyTable.walk)."""
+        if not self._raw:
+            return Page(self.spec, self.page_index, self.cap, self.labels).raw_buckets()
+        return {bd: self.keys_at(*bd) for bd in self._table().bidegrees}
+
+    @property
+    def survivors(self) -> Optional[dict[tuple[int, int], tuple[PageKey, ...]]]:
+        """The surviving keys by bidegree on a turned page, None on a raw one."""
+        return None if self._raw else {bd: self.keys_at(*bd) for bd in self._table().bidegrees}
 
     def keys_at(self, s: int, t: int) -> tuple[PageKey, ...]:
-        return self._table().get((s, t), ())
+        """The keys at (s, t): the survivors once turned, else the raw keys."""
+        if (s, t) not in self._decoded:
+            table = self._table()
+            b = table.bucket_at().get((s, t))
+            if b is None:
+                return ()
+            self._decoded[(s, t)] = table.keys(b)
+        return self._decoded[(s, t)]
 
     def key_bidegree(self, key: PageKey) -> tuple[int, int]:
         m, li = key
@@ -149,8 +167,10 @@ class Page:
         return s, t
 
     def bigraded_dims(self, cap: Optional[int] = None) -> dict[tuple[int, int], int]:
+        """Dimensions by bidegree up to total degree cap, in table order, then
+        the bidegrees that only extra_classes fill."""
         cap = self.cap if cap is None else min(cap, self.cap)
-        out = {bd: len(ks) for bd, ks in self._table().items() if sum(bd) <= cap}
+        out = self._table(sort=False).dims(cap)
         for bd, n in (self.extra_classes or {}).items():
             if sum(bd) <= cap:
                 out[bd] = out.get(bd, 0) + n
@@ -160,12 +180,10 @@ class Page:
 
     def total_dims(self, cap: Optional[int] = None) -> list[int]:
         """Dimensions by total degree 0..cap, counted once per page from the
-        key table (no bigraded_dims dict); a smaller cap is a prefix.  Every
-        key has nonnegative total degree: tor_engine rejects negative
-        summand shifts before it builds the page labels."""
+        bucket sizes; a smaller cap is a prefix."""
         if self._totals is None:
-            self._totals = [0] * (self.cap + 1)
-            counts = ((bd, len(ks)) for bd, ks in self._table().items())
+            self._totals = [0] * max(self.cap + 1, 0)
+            counts = self._table(sort=False).dims(self.cap).items()
             for (s, t), n in itertools.chain(counts, (self.extra_classes or {}).items()):
                 if s + t <= self.cap:
                     self._totals[s + t] += n
@@ -193,7 +211,8 @@ class Page:
         powers, lab = source
         if isinstance(lab, str):
             label = self.label_index(lab)
-        elif isinstance(lab, int) and 0 <= lab < len(self.labels or ()):
+        elif (isinstance(lab, int) and not isinstance(lab, bool)
+              and 0 <= lab < len(self.labels or ())):
             label = lab
         else:
             raise ValueError(f"page label {lab!r} is not a label index of this page")
@@ -275,7 +294,6 @@ class _Differential:
                     f"source {page.format_key(src)} received two values"
                 )
             self.rule_map[src] = tgt
-        self.ruled_labels = {li for (_, li), tgt in self.rule_map.items() if tgt}
         # the differential of a plain monomial, as a dict over the spec
         self.of_mono = leibniz(spec, {
             mono: {m: c for (m, _), c in tgt.items()}
@@ -327,25 +345,51 @@ class _Differential:
 
     # -- entries -----------------------------------------------------------------
 
-    def entries(self) -> tuple[dict[PageKey, dict[PageKey, int]], dict[PageKey, tuple[int, int]]]:
-        """d of every raw key with a nonzero image, and every key's bidegree;
-        d must stay in its lane, then square to zero term by term.  A key
-        whose label carries no rule has d = 0 (of_key), so it is skipped."""
-        page, r, ruled = self.page, self.r, self.ruled_labels
-        where = {k: bd for bd, ks in page.raw_buckets().items() for k in ks}
-        d: dict[PageKey, dict[PageKey, int]] = {}
-        for key, (s, t) in where.items():
-            if key[1] is not None and key[1] not in ruled:
-                continue
-            val = self.of_key(key)
-            if val:
-                if any(where.get(k) != (s - r, t + r - 1) for k in val):
-                    raise BidegreeViolation(f"d({page.format_key(key)}) leaves its bidegree lane")
-                d[key] = val
-        for key, img in d.items():
-            if page.spec.linear(lambda b: d.get(b, {}), img):
-                raise NotADifferential(f"d.d != 0 out of bidegree {where[key]} on page {r}")
-        return d, where
+    def reached(self, table: KeyTable) -> np.ndarray:
+        """The positions, ascending, of the keys whose d can be nonzero.  On
+        a plain page: a monomial with a factor x_i^e whose d is nonzero (d of
+        a monomial sums terms d(x_i^e) * rest).  On a labeled page: a key
+        whose gamma part and label are the source of a nonzero rule."""
+        sources = [key for key, tgt in self.rule_map.items() if tgt]
+        if self.page.labels is not None:
+            return table.matching(list(self.page._gamma), sources)
+        unit, live = self.page.spec.unit, np.zeros(table.row.size, dtype=bool)
+        for i in {next(i for i, e in enumerate(m) if e) for m, _ in sources}:
+            exps = table.mat[table.row, i]  # type: ignore[index]
+            live |= np.array([bool(self.of_mono(unit[:i] + (e,) + unit[i + 1:]))
+                              for e in range(exps.max(initial=0) + 1)])[exps]
+        return np.flatnonzero(live)
+
+    def entries(self) -> dict[int, dict[int, int]]:
+        """d of every raw key with a nonzero image, over key positions of the
+        page's table; d must stay in its lane, then square to zero term by
+        term.  Only the keys that a rule reaches are evaluated (reached)."""
+        page, r = self.page, self.r
+        table = page._table()
+        at = self.reached(table)
+        row_of = {m: i for i, m in enumerate(table.monos)}
+        src, rows, labels, coeffs = [], [], [], []
+        for i, m, li in zip(at.tolist(), table.row[at].tolist(), table.label[at].tolist()):
+            for (tm, tli), c in self.of_key((table.monos[m], None if li < 0 else li)).items():
+                src.append(i)
+                rows.append(row_of.get(tm, -1))
+                labels.append(-1 if tli is None else tli)
+                coeffs.append(c)
+        # one sorted search finds every target; an absent one has no lane
+        a, b = np.array(src, dtype=np.int64), table.find(rows, labels)
+        del row_of, rows, labels
+        lane = (b >= 0) & (table.s[b] == table.s[a] - r) & (table.t[b] == table.t[a] + r - 1)
+        if not lane.all():
+            key = table.key(a.item(np.argmin(lane)))
+            raise BidegreeViolation(f"d({page.format_key(key)}) leaves its bidegree lane")
+        d: dict[int, dict[int, int]] = {}
+        for i, j, c in zip(src, b.tolist(), coeffs):
+            d.setdefault(i, {})[j] = c
+        for i, img in d.items():  # d.d vanishes on a source whose targets have no image
+            if any(j in d for j in img) and page.spec.linear(lambda j: d.get(j, {}), img):
+                bd = (table.s.item(i), table.t.item(i))
+                raise NotADifferential(f"d.d != 0 out of bidegree {bd} on page {r}")
+        return d
 
 
 def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
@@ -358,24 +402,21 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     are counted in extra_classes.
 
     fp_linalg.sparse_homology, which map_rank calls too, turns the page
-    component by component of d's support: it returns the rank of d out of
-    each bidegree and the keys that die, and every other key survives.  A
-    component of one entry a -> b has rank 1 and removes a as a non-cycle
-    and b as a boundary; only the larger components are eliminated.
+    component by component of d's support, over key positions graded by
+    bucket: it returns the rank of d out of each bucket and the keys that
+    die, and every other key up to cap survives.  A component of one entry
+    a -> b has rank 1 and removes a as a non-cycle and b as a boundary; only
+    the larger components are eliminated.
     """
     if not rules:
-        return Page(
-            spec=page.spec,
-            page_index=page.page_index + 1,
-            cap=page.cap,
-            labels=page.labels,
-            survivors=page.survivors,
-            extra_classes=page.extra_classes,
-        )
-    if page.survivors is not None:
+        same = Page(page.spec, page.page_index + 1, page.cap, page.labels,
+                    extra_classes=page.extra_classes)
+        same._raw, same._keys = page._raw, page._keys
+        return same
+    if not page._raw:
         raise ValueError("differentials run on freshly declared pages only")
     diff = _Differential(page, rules)
-    d, where = diff.entries()
+    d = diff.entries()
     # plain pages: the Leibniz extension is a derivation unless a truncation
     # residual survives, and a pair g^a * g^b that fails has a + b = h, so
     # the window sees a failure once g^ceil(h/2) fits
@@ -388,36 +429,37 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
             lo, hi = (spec.format_mono(spec.mono_from_names({g.name: e})) for e in (h // 2, (h + 1) // 2))
             raise LeibnizConflict(f"Leibniz fails on {lo} * {hi}")
 
-    rank, dead = sparse_homology(spec.field, d, where.__getitem__)
-    r = diff.r
-    survivors: dict[tuple[int, int], tuple[PageKey, ...]] = {}
-    extra: dict[tuple[int, int], int] = {}
-    for (s, t), keys in page.raw_buckets().items():
-        if s + t > page.cap:
-            continue
-        dim_h = len(keys) - rank.get((s, t), 0) - rank.get((s + r, t - r + 1), 0)
-        if dim_h < 0:
-            raise NotADifferential(f"negative homology at {(s, t)}")
-        chosen = [k for k in keys if k not in dead]
-        if len(chosen) < dim_h:
-            extra[(s, t)] = dim_h - len(chosen)
-        if chosen:
-            survivors[(s, t)] = tuple(chosen)
-
-    next_page = Page(
-        spec=page.spec,
-        page_index=r + 1,
-        cap=page.cap,
-        labels=page.labels,
-        survivors=survivors,
-        extra_classes=extra or None,
-    )
+    table = page._table()
+    bucket = np.repeat(np.arange(len(table.sizes)), table.sizes)
+    rank, dead = sparse_homology(spec.field, d, bucket.item)
+    del d
+    # per bucket: the rank of d out of it and into it, from the bucket at
+    # (s + r, t - r + 1); the survivors are the keys up to cap that live
+    r, (bs, bt) = diff.r, table.heads.T
+    rank_out = np.zeros(len(table.sizes), dtype=np.int64)
+    rank_out[list(rank)] = list(rank.values())
+    up = table.bucket_of(bs + r, bt - r + 1)
+    dim_h = np.array(table.sizes) - rank_out - np.where(up >= 0, rank_out[up], 0)
+    window = bs + bt <= page.cap
+    bad = np.flatnonzero(window & (dim_h < 0))
+    if bad.size:
+        raise NotADifferential(f"negative homology at {(bs.item(bad[0]), bt.item(bad[0]))}")
+    keep = table.s + table.t <= page.cap
+    keep[list(dead)] = False
+    kept = np.bincount(bucket[keep], minlength=len(table.sizes))
+    short = np.flatnonzero(window & (kept < dim_h))
+    extra = dict(zip(zip(bs[short].tolist(), bt[short].tolist()), (dim_h - kept)[short].tolist()))
+    full = np.flatnonzero(kept)
+    next_page = Page(spec, r + 1, page.cap, page.labels, extra_classes=extra or None)
+    next_page._raw = False
+    next_page._keys = table.masked(keep, full, kept[full].tolist())
     # charge conservation: what one page loses is exactly the rank of d
     old = page.total_dims()
     new = next_page.total_dims()
     rank_from: dict[int, int] = {}
-    for (s, t), n in rank.items():
-        rank_from[s + t] = rank_from.get(s + t, 0) + n
+    for b, n in rank.items():
+        n_deg = bs.item(b) + bt.item(b)
+        rank_from[n_deg] = rank_from.get(n_deg, 0) + n
     for n in range(page.cap + 1):
         drop = rank_from.get(n, 0) + rank_from.get(n + 1, 0)
         if old[n] - new[n] != drop:

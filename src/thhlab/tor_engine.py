@@ -54,6 +54,7 @@ from .graded_algebra import (
     make_algebra,
     tensor,
 )
+from .key_arrays import _lookup
 from .spectral_sequence import Page, PageLabel
 
 GradedDims = dict[tuple[int, int], int]
@@ -141,15 +142,6 @@ def _word_signs(poly: np.ndarray, words: np.ndarray) -> np.ndarray:
     letters = np.cumsum(words * poly, axis=1) - words * poly
     odd = letters + (before - letters) * poly
     return 1 - 2 * (odd % 2)
-
-
-def _lookup(keys: np.ndarray, queries: np.ndarray, missing: int) -> np.ndarray:
-    """The index of each query in keys (distinct integers), missing where absent."""
-    if not keys.size:
-        return np.full(queries.shape, missing, dtype=np.int64)
-    order = np.argsort(keys)
-    at = np.minimum(np.searchsorted(keys[order], queries), keys.size - 1)
-    return np.where(keys[order[at]] == queries, order[at], missing)
 
 
 @dataclass(eq=False)

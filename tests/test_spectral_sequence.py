@@ -303,6 +303,32 @@ def test_tower_rule_whose_image_leaves_the_page():
     with pytest.raises(BidegreeViolation, match=r"d\(g3\(\[du\]\)\*\{u\}\) leaves"):
         run_differential(page, module_rules(page))
 
+
+def test_absent_labeled_target_is_caught_under_python_O():
+    # the page of the test above: the sorted search finds no key for
+    # gamma_1 {a1}, which must raise, not index past the key arrays
+    script = (
+        "import sys\n"
+        "from thhlab.graded_algebra import divided, exterior, make_algebra, polynomial\n"
+        "from thhlab.spectral_sequence import BidegreeViolation, DifferentialRule as R\n"
+        "from thhlab.spectral_sequence import Page, PageLabel as L, run_differential\n"
+        "spec = make_algebra(3, [exterior('l1', 5), exterior('dlogu', 1), polynomial('m2', 18),\n"
+        "                        divided('[du]', 3, filtration=1)])\n"
+        "labels = (L('1', 0, False), L('u', 2), L('b1', 8), L('a1', 9, False), L('a2', 15),\n"
+        "          L('z', 14, False))\n"
+        "rules = [R(2, ({'[du]': k}, 'u'), [(1, {'[du]': k - 2}, 'a1')]) for k in range(2, 8)]\n"
+        "try:\n"
+        "    run_differential(Page(spec, 2, 30, labels=labels), rules)\n"
+        "except BidegreeViolation as exc:\n"
+        "    sys.exit(0 if str(exc) == 'd(g3([du])*{u}) leaves its bidegree lane' else 2)\n"
+        "sys.exit(1)\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert done.returncode == 0
+
 def test_leibniz_conflict_on_duplicate_sources():
     page = tower_page(3, 24)
     rules = [
@@ -552,14 +578,17 @@ def test_labeled_rule_sources_must_be_gamma_pure():
 
 
 def raw_buckets_by_scan(page):
-    """Every label tested for every monomial, in label order, then sorted."""
+    """Every label tested for every monomial, labels visited by shift, then
+    each bucket sorted: the buckets come in the order the scan reaches them."""
     gamma = [i for i, g in enumerate(page.spec.generators) if g.kind == "divided"]
+    by_shift = sorted(range(len(page.labels)), key=lambda li: page.labels[li].shift)
     buckets = {}
     for n, monos in page.spec.basis_by_degree(page.work_cap).items():
         for m in monos:
             s, t = page.spec.bidegree_of(m)
             plain = not any(m[i] for i in gamma)
-            for li, lab in enumerate(page.labels):
+            for li in by_shift:
+                lab = page.labels[li]
                 if n + lab.shift <= page.work_cap and (lab.allows_gamma or plain):
                     buckets.setdefault((s, t + lab.shift), []).append((m, li))
     return {bd: tuple(sorted(ks)) for bd, ks in buckets.items()}
@@ -579,7 +608,22 @@ def test_raw_buckets_match_a_scan_of_every_label(make):
     page = make()
     shifts = [lab.shift for lab in page.labels]
     assert shifts != sorted(shifts)
-    assert page.raw_buckets() == raw_buckets_by_scan(page)
+    assert list(page.raw_buckets().items()) == list(raw_buckets_by_scan(page).items())
+
+
+def test_key_table_finds_every_raw_key_and_no_other():
+    # positions follow raw_buckets order; a monomial outside the window, a
+    # label that admits no gamma and a label past the last one are absent
+    page = module_page(cap=30)
+    table = page._table()
+    keys = [k for ks in page.raw_buckets().values() for k in ks]
+    row_of = {m: i for i, m in enumerate(table.monos)}
+    found = table.find([row_of[m] for m, _ in keys], [li for _, li in keys])
+    assert found.tolist() == list(range(len(keys)))
+    gamma1 = row_of[page.spec.mono_from_names({"[du]": 1})]
+    absent = table.find([gamma1, -1, 0], [page.label_index("1"), 0, len(page.labels)])
+    assert absent.tolist() == [-1, -1, -1]
+    assert table.find([], []).size == 0
 
 
 def test_label_index_finds_every_name():
@@ -604,7 +648,7 @@ def test_integer_labels_are_range_checked():
         return run_differential(page, [rule]).total_dims()
 
     assert e3_dims(2) == e3_dims("u") != page.total_dims()
-    for label in (-4, 99):
+    for label in (-4, 99, True):  # True is an int, but no label index
         with pytest.raises(ValueError, match=f"page label {label} "):
             e3_dims(label)
 
@@ -713,15 +757,48 @@ def leibniz_pages(draw):
     return Page(spec, page_index=2, cap=draw(st.integers(6, 12))), rules
 
 
-@given(leibniz_pages())
-@settings(max_examples=40, deadline=None)
+@st.composite
+def labeled_pages(draw):
+    """A divided tower g over E(a, b) with up to five labels (none: the
+    empty label tuple), their shifts unsorted and repeated, some without
+    gamma powers.  d_2 maps g^(k) times a source label to up to three terms
+    g^(k-2) times a coefficient monomial times a target label; target
+    labels carry no rules, so d.d = 0."""
+    p = draw(st.sampled_from([3, 5]))
+    spec = make_algebra(p, [exterior("a", 1), exterior("b", 3), divided("g", 1, filtration=1)])
+    labels = tuple(PageLabel(f"L{i}", draw(st.integers(0, 3)), draw(st.booleans()))
+                   for i in range(draw(st.integers(0, 5))))
+    page = Page(spec, page_index=2, cap=draw(st.integers(6, 12)), labels=labels)
+    keys = {k for ks in page.raw_buckets().values() for k in ks}
+    sources = [i for i in range(len(labels)) if draw(st.booleans())]
+    rules = []
+    for i in sources:
+        for k in range(2, (page.work_cap - labels[i].shift) // 2 + 1):
+            s, t = page.key_bidegree(((0, 0, k), i))
+            terms = [((ea, eb, k - 2), j) for j in range(len(labels)) if j not in sources
+                     for ea in (0, 1) for eb in (0, 1)
+                     if ((ea, eb, k - 2), j) in keys
+                     and page.key_bidegree(((ea, eb, k - 2), j)) == (s - 2, t + 1)]
+            if terms:
+                picked = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3, unique=True))
+                rules.append(DifferentialRule(2, ({"g": k}, labels[i].name), [
+                    (draw(st.integers(1, p - 1)), {"a": m[0], "b": m[1], "g": m[2]}, labels[j].name)
+                    for m, j in picked]))
+    return page, rules
+
+
+@given(st.one_of(leibniz_pages(), labeled_pages()))
+@settings(max_examples=80, deadline=None)
 def test_component_turn_matches_dense_reference(page_rules):
     page, rules = page_rules
     dims, survivors, extra = dense_turn(page, rules)
     out = run_differential(page, rules)
     assert out.bigraded_dims() == dims
-    assert out.survivors == survivors
     assert out.extra_classes == extra
+    if rules:
+        assert list(out.survivors.items()) == list(survivors.items())
+    else:  # no rules: the same groups, still the raw page
+        assert out.survivors is None
 
 
 def leibniz_holds_on_every_pair(page, rules):

@@ -1,5 +1,6 @@
 """Smoke tests for the tools beside the library: bench/tracer.py and scripts/."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -52,3 +53,11 @@ def test_run_catalog_json_matches_the_catalog_golden():
         pos += 1  # each document ends in one newline
     golden = json.loads((ROOT / "tests" / "data" / "catalog-p3.json").read_text())
     assert len(docs) == 10 and docs == golden
+
+
+def test_report_digests_match_the_catalog_golden():
+    done = _run([str(ROOT / "scripts" / "report_digests.py"), "--primes", "3",
+                 "--formats", "json"])
+    assert done.returncode == 0, done.stderr
+    want = hashlib.sha256((ROOT / "tests" / "data" / "catalog-p3.json").read_bytes()).hexdigest()
+    assert done.stdout.splitlines() == [f"all-p3 json {want}"]
