@@ -347,17 +347,25 @@ class _Differential:
 
     def reached(self, table: KeyTable) -> np.ndarray:
         """The positions, ascending, of the keys whose d can be nonzero.  On
-        a plain page: a monomial with a factor x_i^e whose d is nonzero (d of
-        a monomial sums terms d(x_i^e) * rest).  On a labeled page: a key
-        whose gamma part and label are the source of a nonzero rule."""
+        a plain page d of a monomial sums the terms d(x_i^e) * rest over its
+        factors x_i^e: a factor counts when d(x_i^e) is nonzero and the rest
+        holds no exterior letter that every term of d(x_i^e) holds too, since
+        that letter would square to zero.  On a labeled page: a key whose
+        gamma part and label are the source of a nonzero rule."""
         sources = [key for key, tgt in self.rule_map.items() if tgt]
         if self.page.labels is not None:
             return table.matching(list(self.page._gamma), sources)
-        unit, live = self.page.spec.unit, np.zeros(table.row.size, dtype=bool)
+        spec = self.page.spec
+        exterior = [g.kind == "exterior" for g in spec.generators]
+        held = table.mat[table.row] > 0  # type: ignore[index]
+        live = np.zeros(table.row.size, dtype=bool)
         for i in {next(i for i, e in enumerate(m) if e) for m, _ in sources}:
             exps = table.mat[table.row, i]  # type: ignore[index]
-            live |= np.array([bool(self.of_mono(unit[:i] + (e,) + unit[i + 1:]))
-                              for e in range(exps.max(initial=0) + 1)])[exps]
+            values = [self.of_mono(spec.unit[:i] + (e,) + spec.unit[i + 1:])
+                      for e in range(exps.max(initial=0) + 1)]
+            kills = np.array([[bool(v) and j != i and exterior[j] and all(t[j] for t in v)
+                               for j in range(len(exterior))] for v in values], dtype=bool)
+            live |= np.array([bool(v) for v in values])[exps] & ~(kills[exps] & held).any(axis=1)
         return np.flatnonzero(live)
 
     def entries(self) -> dict[int, dict[int, int]]:
