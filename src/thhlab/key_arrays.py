@@ -6,8 +6,9 @@ its packed resolution words with it, and a page turn the targets of d.
 A KeyTable holds the (monomial, label) keys of a spectral-sequence page,
 one array entry per key: the row of its monomial in a list of monomials,
 its label index (-1: none) and its bidegree s, t.  The keys fall into
-buckets, one per bidegree.  Counts need only the bidegree arrays; the
-(monomial, label) tuples are built one bucket at a time, on request.
+buckets, one per bidegree.  Counts need only the bucket sizes, which the
+basis walk counts; the (monomial, label) tuples are built one bucket at a
+time, on request.
 """
 
 from __future__ import annotations

@@ -12,21 +12,23 @@ which graded_algebra.truncation_residuals decides exactly.  The next page
 is degreewise homology with monomial representatives, which
 fp_linalg.sparse_homology takes per connected component of the support of d.
 
-A page holds its keys as int64 arrays, one entry per key: the row of its
-monomial in one basis_by_degree walk, its label (-1 on a plain page), and
-its bidegree s, t, which matrix products with the generators' degrees give.
-One stable sort puts the keys in bucket order: the bidegrees in the order
-the walk first reaches them, and inside each the order of the (monomial,
-label) tuples.  Totals and bigraded dimensions are counts over the arrays;
-the tuples of PageKey are built bucket by bucket, and only when
-raw_buckets, survivors or keys_at is read.
+A page holds its keys in a key_arrays.KeyTable, as int64 arrays with one
+entry per key: the row of its monomial in one basis_by_degree walk, its
+label (-1 on a plain page), and its bidegree s, t, which a matrix product
+with the generators' degrees gives.  One stable sort puts the keys in
+bucket order: the bidegrees in the order the walk first reaches them, and
+inside each the order of the (monomial, label) tuples.  Totals and
+bigraded dimensions are bucket sizes, counted from the bidegrees during
+the walk, so a page that is only counted is never sorted; the tuples of
+PageKey are built bucket by bucket, and only when raw_buckets, survivors
+or keys_at is read.
 
 A turn evaluates d only on the keys a rule can reach: on a plain page the
-monomials with a factor x_i^e whose d is nonzero, on a labeled page the keys
-whose gamma part and label are a rule source.  One sorted search over the
-key table finds every target and checks its lane, sparse_homology runs on
-key positions, and the next page keeps its survivors as a mask of the
-arrays.
+monomials with a factor x_i^e whose d survives multiplication by the rest,
+on a labeled page the keys whose gamma part and label are a rule source.
+One sorted search over the key table finds every target and checks its
+lane, sparse_homology runs on key positions graded by bucket, and the next
+page keeps its survivors as a mask of the arrays.
 
 E-infinity pages are compared against a stated abutment: per-degree totals,
 declared multiplicative extensions (filtration drops), and the associated
