@@ -79,14 +79,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             names = [n for n, _ in list_scenarios()] if args.all else [args.scenario]
             for name in names:
                 reports.append(run_scenario(name, prime, cap))
-    except (UnknownScenario, ParseError, FileNotFoundError, ValueError) as exc:
+    except (UnknownScenario, ParseError, OSError, ValueError) as exc:
         sys.stderr.write(f"thhlab: {exc}\n")
         return 2
 
     payload = _assemble(reports, args.format)
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "wb") as handle:
+                handle.write(payload)
+        except OSError as exc:  # exit 1 is kept for a failing check
+            sys.stderr.write(f"thhlab: {exc}\n")
+            return 2
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

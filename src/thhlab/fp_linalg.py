@@ -8,7 +8,8 @@ otherwise.  Matrices act on column vectors; subspaces are passed around as
 row-spanning matrices.  A map given on bases becomes a matrix through
 map_matrix.  sparse_homology is the one routine that splits a sparse map
 into the components of its support and takes the rank and the surviving
-keys of each; map_rank and the page turns call it.
+keys of each; map_rank calls it, and so do the page turns whose d is not
+a partial matching.
 """
 
 from __future__ import annotations
@@ -244,7 +245,9 @@ def sparse_homology(field: PrimeField, d: Mapping[Hashable, Mapping[Hashable, in
     cycles before it in key order.  By block-diagonality these are the pivots of one
     matrix across components.  A source's rank goes to its own grade, so the ranks per
     grade are exact when the sources into any one grade share a grade (a differential of
-    one degree); their sum always is."""
+    one degree); their sum always is.  Page turns call it only when d is not a partial
+    matching: a matching is all one-entry components, which run_differential counts off
+    its entry arrays."""
     rank: dict = {}
     dead: set = set()
     for keys in support_components(d):

@@ -18,7 +18,10 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .fp_linalg import PrimeField, map_rank
+from .key_arrays import lex_ids
 
 Mono = tuple[int, ...]
 TermDict = dict[Mono, int]
@@ -274,6 +277,31 @@ class AlgebraSpec:
                 coeff = coeff * c % p
             exps[i] = e
         return coeff, tuple(exps)
+
+    def mul_rows(self, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """mono_mul of each row of A with the same row of B, as int64 arrays
+        of coefficients and exponent rows; the coefficient is 0 where the
+        product vanishes.  The sign counts the same swaps as mono_mul, by a
+        suffix sum over the odd slots; a divided slot that both rows hold
+        takes binom(a + b, b), one math.comb per distinct (a + b, b)."""
+        p = self.field.p
+        E = A + B
+        odd = list(self._odd_slots)  # type: ignore[attr-defined]
+        later = np.cumsum(A[:, odd[::-1]], axis=1)[:, ::-1] - A[:, odd]
+        coeff = np.where((B[:, odd] * later).sum(axis=1) % 2, p - 1, 1)
+        limits = np.array([1 if g.kind == "exterior" else (g.height or 0) - 1
+                           if g.kind == "truncated" else np.iinfo(np.int64).max
+                           for g in self.generators], dtype=np.int64)
+        coeff[((E > limits) & (B > 0)).any(axis=1)] = 0
+        for i in (i for i, g in enumerate(self.generators) if g.kind == "divided"):
+            both = np.flatnonzero((A[:, i] > 0) & (B[:, i] > 0))
+            nk = np.stack((E[both, i], B[both, i]), axis=1)
+            ids = lex_ids(nk)
+            first = np.zeros(ids.max(initial=-1) + 1, dtype=np.int64)
+            first[ids] = np.arange(ids.size)
+            binom = np.array([math.comb(n, k) % p for n, k in nk[first].tolist()], dtype=np.int64)
+            coeff[both] = coeff[both] * binom[ids] % p
+        return coeff, E
 
     def mul_dicts(self, a: TermDict, b: TermDict) -> TermDict:
         p = self.field.p
@@ -713,14 +741,52 @@ def algebra_map(
 
 def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], cap: int) -> MorphismReport:
     """Degreewise rank table and relation checks for a declared algebra map
-    (see algebra_map); source also needs a basis_by_degree(cap)."""
+    (see algebra_map); source also needs a basis_by_degree(cap).
+
+    A monomial map, one whose generators each go to one term or to zero,
+    sends every source monomial to one term or to zero, so its rank in a
+    degree is the number of distinct nonzero image monomials there.  Those
+    images come from one product per source monomial and slot (mul_rows),
+    with the image of each generator power from algebra_map, and the target
+    is only counted (hilbert); any other map is ranked degree by degree by
+    map_rank over the target basis."""
     image_of_mono, relation_results = algebra_map(source, target, images)
+    src_alg: AlgebraSpec = getattr(source, "algebra", source)
     src_basis = source.basis_by_degree(cap)
-    tgt_basis = target.basis_by_degree(cap)
-    rows = []
-    for n in range(cap + 1):
-        srcs = src_basis.get(n, [])
-        tgts = tgt_basis.get(n, [])
-        rank = map_rank(target.field, srcs, {m: i for i, m in enumerate(tgts)}, image_of_mono)
-        rows.append(DegreeRank(n, len(srcs), len(tgts), rank))
-    return MorphismReport(tuple(rows), relation_results)
+    unit = src_alg.unit
+    if all(len(image_of_mono(unit[:i] + (1,) + unit[i + 1:])) <= 1 for i in range(len(unit))):
+        ranks = _monomial_ranks(target, len(unit), src_basis, image_of_mono, cap)
+    else:
+        tgt_basis = target.basis_by_degree(cap)
+        ranks = [map_rank(target.field, src_basis.get(n, []),
+                          {m: i for i, m in enumerate(tgt_basis.get(n, []))}, image_of_mono)
+                 for n in range(cap + 1)]
+    tgt_dims = hilbert(target, max(cap, 0))  # the sizes of the target basis
+    return MorphismReport(tuple(DegreeRank(n, len(src_basis.get(n, [])), tgt_dims[n], ranks[n])
+                                for n in range(cap + 1)), relation_results)
+
+
+def _monomial_ranks(target: AlgebraSpec, slots: int, basis: Mapping[int, list[Mono]],
+                    image_of_mono: Callable[[Mono], TermDict], cap: int) -> list[int]:
+    """The rank in each degree 0..cap of a monomial map given on a source
+    basis of monomials with slots slots: the image of a monomial is the
+    product, slot by slot, of the images of its generator powers, and the
+    images that do not vanish are counted once each in their degree."""
+    p, width, unit = target.field.p, len(target.generators), (0,) * slots
+    monos = [m for n in range(cap + 1) for m in basis.get(n, [])]
+    degree = np.repeat(np.arange(max(cap + 1, 0)), [len(basis.get(n, [])) for n in range(cap + 1)])
+    src = np.array(monos, dtype=np.int64).reshape(len(monos), slots)
+    coeff = np.ones(len(monos), dtype=np.int64)
+    exps = np.zeros((len(monos), width), dtype=np.int64)
+    for i in range(slots):
+        powers = [image_of_mono(unit[:i] + (e,) + unit[i + 1:])
+                  for e in range(src[:, i].max(initial=0) + 1)]
+        pc = np.array([next(iter(v.values()), 0) for v in powers], dtype=np.int64)
+        pm = np.array([next(iter(v), target.unit) for v in powers], dtype=np.int64)
+        c, exps = target.mul_rows(exps, pm.reshape(len(powers), width)[src[:, i]])
+        coeff = coeff * c % p * pc[src[:, i]] % p
+    live = np.flatnonzero(coeff)
+    ids = lex_ids(exps[live])
+    degree_of = np.zeros(ids.max(initial=-1) + 1, dtype=np.int64)
+    degree_of[ids] = degree[live]
+    return np.bincount(degree_of, minlength=max(cap + 1, 0)).tolist()

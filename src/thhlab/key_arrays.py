@@ -2,6 +2,9 @@
 
 _lookup finds integer keys by one sorted search.  The Tor check looks up
 its packed resolution words with it, and a page turn the targets of d.
+lex_ids numbers the distinct rows of an exponent matrix; graded_algebra
+takes distinct binomials and distinct image monomials with it, so this
+module imports graded_algebra for type hints only.
 
 A KeyTable holds the (monomial, label) keys of a spectral-sequence page,
 one array entry per key: the row of its monomial in a list of monomials,
@@ -14,13 +17,14 @@ time, on request.
 from __future__ import annotations
 
 import operator
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .graded_algebra import AlgebraSpec, Mono
+if TYPE_CHECKING:  # graded_algebra imports lex_ids from here
+    from .graded_algebra import AlgebraSpec, Mono
 
-PageKey = tuple[Mono, Optional[int]]  # (spec monomial, label index or None)
+PageKey = tuple[tuple[int, ...], Optional[int]]  # (spec monomial, label index or None)
 
 
 def _lookup(keys: np.ndarray, queries: np.ndarray, missing: int) -> np.ndarray:
@@ -179,26 +183,32 @@ class KeyTable:
         return tuple((monos[r], None if li < 0 else li)
                      for r, li in zip(self.row[lo:hi].tolist(), self.label[lo:hi].tolist()))
 
-    def find(self, rows: Sequence[int], labels: Sequence[int]) -> np.ndarray:
-        """The position of each key (monos[row], label) in a sorted table, -1
-        where absent (a row of -1 is absent too)."""
-        row, label = np.array(rows, dtype=np.int64), np.array(labels, dtype=np.int64)
-        width = max(self.label.max(initial=-1), label.max(initial=-1)) + 2
-        code = np.where(row < 0, -1, row * width + label + 1)
-        return _lookup(self.row * width + self.label + 1, code, -1)
-
-    def matching(self, cols: list[int], keys: Sequence[PageKey]) -> np.ndarray:
-        """The positions of the keys of a sorted table that agree with one of
-        keys in label and in the exponents on cols, in ascending order."""
-        if not keys:
-            return np.zeros(0, dtype=np.int64)
-        mat = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), self.mat.shape[1])
+    def _codes(self, cols, mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A code for each key of the table and for each key given as an
+        exponent row of mat and a label: codes agree exactly where the
+        exponents on cols and the labels agree."""
         ids = lex_ids(np.concatenate((self.mat[:, cols], mat[:, cols])))
+        width = max(self.label.max(initial=-1), labels.max(initial=-1)) + 2
+        return ids[self.row] * width + self.label + 1, ids[len(self.monos):] * width + labels + 1
+
+    def find(self, mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For keys given as exponent rows and labels: a code per key, equal
+        for equal keys, and its position in a sorted table, -1 where absent."""
+        mine, codes = self._codes(slice(None), mat, labels)
+        return codes, _lookup(mine, codes, -1)
+
+    def matching(self, cols: list[int], keys: Sequence[PageKey]) -> tuple[np.ndarray, np.ndarray]:
+        """The positions, ascending, of the keys of a sorted table that agree
+        with one of keys in label and in the exponents on cols, and the index
+        in keys of the one each agrees with."""
+        if not keys:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        mat = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), self.mat.shape[1])
         labels = np.array([-1 if li is None else li for _, li in keys], dtype=np.int64)
-        width = max(self.label.max(initial=-1), labels.max()) + 2
-        found = _lookup(ids[len(self.monos):] * width + labels + 1,
-                        ids[self.row] * width + self.label + 1, -1)
-        return np.flatnonzero(found >= 0)
+        mine, theirs = self._codes(cols, mat, labels)
+        found = _lookup(theirs, mine, -1)
+        at = np.flatnonzero(found >= 0)
+        return at, found[at]
 
     def masked(self, keep: np.ndarray, buckets: np.ndarray, sizes: list[int]) -> "KeyTable":
         """The keys of a sorted table where keep holds, which fill exactly

@@ -26,6 +26,7 @@ from .graded_algebra import (
     hilbert,
     make_algebra,
     polynomial,
+    tensor,
     truncated,
 )
 from .les_checker import (
@@ -297,18 +298,18 @@ def _thh_ell_log(p: int, cap: int) -> list[Check]:
 
 def _thh_ku_basechange(p: int, cap: int) -> list[Check]:
     checks = []
-    answer = _ku_answer(p)
-    convolved = dims_convolve(
-        hilbert(make_algebra(p, [truncated("u", 2, p - 1)]), cap),
-        hilbert(_log_answer(p), cap),
-        cap,
-    )
+    answer, log = _ku_answer(p), _log_answer(p)
+    truncated_u = make_algebra(p, [truncated("u", 2, p - 1)])
+    convolved = dims_convolve(hilbert(truncated_u, cap), hilbert(log, cap), cap)
     direct = hilbert(answer, cap)
+    # the etale statement itself: P_{p-1}(u) ox (log answer) -> (ku answer)
+    # is an isomorphism in every degree up to the cap
+    base_change = check_morphism(tensor(truncated_u, log), answer, _basechange_images(p), cap)
     checks.append(_check(
-        "dimension-convolution", direct == convolved, SOURCE_LITERATURE,
-        degrees=_total_diff(convolved, direct, cap),
+        "dimension-convolution",
+        direct == convolved and base_change.iso,
+        SOURCE_LITERATURE, degrees=_total_diff(convolved, direct, cap),
     ))
-    log = _log_answer(p)
     images = _dlog_sign_images(p)
     rep = check_morphism(log, answer, images, cap)
     # the sign is the one that carries sigma(k1) = k1 dlogv to sigma(k1) = -k1 dlogu
@@ -319,6 +320,12 @@ def _thh_ku_basechange(p: int, cap: int) -> list[Check]:
         SOURCE_LITERATURE, image_of_dlogv="-dlogu", degrees_checked=len(rep.degrees),
     ))
     return checks
+
+
+def _basechange_images(p: int) -> dict:
+    """The etale base change P_{p-1}(u) ox (log answer) -> (ku answer):
+    u -> u and the log answer by _dlog_sign_images."""
+    return {"u": [(1, {"u": 1})], **_dlog_sign_images(p)}
 
 
 def _dlog_sign_images(p: int) -> dict:

@@ -23,12 +23,16 @@ the walk, so a page that is only counted is never sorted; the tuples of
 PageKey are built bucket by bucket, and only when raw_buckets, survivors
 or keys_at is read.
 
-A turn evaluates d only on the keys a rule can reach: on a plain page the
-monomials with a factor x_i^e whose d survives multiplication by the rest,
-on a labeled page the keys whose gamma part and label are a rule source.
-One sorted search over the key table finds every target and checks its
-lane, sparse_homology runs on key positions graded by bucket, and the next
-page keeps its survivors as a mask of the arrays.
+A turn evaluates d on exponent arrays, one row per term: on a plain page
+per factor x_i^e of a key and term of d(x_i^e), on a labeled page per key
+whose gamma part and label are a rule source (KeyTable.matching) and term
+of that rule's target.  AlgebraSpec.mul_rows takes every product at once;
+the terms of one source on one target are summed mod p, and one sorted
+search over the key table finds every target and checks its lane.  When d
+is a partial matching, as every catalogued turn is, the rank out of each
+bucket and the keys that die are read off the arrays; any other d goes to
+sparse_homology on key positions graded by bucket.  The next page keeps
+its survivors as a mask of the arrays.
 
 E-infinity pages are compared against a stated abutment: per-degree totals,
 declared multiplicative extensions (filtration drops), and the associated
@@ -56,7 +60,7 @@ from .graded_algebra import (
     leibniz,
     truncation_residuals,
 )
-from .key_arrays import KeyTable, PageKey
+from .key_arrays import KeyTable, PageKey, _lookup
 
 
 class NotADifferential(GradedError):
@@ -347,59 +351,104 @@ class _Differential:
 
     # -- entries -----------------------------------------------------------------
 
-    def reached(self, table: KeyTable) -> np.ndarray:
-        """The positions, ascending, of the keys whose d can be nonzero.  On
-        a plain page d of a monomial sums the terms d(x_i^e) * rest over its
-        factors x_i^e: a factor counts when d(x_i^e) is nonzero and the rest
-        holds no exterior letter that every term of d(x_i^e) holds too, since
-        that letter would square to zero.  On a labeled page: a key whose
-        gamma part and label are the source of a nonzero rule."""
-        sources = [key for key, tgt in self.rule_map.items() if tgt]
-        if self.page.labels is not None:
-            return table.matching(list(self.page._gamma), sources)
+    def _plain_terms(self, table: KeyTable):
+        """The terms of d on a plain page, one part per ruled slot i: for
+        each key's factor x_i^e and term c * t of d(x_i^e), the arrays
+        (source, left t, right the monomial without x_i, scalar c, label);
+        c is negated when the slots before i are odd and t is even."""
         spec = self.page.spec
-        exterior = [g.kind == "exterior" for g in spec.generators]
-        held = table.mat[table.row] > 0  # type: ignore[index]
-        live = np.zeros(table.row.size, dtype=bool)
-        for i in {next(i for i, e in enumerate(m) if e) for m, _ in sources}:
+        degrees = np.array([g.total_degree for g in spec.generators], dtype=np.int64)
+        sources = [key for key, tgt in self.rule_map.items() if tgt]
+        parts = []
+        for i in sorted({next(i for i, e in enumerate(m) if e) for m, _ in sources}):
             exps = table.mat[table.row, i]  # type: ignore[index]
             values = [self.of_mono(spec.unit[:i] + (e,) + spec.unit[i + 1:])
                       for e in range(exps.max(initial=0) + 1)]
-            kills = np.array([[bool(v) and j != i and exterior[j] and all(t[j] for t in v)
-                               for j in range(len(exterior))] for v in values], dtype=bool)
-            live |= np.array([bool(v) for v in values])[exps] & ~(kills[exps] & held).any(axis=1)
-        return np.flatnonzero(live)
+            terms = [(t, c) for v in values for t, c in v.items()]
+            left = np.array([t for t, _ in terms], dtype=np.int64).reshape(len(terms), degrees.size)
+            scalar = np.array([c for _, c in terms], dtype=np.int64)
+            at = np.flatnonzero(exps)
+            src, term = _expand(at, exps[at], [len(v) for v in values])
+            right = table.mat[table.row[src]]  # type: ignore[index]
+            odd = (right[:, :i] @ degrees[:i] % 2 == 1) & (left @ degrees % 2 == 0)[term]
+            right[:, i] = 0
+            parts.append((src, left[term], right, np.where(odd, -scalar[term], scalar[term]),
+                          np.full(src.size, -1, dtype=np.int64)))
+        return parts
 
-    def entries(self) -> dict[int, dict[int, int]]:
-        """d of every raw key with a nonzero image, over key positions of the
-        page's table; d must stay in its lane, then square to zero term by
-        term.  Only the keys that a rule reaches are evaluated (reached)."""
-        page, r = self.page, self.r
+    def _labeled_terms(self, table: KeyTable):
+        """The terms of d on a labeled page, one part as in _plain_terms: for
+        each key whose gamma part and label are a rule source and term c * t
+        of the rule's target, left is the rest of the key's monomial, right
+        t, and c is negated when the rest is odd."""
+        spec, gamma = self.page.spec, list(self.page._gamma)
+        rules = [(key, tgt) for key, tgt in self.rule_map.items() if tgt]
+        at, which = table.matching(gamma, [key for key, _ in rules])
+        terms = [term for _, tgt in rules for term in tgt.items()]
+        width = len(spec.generators)
+        right = np.array([m for (m, _), _ in terms], dtype=np.int64).reshape(len(terms), width)
+        label = np.array([li for (_, li), _ in terms], dtype=np.int64)
+        scalar = np.array([c for _, c in terms], dtype=np.int64)
+        src, term = _expand(at, which, [len(tgt) for _, tgt in rules])
+        left = table.mat[table.row[src]]  # type: ignore[index]
+        left[:, gamma] = 0
+        odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
+        return [(src, left, right[term], np.where(odd, -scalar[term], scalar[term]), label[term])]
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, Optional[dict[int, dict[int, int]]]]:
+        """The nonzero entries of d over key positions of the page's table,
+        as source and target arrays sorted by source: the terms of one
+        source on one target summed mod p.  d must stay in its lane.  When d
+        is not a partial matching (one term per source, no target hit twice,
+        none hit that is a source), d also comes as {source: {target: c}}
+        and must square to zero term by term; a matching does so trivially."""
+        page, r, p = self.page, self.r, self.p
         table = page._table()
-        at = self.reached(table)
-        row_of = {m: i for i, m in enumerate(table.monos)}
-        src, rows, labels, coeffs = [], [], [], []
-        for i, m, li in zip(at.tolist(), table.row[at].tolist(), table.label[at].tolist()):
-            for (tm, tli), c in self.of_key((table.monos[m], None if li < 0 else li)).items():
-                src.append(i)
-                rows.append(row_of.get(tm, -1))
-                labels.append(-1 if tli is None else tli)
-                coeffs.append(c)
+        parts = (self._labeled_terms if page.labels is not None else self._plain_terms)(table)
+        if not parts:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, None
+        src, left, right, scalar, label = (np.concatenate(a) for a in zip(*parts))
+        coeff, exps = page.spec.mul_rows(left, right)
+        live = np.flatnonzero(coeff)
+        src, coeff, exps, label = src[live], coeff[live] * scalar[live] % p, exps[live], label[live]
         # one sorted search finds every target; an absent one has no lane
-        a, b = np.array(src, dtype=np.int64), table.find(rows, labels)
-        del row_of, rows, labels
+        code, at = table.find(exps, label)
+        del left, right, exps
+        order = np.argsort(src * (code.max(initial=0) + 1) + code, kind="stable")
+        src, code, at, coeff = src[order], code[order], at[order], coeff[order]
+        last = np.ones(src.size, dtype=bool)
+        last[:-1] = (src[1:] != src[:-1]) | (code[1:] != code[:-1])
+        total = np.cumsum(coeff)[last]
+        total = (total - np.concatenate(([0], total[:-1]))) % p
+        keep = total != 0
+        a, b, c = src[last][keep], at[last][keep], total[keep]
         lane = (b >= 0) & (table.s[b] == table.s[a] - r) & (table.t[b] == table.t[a] + r - 1)
         if not lane.all():
             key = table.key(a.item(np.argmin(lane)))
             raise BidegreeViolation(f"d({page.format_key(key)}) leaves its bidegree lane")
+        hit = np.sort(b)
+        if ((a[1:] != a[:-1]).all() and (hit[1:] != hit[:-1]).all()
+                and (_lookup(a, b, -1) < 0).all()):
+            return a, b, None
         d: dict[int, dict[int, int]] = {}
-        for i, j, c in zip(src, b.tolist(), coeffs):
-            d.setdefault(i, {})[j] = c
+        for i, j, v in zip(a.tolist(), b.tolist(), c.tolist()):
+            d.setdefault(i, {})[j] = v
         for i, img in d.items():  # d.d vanishes on a source whose targets have no image
             if any(j in d for j in img) and page.spec.linear(lambda j: d.get(j, {}), img):
                 bd = (table.s.item(i), table.t.item(i))
                 raise NotADifferential(f"d.d != 0 out of bidegree {bd} on page {r}")
-        return d
+        return a, b, d
+
+
+def _expand(at: np.ndarray, group: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each at[k] repeated once per member of its group group[k], and the
+    index of that member when the members of all groups are listed group
+    by group, sizes[g] of group g."""
+    sizes = np.array(sizes, dtype=np.int64)
+    n = sizes[group]
+    first = np.cumsum(sizes) - sizes
+    return np.repeat(at, n), np.repeat(first[group] - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
 def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
@@ -411,12 +460,13 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     monomial representatives; classes with no monomial cycle representative
     are counted in extra_classes.
 
-    fp_linalg.sparse_homology, which map_rank calls too, turns the page
-    component by component of d's support, over key positions graded by
-    bucket: it returns the rank of d out of each bucket and the keys that
-    die, and every other key up to cap survives.  A component of one entry
-    a -> b has rank 1 and removes a as a non-cycle and b as a boundary; only
-    the larger components are eliminated.
+    d is evaluated on exponent arrays (_Differential.entries).  When it is a
+    partial matching, each entry a -> b has rank 1 out of a's bucket and
+    kills a as a non-cycle and b as a boundary, read straight off the
+    arrays.  Any other d goes to fp_linalg.sparse_homology, which map_rank
+    calls too: it turns the page component by component of d's support,
+    over key positions graded by bucket, and returns the rank of d out of
+    each bucket and the keys that die.  Every other key up to cap survives.
     """
     if not rules:
         same = Page(page.spec, page.page_index + 1, page.cap, page.labels,
@@ -426,7 +476,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     if not page._raw:
         raise ValueError("differentials run on freshly declared pages only")
     diff = _Differential(page, rules)
-    d = diff.entries()
+    src, tgt, d = diff.entries()
     # plain pages: the Leibniz extension is a derivation unless a truncation
     # residual survives, and a pair g^a * g^b that fails has a + b = h, so
     # the window sees a failure once g^ceil(h/2) fits
@@ -440,14 +490,21 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
             raise LeibnizConflict(f"Leibniz fails on {lo} * {hi}")
 
     table = page._table()
-    bucket = np.repeat(np.arange(len(table.sizes)), table.sizes)
-    rank, dead = sparse_homology(spec.field, d, bucket.item)
-    del d
+    nb = len(table.sizes)
+    bucket = np.repeat(np.arange(nb), table.sizes)
+    if d is None:
+        rank_out = np.bincount(bucket[src], minlength=nb)
+        dead = np.concatenate((src, tgt))
+    else:
+        rank, dead = sparse_homology(spec.field, d, bucket.item)
+        del d
+        rank_out = np.zeros(nb, dtype=np.int64)
+        rank_out[list(rank)] = list(rank.values())
+        dead = list(dead)
+    del src, tgt
     # per bucket: the rank of d out of it and into it, from the bucket at
     # (s + r, t - r + 1); the survivors are the keys up to cap that live
     r, (bs, bt) = diff.r, table.heads.T
-    rank_out = np.zeros(len(table.sizes), dtype=np.int64)
-    rank_out[list(rank)] = list(rank.values())
     up = table.bucket_of(bs + r, bt - r + 1)
     dim_h = np.array(table.sizes) - rank_out - np.where(up >= 0, rank_out[up], 0)
     window = bs + bt <= page.cap
@@ -455,8 +512,8 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     if bad.size:
         raise NotADifferential(f"negative homology at {(bs.item(bad[0]), bt.item(bad[0]))}")
     keep = table.s + table.t <= page.cap
-    keep[list(dead)] = False
-    kept = np.bincount(bucket[keep], minlength=len(table.sizes))
+    keep[dead] = False
+    kept = np.bincount(bucket[keep], minlength=nb)
     short = np.flatnonzero(window & (kept < dim_h))
     extra = dict(zip(zip(bs[short].tolist(), bt[short].tolist()), (dim_h - kept)[short].tolist()))
     full = np.flatnonzero(kept)
@@ -467,9 +524,9 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     old = page.total_dims()
     new = next_page.total_dims()
     rank_from: dict[int, int] = {}
-    for b, n in rank.items():
+    for b in np.flatnonzero(rank_out).tolist():
         n_deg = bs.item(b) + bt.item(b)
-        rank_from[n_deg] = rank_from.get(n_deg, 0) + n
+        rank_from[n_deg] = rank_from.get(n_deg, 0) + rank_out.item(b)
     for n in range(page.cap + 1):
         drop = rank_from.get(n, 0) + rank_from.get(n + 1, 0)
         if old[n] - new[n] != drop:

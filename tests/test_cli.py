@@ -97,6 +97,15 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_unreadable_scenario_file_and_unwritable_out_exit_2(tmp_path, capsys):
+    # a directory cannot be read as a scenario file nor written as a report
+    assert main(["run", "--scenario-file", str(tmp_path)]) == 2
+    assert main(["run", "thhz", "--cap", "30", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("thhlab: ") for line in err)
+    assert all(str(tmp_path) in line for line in err)
+
+
 def test_prime_past_the_int64_bound_is_a_usage_error(capsys):
     assert main(["run", "thhz", "--prime", "1099511627791"]) == 2
     assert "2^31" in capsys.readouterr().err

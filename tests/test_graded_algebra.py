@@ -2,12 +2,15 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thhlab.fp_linalg import map_rank
 from thhlab.graded_algebra import (
     DegreeMismatch,
+    DegreeRank,
     DuplicateName,
     Generator,
     MixedSpec,
@@ -490,10 +493,10 @@ def mono_mul_reference(spec, m1, m2):
     return coeff, tuple(exps)
 
 
-def random_mono(spec, rng):
+def random_mono(spec, rng, top_free=5):
     out = []
     for g in spec.generators:
-        top = 1 if g.kind == "exterior" else g.height - 1 if g.kind == "truncated" else 5
+        top = 1 if g.kind == "exterior" else g.height - 1 if g.kind == "truncated" else top_free
         out.append(rng.randint(0, top))
     return tuple(out)
 
@@ -519,6 +522,39 @@ def test_mono_mul_sign_matches_the_per_slot_count(spec, rng):
     for _ in range(40):
         m1, m2 = random_mono(spec, rng), random_mono(spec, rng)
         assert spec.mono_mul(m1, m2) == mono_mul_reference(spec, m1, m2)
+
+
+@given(mixed_spec(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_mul_rows_matches_mono_mul_row_by_row(spec, rng):
+    # divided and polynomial exponents up to 3p, so divided binomials that
+    # vanish mod p (a carry in base p) occur in most draws
+    p, n = spec.field.p, len(spec.generators)
+    pairs = [(random_mono(spec, rng, 3 * p), random_mono(spec, rng, 3 * p)) for _ in range(40)]
+    A, B = (np.array([pair[k] for pair in pairs], dtype=np.int64).reshape(40, n) for k in (0, 1))
+    coeff, exps = spec.mul_rows(A, B)
+    for (m1, m2), c, e in zip(pairs, coeff.tolist(), exps.tolist()):
+        want = spec.mono_mul(m1, m2)
+        assert (c, tuple(e)) == want if want is not None else c == 0
+
+
+def test_mul_rows_on_vanishing_binomials_signs_and_truncations():
+    spec = make_algebra(3, [divided("g", 2), exterior("x", 1), truncated("u", 2, 3),
+                            exterior("y", 3), divided("h", 4)])
+    rows = [((1, 0, 0, 0, 0), (2, 0, 0, 0, 0)),  # binom(3, 2) = 0 mod 3
+            ((3, 0, 0, 0, 3), (3, 0, 0, 0, 1)),  # binom(6, 3) = 2, binom(4, 1) = 1
+            ((0, 0, 0, 1, 0), (0, 1, 0, 0, 0)),  # y * x = -x * y
+            ((0, 1, 0, 1, 0), (0, 0, 1, 0, 0)),
+            ((0, 0, 2, 0, 0), (0, 0, 1, 0, 0)),  # u^3 = 0
+            ((0, 1, 0, 0, 0), (0, 1, 0, 0, 0)),  # x^2 = 0
+            ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0))]
+    coeff, exps = spec.mul_rows(*(np.array([r[k] for r in rows], dtype=np.int64) for k in (0, 1)))
+    assert coeff.tolist() == [0, 2, 2, 1, 0, 0, 1]
+    for (m1, m2), c, e in zip(rows, coeff.tolist(), exps.tolist()):
+        want = spec.mono_mul(m1, m2)
+        assert (c, tuple(e)) == want if want is not None else c == 0
+    empty = np.zeros((0, 5), dtype=np.int64)
+    assert [a.shape for a in spec.mul_rows(empty, empty)] == [(0,), (0, 5)]
 
 
 def test_mono_mul_on_theta_p5_matches_the_per_slot_count():
@@ -638,3 +674,68 @@ def test_factorwise_leibniz_equals_the_peel_where_a_truncation_breaks_it():
     assert any(m[2] >= 5 for m in monos)
     for mono in monos:
         assert of_mono(mono) == reference(mono), spec.format_mono(mono)
+
+
+# -- check_morphism on monomial maps against the per-degree map_rank --------------------
+
+
+def map_rank_rows(source, target, images, cap):
+    """The DegreeRank rows of check_morphism's per-degree map_rank path."""
+    image_of_mono, _ = algebra_map(source, target, images)
+    sb, tb = source.basis_by_degree(cap), target.basis_by_degree(cap)
+    return tuple(DegreeRank(n, len(sb[n]), len(tb[n]),
+                            map_rank(target.field, sb[n], {m: i for i, m in enumerate(tb[n])},
+                                     image_of_mono))
+                 for n in range(cap + 1))
+
+
+@st.composite
+def monomial_maps(draw):
+    """A random target algebra and a source whose generators each go to a
+    unit times one target monomial or to zero: exterior sources onto odd
+    monomials, polynomial and truncated ones onto even monomials (powers
+    overflow exterior and truncated slots), divided sources onto gamma_1 of
+    a divided slot, which a polynomial source may share."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    target = make_algebra(p, draw(st.permutations([
+        exterior("a", 1), exterior("b", 3), truncated("u", 2, draw(st.integers(2, p + 1))),
+        polynomial("k", 4), divided("g", 2)])))
+    monos = [m for n in range(1, 9) for m in target.basis_by_degree(8)[n]]
+    gamma1 = target.mono_from_names({"g": 1})
+    gens, images = [], {}
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["image", "image", "gamma", "zero"]))
+        if kind == "gamma":
+            gens.append(draw(st.sampled_from([divided, polynomial]))(f"s{i}", 2))
+            images[f"s{i}"] = {gamma1: draw(st.integers(1, p - 1))}
+            continue
+        m = draw(st.sampled_from(monos))
+        degree = target.total_degree_of(m)
+        if degree % 2:
+            gens.append(exterior(f"s{i}", degree))
+        elif draw(st.booleans()):
+            gens.append(polynomial(f"s{i}", degree))
+        else:
+            gens.append(truncated(f"s{i}", degree, draw(st.integers(2, p + 1))))
+        images[f"s{i}"] = {} if kind == "zero" else {m: draw(st.integers(1, p - 1))}
+    return make_algebra(p, draw(st.permutations(gens))), target, images, draw(st.integers(0, 24))
+
+
+@given(monomial_maps())
+@settings(max_examples=80, deadline=None)
+def test_check_morphism_on_monomial_maps_matches_map_rank(case):
+    source, target, images, cap = case
+    assert check_morphism(source, target, images, cap).degrees == \
+        map_rank_rows(source, target, images, cap)
+
+
+def test_check_morphism_counts_two_factors_in_one_divided_slot():
+    # x -> gamma_1 and the divided y -> gamma_1: x^a y^(b) -> binom(a+b, a) a! gamma_(a+b),
+    # zero from a = p on and wherever a + b carries in base p
+    target = make_algebra(3, [divided("g", 2)])
+    source = make_algebra(3, [polynomial("x", 2), divided("y", 2)])
+    images = {"x": [(1, {"g": 1})], "y": [(2, {"g": 1})]}
+    report = check_morphism(source, target, images, 16)
+    assert report.degrees == map_rank_rows(source, target, images, 16)
+    assert [r.rank for r in report.degrees[::2]] == [1, 1, 1, 1, 1, 1, 1, 1, 1]
+    assert not report.injective and report.surjective

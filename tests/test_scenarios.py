@@ -343,3 +343,20 @@ def test_dlog_sign_morphism_passes_only_for_the_sign_that_commutes_with_sigma(mo
         monkeypatch.setattr(sc, "_dlog_sign_images", lambda p, images=images: images)
         check = by_name(run_scenario("thh-ku-basechange", p, cap))["dlog-sign-morphism"]
         assert check.status == ("pass" if c == p - 1 else "fail"), c
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_dimension_convolution_fails_when_the_base_change_drops_u(monkeypatch, p):
+    import thhlab.scenarios as sc
+
+    cap = sc.default_cap(p)
+    report = by_name(run_scenario("thh-ku-basechange", p, cap))
+    assert report["dimension-convolution"].status == "pass"
+    # u -> 0 keeps every relation, but the map is then neither injective nor
+    # surjective in degree 2; the two dimension series still agree
+    images = {**sc._basechange_images(p), "u": []}
+    monkeypatch.setattr(sc, "_basechange_images", lambda p: images)
+    failed = by_name(run_scenario("thh-ku-basechange", p, cap))["dimension-convolution"]
+    assert failed.status == "fail"
+    passed = report["dimension-convolution"]
+    assert (failed.degrees, failed.witnesses) == (passed.degrees, passed.witnesses)

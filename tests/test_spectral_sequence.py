@@ -617,13 +617,23 @@ def test_key_table_finds_every_raw_key_and_no_other():
     page = module_page(cap=30)
     table = page._table()
     keys = [k for ks in page.raw_buckets().values() for k in ks]
-    row_of = {m: i for i, m in enumerate(table.monos)}
-    found = table.find([row_of[m] for m, _ in keys], [li for _, li in keys])
+    n = len(page.spec.generators)
+
+    def find(keys):
+        mat = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), n)
+        return table.find(mat, np.array([li for _, li in keys], dtype=np.int64))
+
+    codes, found = find(keys)
     assert found.tolist() == list(range(len(keys)))
-    gamma1 = row_of[page.spec.mono_from_names({"[du]": 1})]
-    absent = table.find([gamma1, -1, 0], [page.label_index("1"), 0, len(page.labels)])
-    assert absent.tolist() == [-1, -1, -1]
-    assert table.find([], []).size == 0
+    assert len(set(codes.tolist())) == len(keys)
+    gamma1 = page.spec.mono_from_names({"[du]": 1})
+    outside = page.spec.mono_from_names({"m2": 5})
+    absent = [(gamma1, page.label_index("1")), (outside, 0), (outside, 0),
+              (page.spec.unit, len(page.labels))]
+    codes, found = find(absent)
+    assert found.tolist() == [-1, -1, -1, -1]
+    assert codes[1] == codes[2] and len(set(codes.tolist())) == 3  # equal keys share a code
+    assert find([])[1].size == 0
 
 
 def test_label_index_finds_every_name():
@@ -799,6 +809,56 @@ def test_component_turn_matches_dense_reference(page_rules):
         assert list(out.survivors.items()) == list(survivors.items())
     else:  # no rules: the same groups, still the raw page
         assert out.survivors is None
+
+
+def of_key_entries(page, diff):
+    """d as {source position: {target position: c}} from of_key on every
+    raw key of the page's table."""
+    table = page._table()
+    position = {table.key(i): i for i in range(table.row.size)}
+    out = {}
+    for i in range(table.row.size):
+        img = diff.of_key(table.key(i))
+        if img:
+            out[i] = {position[k]: c for k, c in img.items()}
+    return out
+
+
+@given(st.one_of(leibniz_pages(), labeled_pages()))
+@settings(max_examples=60, deadline=None)
+def test_entries_match_of_key_on_every_raw_key(page_rules):
+    # the array evaluation of d gives the support of of_key on every key,
+    # and the whole of d, coefficients too, when d is not a matching
+    page, rules = page_rules
+    diff = _Differential(page, rules)
+    src, tgt, d = diff.entries()
+    ref = of_key_entries(page, diff)
+    assert sorted(zip(src.tolist(), tgt.tolist())) == sorted(
+        (i, j) for i, img in ref.items() for j in img)
+    assert src.tolist() == sorted(src.tolist())
+    targets = [j for img in ref.values() for j in img]
+    matching = (all(len(img) == 1 for img in ref.values())
+                and len(set(targets)) == len(targets) and not set(targets) & set(ref))
+    assert (d is None) == matching
+    if d is not None:
+        assert d == ref
+
+
+def test_entries_of_a_non_matching_turn_match_of_key():
+    # d(x) = z1 + z2 and d(y) = z2 + 2 a*v: two terms per source, z2 hit twice
+    spec = make_algebra(3, [exterior("a", 1), polynomial("x", 2, filtration=2),
+                            polynomial("y", 2, filtration=2), exterior("z1", 3),
+                            exterior("z2", 3), polynomial("v", 2)])
+    page = Page(spec, page_index=2, cap=12)
+    rules = [DifferentialRule(2, {"x": 1}, [(1, {"z1": 1}), (1, {"z2": 1})]),
+             DifferentialRule(2, {"y": 1}, [(1, {"z2": 1}), (2, {"a": 1, "v": 1})])]
+    diff = _Differential(page, rules)
+    _, _, d = diff.entries()
+    assert d is not None and d == of_key_entries(page, diff)
+    assert any(len(img) > 1 for img in d.values())
+    dims, survivors, extra = dense_turn(page, rules)
+    out = run_differential(page, rules)
+    assert (out.bigraded_dims(), out.survivors, out.extra_classes) == (dims, survivors, extra)
 
 
 def leibniz_holds_on_every_pair(page, rules):
