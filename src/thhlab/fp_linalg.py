@@ -9,7 +9,8 @@ row-spanning matrices.  A map given on bases becomes a matrix through
 map_matrix.  sparse_homology is the one routine that splits a sparse map
 into the components of its support and takes the rank and the surviving
 keys of each; map_rank calls it, and so do the page turns whose d is not
-a partial matching.
+a partial matching.  A map that sends each source to one key or to zero is
+ranked by counting the keys it hits (count_ranks).
 """
 
 from __future__ import annotations
@@ -287,6 +288,17 @@ def map_rank(field: PrimeField, source: Sequence, target_index: Mapping,
         img = {(1, target_index[k]): c % field.p for k, c in image(s).items()}
         d[(0, s)] = {k: c for k, c in img.items() if c}
     return sparse_homology(field, d, operator.itemgetter(0))[0].get(0, 0)
+
+
+def count_ranks(grade: np.ndarray, key: np.ndarray, grades: int) -> list[int]:
+    """The rank out of each grade 0..grades - 1 of a map that sends source i,
+    of grade grade[i], to a nonzero multiple of the one target key[i] >= 0
+    (sources that go to zero are left out); every key is hit from one grade
+    only.  Each column of such a map has one nonzero entry, so its rank is
+    the number of distinct keys hit."""
+    grade_of = np.full(key.max(initial=-1) + 1, -1, dtype=np.int64)
+    grade_of[key] = grade
+    return np.bincount(grade_of[grade_of >= 0], minlength=grades).tolist()
 
 
 def solve(A: FpMatrix, b: Sequence[int]) -> Optional[np.ndarray]:

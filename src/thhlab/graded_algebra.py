@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .fp_linalg import PrimeField, map_rank
+from .fp_linalg import PrimeField, count_ranks, map_rank
 from .key_arrays import lex_ids
 
 Mono = tuple[int, ...]
@@ -769,24 +769,37 @@ def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], ca
 def _monomial_ranks(target: AlgebraSpec, slots: int, basis: Mapping[int, list[Mono]],
                     image_of_mono: Callable[[Mono], TermDict], cap: int) -> list[int]:
     """The rank in each degree 0..cap of a monomial map given on a source
-    basis of monomials with slots slots: the image of a monomial is the
-    product, slot by slot, of the images of its generator powers, and the
-    images that do not vanish are counted once each in their degree."""
-    p, width, unit = target.field.p, len(target.generators), (0,) * slots
+    basis of monomials with slots slots: the distinct images that do not
+    vanish (monomial_images) are counted in their degree
+    (fp_linalg.count_ranks)."""
     monos = [m for n in range(cap + 1) for m in basis.get(n, [])]
     degree = np.repeat(np.arange(max(cap + 1, 0)), [len(basis.get(n, [])) for n in range(cap + 1)])
-    src = np.array(monos, dtype=np.int64).reshape(len(monos), slots)
-    coeff = np.ones(len(monos), dtype=np.int64)
-    exps = np.zeros((len(monos), width), dtype=np.int64)
-    for i in range(slots):
-        powers = [image_of_mono(unit[:i] + (e,) + unit[i + 1:])
-                  for e in range(src[:, i].max(initial=0) + 1)]
+    coeff, exps = monomial_images(target, np.array(monos, dtype=np.int64).reshape(len(monos), slots),
+                                  image_of_mono)
+    live = np.flatnonzero(coeff)
+    return count_ranks(degree[live], lex_ids(exps[live]), max(cap + 1, 0))
+
+
+def monomial_images(target: AlgebraSpec, src: np.ndarray,
+                    image_of_mono: Callable[[Mono], TermDict]) -> tuple[np.ndarray, np.ndarray]:
+    """The image of each source monomial, a row of exponents in src, under a
+    monomial map (one whose generators each go to one term or to zero), as
+    a coefficient mod p, 0 where it vanishes, and a row of target exponents:
+    the product, slot by slot, of the images of its generator powers, which
+    image_of_mono gives, with one mul_rows per slot over the rows that hold
+    the slot.  When most rows hold it, all rows go, as a view of exps rather
+    than a gathered copy, so that no step holds more than one extra copy."""
+    p, width, unit = target.field.p, len(target.generators), (0,) * src.shape[1]
+    coeff = np.ones(len(src), dtype=np.int64)
+    exps = np.zeros((len(src), width), dtype=np.int64)
+    for i in range(src.shape[1]):
+        rows = np.flatnonzero(src[:, i])
+        if 2 * rows.size > len(src):
+            rows = slice(None)  # the rows without slot i multiply by the unit
+        e = src[rows, i]
+        powers = [image_of_mono(unit[:i] + (k,) + unit[i + 1:]) for k in range(e.max(initial=0) + 1)]
         pc = np.array([next(iter(v.values()), 0) for v in powers], dtype=np.int64)
         pm = np.array([next(iter(v), target.unit) for v in powers], dtype=np.int64)
-        c, exps = target.mul_rows(exps, pm.reshape(len(powers), width)[src[:, i]])
-        coeff = coeff * c % p * pc[src[:, i]] % p
-    live = np.flatnonzero(coeff)
-    ids = lex_ids(exps[live])
-    degree_of = np.zeros(ids.max(initial=-1) + 1, dtype=np.int64)
-    degree_of[ids] = degree[live]
-    return np.bincount(degree_of, minlength=max(cap + 1, 0)).tolist()
+        c, exps[rows] = target.mul_rows(exps[rows], pm.reshape(len(powers), width)[e])
+        coeff[rows] = coeff[rows] * c % p * pc[e] % p
+    return coeff, exps

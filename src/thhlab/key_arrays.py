@@ -4,7 +4,9 @@ _lookup finds integer keys by one sorted search.  The Tor check looks up
 its packed resolution words with it, and a page turn the targets of d.
 lex_ids numbers the distinct rows of an exponent matrix; graded_algebra
 takes distinct binomials and distinct image monomials with it, so this
-module imports graded_algebra for type hints only.
+module imports graded_algebra for type hints only.  A RowFinder finds
+exponent rows in a basis table; the exactness check looks up its products
+with it.
 
 A KeyTable holds the (monomial, label) keys of a spectral-sequence page,
 one array entry per key: the row of its monomial in a list of monomials,
@@ -47,6 +49,47 @@ def lex_ids(mat: np.ndarray) -> np.ndarray:
     ids = np.empty(order.size, dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     return ids
+
+
+class RowFinder:
+    """Finds exponent rows among the distinct rows of a nonnegative integer
+    matrix by one sorted search.  Each row is packed into mixed-radix codes,
+    one per run of columns whose radices multiply to below 2^63, so no code
+    overflows: column j takes the values 0..top[j], where top[j] is one past
+    the matrix's largest entry there, and a query entry outside 0..top[j] - 1
+    becomes top[j], which no row of the matrix holds.  With one run the code
+    is the row; with several, the queries and the matrix rows that share a
+    first-run code with one of them are numbered together by lex_ids."""
+
+    def __init__(self, mat: np.ndarray) -> None:
+        self.top = mat.max(axis=0, initial=-1) + 1
+        self.runs: list[tuple[slice, np.ndarray]] = []
+        lo, mult = 0, [1]
+        for j, radix in enumerate((self.top + 1).tolist()):
+            if mult[-1] * radix >= 2**63:
+                self.runs.append((slice(lo, j), np.array(mult[:-1], dtype=np.int64)))
+                lo, mult = j, [1]
+            mult.append(mult[-1] * radix)
+        self.runs.append((slice(lo, mat.shape[1]), np.array(mult[:-1], dtype=np.int64)))
+        self.codes = self._pack(mat)
+        self.order = np.argsort(self.codes[:, 0], kind="stable")
+        self.first = self.codes[self.order, 0]  # ascending
+
+    def _pack(self, rows: np.ndarray) -> np.ndarray:
+        return np.stack([rows[:, cols] @ mult for cols, mult in self.runs], axis=1)
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The index of each row among the matrix's rows, -1 where absent."""
+        codes = self._pack(np.where((rows < 0) | (rows > self.top), self.top, rows))
+        if codes.shape[1] == 1 and self.first.size:  # one run: codes are the rows
+            at = np.minimum(np.searchsorted(self.first, codes[:, 0]), self.first.size - 1)
+            return np.where(self.first[at] == codes[:, 0], self.order[at], -1)
+        n = self.first.size + 1
+        lo, hi = (np.bincount(np.searchsorted(self.first, codes[:, 0], side), minlength=n)
+                  for side in ("left", "right"))
+        near = self.order[np.flatnonzero(np.cumsum(lo - hi)[:-1])]
+        ids = lex_ids(np.concatenate((self.codes[near], codes)))
+        return np.append(near, -1)[_lookup(ids[:near.size], ids[near.size:], -1)]  # -1 stays
 
 
 class KeyTable:

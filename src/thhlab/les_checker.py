@@ -4,17 +4,31 @@ A sequence ... -> A_n -> B_n -> C_{n-1} -> A_{n-1} -> ... is specified by
 three graded algebras and three maps: rho (an algebra map, extended
 multiplicatively from generator images), and boundary/tau (given directly on
 basis monomials).  C is stored unshifted; the boundary consumes it with a
-degree drop of one.  Exactness is verified per degree both as dimension
-identities (ranks from fp_linalg.map_rank) and as subspace equalities
-(composites that vanish, by sparse composition), and boundary/tau are
-checked to be module maps over A through a declared coefficient action."""
+degree drop of one.
+
+check_les reads each map once, on every basis monomial of its source, into
+an image table (_Image): the source's exponent rows in degree and basis
+order, and CSR arrays of each row's image terms, as target rows and
+coefficients mod p.  A rho that sends each generator to one term or to
+zero is read by one AlgebraSpec.mul_rows per generator slot
+(graded_algebra.monomial_images), any other map image by image.  Exactness is verified per degree both as dimension
+identities and as subspace equalities (composites that vanish, summed off
+the tables).  A degree whose images have at most one term each is ranked by
+counting the target rows it hits (fp_linalg.count_ranks); any other degree
+goes to fp_linalg.map_rank.  boundary and tau are checked to be module maps
+over A through a declared coefficient action, one A-generator at a time:
+each side of all its (generator, basis monomial) pairs is one
+AlgebraSpec.mul_rows and one sorted search of the products in a table.  A
+pair whose product leaves its table is checked on term dicts instead."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-from .fp_linalg import map_rank
+import numpy as np
+
+from .fp_linalg import count_ranks, map_rank
 from .graded_algebra import (
     DegreeMismatch,
     GradedError,
@@ -23,9 +37,11 @@ from .graded_algebra import (
     algebra_map,
     exterior,
     make_algebra,
+    monomial_images,
     polynomial,
     truncated,
 )
+from .key_arrays import RowFinder
 from .presentation import make_theta
 
 JOINT_TAU_RHO = "im(tau) = ker(rho)"
@@ -74,19 +90,40 @@ class ExactnessReport:
 
 
 class _Graded:
-    """Uniform view of an algebra spec, a presentation, or the zero module."""
+    """Uniform view of an algebra spec, a presentation, or the zero module:
+    its basis by degree, and the same basis as one table, monos in degree and
+    basis order with their exponents as the rows of mat and their degrees."""
 
     def __init__(self, obj, cap: int) -> None:
         self.obj = obj
         self.spec = None if obj is None else getattr(obj, "algebra", obj)
         self.table = {} if obj is None else obj.basis_by_degree(cap)
-        self.index = {n: {m: i for i, m in enumerate(ms)} for n, ms in self.table.items()}
+        self.monos = [m for ms in self.table.values() for m in ms]
+        width = 0 if self.spec is None else len(self.spec.generators)
+        self.mat = np.array(self.monos, dtype=np.int64).reshape(len(self.monos), width)
+        self.degree = np.repeat(np.array(list(self.table), dtype=np.int64),
+                                [len(ms) for ms in self.table.values()])
+        self._index: dict[int, dict[Mono, int]] = {}
+        self._finder: Optional[RowFinder] = None
 
     def at(self, n: int) -> list:
         return self.table.get(n, [])
 
     def dim(self, n: int) -> int:
         return len(self.at(n))
+
+    def index(self, n: int) -> dict[Mono, int]:
+        """The position of each monomial in at(n), built on first use."""
+        if n not in self._index:
+            self._index[n] = {m: i for i, m in enumerate(self.at(n))}
+        return self._index[n]
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The position in the table of each exponent row, -1 for a row
+        outside it (key_arrays.RowFinder, built on first use)."""
+        if self._finder is None:
+            self._finder = RowFinder(self.mat)
+        return self._finder.find(rows)
 
     def normalize(self, data) -> TermDict:
         if self.spec is None:
@@ -130,11 +167,134 @@ def _checked(fn: Callable[[Mono], object], src: _Graded, dst: _Graded, drop: int
     return image
 
 
+def _terms(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For CSR offsets ptr and some rows: the position of each term of those
+    rows, row by row, and the index in rows of the row it belongs to."""
+    sizes = ptr[rows + 1] - ptr[rows]
+    owner = np.repeat(np.arange(rows.size), sizes)
+    return np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes - ptr[rows], sizes), owner
+
+
+def _nonzero_sums(key: np.ndarray, value: np.ndarray, p: int) -> np.ndarray:
+    """The distinct keys, ascending, whose values (each in 0..p) sum to
+    nonzero mod p."""
+    if not key.size:
+        return key
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return key[start[np.add.reduceat(value[order], start) % p != 0]]
+
+
+class _Image:
+    """A map fn read once on every monomial of src's table: row i goes to
+    the terms val[ptr[i]:ptr[i + 1]] (mod p) times the rows col[...] of dst's
+    table, -1 for a term outside it.  Degree n of src goes to degree
+    n - drop of dst, and rank(n) is the rank there."""
+
+    def __init__(self, fn, src: _Graded, dst: _Graded, drop: int, field, cap: int,
+                 monomial: bool = False) -> None:
+        self.fn, self.src, self.dst, self.drop, self.field = fn, src, dst, drop, field
+        if monomial:  # fn is an algebra map sending each generator to one term or to 0
+            coeff, rows = monomial_images(dst.spec, src.mat, fn)
+            sizes = (coeff != 0).astype(np.int64)
+            rows, vals = rows[coeff != 0], coeff[coeff != 0]
+        else:
+            images = [fn(m) for m in src.monos]
+            sizes = np.array([len(d) for d in images], dtype=np.int64)
+            terms = [m for d in images for m in d]
+            rows = np.array(terms, dtype=np.int64).reshape(len(terms), dst.mat.shape[1])
+            vals = np.array([c for d in images for c in d.values()], dtype=np.int64)
+        self.ptr = np.concatenate(([0], np.cumsum(sizes)))
+        self.col = dst.find(rows)
+        self.val = vals % field.p
+        # map_rank takes a degree with an image of several terms, and one with
+        # a term outside dst's table, where it raises KeyError
+        other = sizes > 1
+        other[np.repeat(np.arange(sizes.size), sizes)[self.col < 0]] = True
+        self.other = set(src.degree[other].tolist())
+        one = np.flatnonzero(sizes == 1)
+        one = one[self.col[self.ptr[one]] >= 0]
+        self.counted = count_ranks(src.degree[one], self.col[self.ptr[one]], cap + 2)
+
+    def rank(self, n: int) -> int:
+        if n in self.other:
+            return map_rank(self.field, self.src.at(n), self.dst.index(n - self.drop), self.fn)
+        return self.counted[n]
+
+    def then_nonzero(self, then: "_Image") -> set[int]:
+        """The degrees of src where then after this map is nonzero on some
+        monomial, summed off the two tables.  Terms outside a table are left
+        out: map_rank raises on their degree before its composites are read."""
+        p, width = self.field.p, max(len(then.dst.monos), 1)
+        pos, src = _terms(self.ptr, np.arange(len(self.src.monos)))
+        keep = self.col >= 0
+        pos, src = pos[keep], src[keep]
+        at, owner = _terms(then.ptr, self.col[pos])
+        keep = then.col[at] >= 0
+        bad = _nonzero_sums(src[owner[keep]] * width + then.col[at[keep]],
+                            self.val[pos[owner[keep]]] * then.val[at[keep]] % p, p)
+        return set(self.src.degree[bad // width].tolist())
+
+    def module_failure(self, left: TermDict, right: TermDict, top: int,
+                       finish: Callable[[TermDict], TermDict]) -> tuple[int, Optional[Mono]]:
+        """Over the monomials s of src of degree <= top, in table order: the
+        number of them, and the first s where fn(left * s) differs from
+        finish(right * fn(s)), or None.  Both sides are summed per (s, dst
+        row) off the tables.  An s with a nonzero product outside its table
+        is checked on term dicts instead, in order, up to the first failure
+        found off the tables."""
+        S, T, p = self.src, self.dst, self.field.p
+        src = np.flatnonzero(S.degree <= top)
+        width = max(len(T.monos), 1)
+        keys, values, off = [], [], []
+        for m, c in left.items():  # each term of left times s, then its image terms
+            coeff, prod = S.spec.mul_rows(np.tile(np.array(m, dtype=np.int64), (src.size, 1)),
+                                          S.mat[src])
+            live = np.flatnonzero(coeff)
+            row = S.find(prod[live])
+            off.append(live[row < 0])
+            live, row = live[row >= 0], row[row >= 0]
+            at, owner = _terms(self.ptr, row)
+            keys.append(live[owner] * width + self.col[at])
+            values.append(c * coeff[live[owner]] % p * self.val[at] % p)
+        at, owner = _terms(self.ptr, src)  # each term of right times each term of fn(s)
+        for m, c in right.items() if at.size else ():
+            coeff, prod = T.spec.mul_rows(np.tile(np.array(m, dtype=np.int64), (at.size, 1)),
+                                          T.mat[self.col[at]])
+            live = np.flatnonzero(coeff)
+            row = T.find(prod[live])
+            off.append(owner[live[row < 0]])
+            live, row = live[row >= 0], row[row >= 0]
+            keys.append(owner[live] * width + row)
+            values.append(p - c * coeff[live] % p * self.val[at[live]] % p)
+        if not keys:  # both sides vanish on every s
+            return src.size, None
+        bad = _nonzero_sums(np.concatenate(keys), np.concatenate(values), p) // width
+        off_table = np.zeros(src.size, dtype=bool)
+        off_table[np.concatenate(off)] = True
+        bad = bad[~off_table[bad]]
+        first = bad.item(0) if bad.size else src.size
+        for i in np.flatnonzero(off_table).tolist():
+            if i >= first:
+                break
+            s = S.monos[src.item(i)]
+            if T.spec.linear(self.fn, S.spec.mul_dicts(left, {s: 1})) \
+                    != finish(T.spec.mul_dicts(right, self.fn(s))):
+                first = i
+                break
+        return src.size, (S.monos[src.item(first)] if first < src.size else None)
+
+
 def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     """Verify exactness in every degree <= cap, raising InexactAt on the first
     failure (lowest degree, joints in sequence order).  Also checks that rho
     and the coefficient action are algebra maps and that boundary and tau are
-    module maps over A, exhaustively on generator-times-basis pairs."""
+    module maps over A, exhaustively on generator-times-basis pairs: the
+    first failing pair goes by generator, boundary before tau, then degree
+    and basis order.  rho, tau and the boundary are read into image tables
+    before the degree loop, so a boundary or tau image of the wrong degree
+    raises DegreeMismatch before any InexactAt."""
     A = _Graded(spec.A, cap)
     B = _Graded(spec.B, cap)
     C = _Graded(spec.C, cap)
@@ -147,22 +307,29 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
             raise ValueError("the three terms live over different fields")
 
     rho_of: Callable[[Mono], TermDict] = lambda mono: {}
+    monomial = False
     if A.spec is not None and B.spec is not None:
         rho_of = _require_algebra_map(spec.A, B, spec.rho, "rho")
+        unit = A.spec.unit
+        monomial = all(len(rho_of(unit[:i] + (1,) + unit[i + 1:])) <= 1 for i in range(len(unit)))
     if spec.coefficient_action is not None and A.spec is not None and C.spec is not None:
         _require_algebra_map(spec.A, C, spec.coefficient_action, "the coefficient action")
 
     bdy_img = _checked(spec.boundary, B, C, 1, "boundary") if B.spec is not None else None
     tau_img = _checked(spec.tau, C, A, 0, "tau") if C.spec is not None else None
+    rho = _Image(rho_of, A, B, 0, field, cap, monomial)
+    tau = _Image(tau_img, C, A, 0, field, cap)
+    bdy = _Image(bdy_img, B, C, 1, field, cap)
+    # the degrees where a composite of two maps does not vanish
+    tau_rho, rho_bdy, bdy_tau = tau.then_nonzero(rho), rho.then_nonzero(bdy), bdy.then_nonzero(tau)
 
-    linear = sides[0].spec.linear  # reads only the field, which all sides share
     rows = []
     alternating = 0
-    r_next = map_rank(field, B.at(0), {}, bdy_img)
+    r_next = bdy.rank(0)
     for n in range(cap + 1):
-        r_rho = map_rank(field, A.at(n), B.index.get(n, {}), rho_of)
-        r_tau = map_rank(field, C.at(n), A.index.get(n, {}), tau_img)
-        r_bdy, r_next = r_next, map_rank(field, B.at(n + 1), C.index.get(n, {}), bdy_img)
+        r_rho = rho.rank(n)
+        r_tau = tau.rank(n)
+        r_bdy, r_next = r_next, bdy.rank(n + 1)
         a_n, b_n, c_prev = A.dim(n), B.dim(n), C.dim(n - 1)
 
         # dimension identities first; given them, ker = im holds exactly when
@@ -175,14 +342,14 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
         if alternating != r_tau:
             raise InexactAt(n, JOINT_ALTERNATING,
                             f"running alternating sum {alternating}, rank tau {r_tau}")
-        if any(linear(rho_of, tau_img(c)) for c in C.at(n)):
+        if n in tau_rho:
             raise InexactAt(n, JOINT_TAU_RHO, "subspaces differ")
-        if any(linear(bdy_img, rho_of(a)) for a in A.at(n)):
+        if n in rho_bdy:
             raise InexactAt(n, JOINT_RHO_BOUNDARY, "subspaces differ")
         if n < cap and C.dim(n) - r_tau != r_next:  # the cap cuts off B.at(cap + 1)
             raise InexactAt(n, JOINT_BOUNDARY_TAU,
                             f"ker tau has dim {C.dim(n) - r_tau}, im boundary {r_next}")
-        if any(linear(tau_img, bdy_img(b)) for b in B.at(n + 1)):
+        if n + 1 in bdy_tau:
             raise InexactAt(n, JOINT_BOUNDARY_TAU, "subspaces differ")
         rows.append((n, a_n, b_n, c_prev, r_rho, r_bdy, r_tau))
 
@@ -190,30 +357,22 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     if spec.coefficient_action is not None and all(s.spec is not None for s in (A, B, C)):
         nu_imgs = {g.name: C.normalize(spec.coefficient_action[g.name])
                    for g in A.spec.generators}
+        unit = A.spec.unit
         for i, g in enumerate(A.spec.generators):
-            g_mono = tuple(1 if j == i else 0 for j in range(len(A.spec.generators)))
-            g_deg = g.total_degree
-            rho_g, nu_g = rho_of(g_mono), nu_imgs[g.name]
-            for n, monos in B.table.items():
-                if n + g_deg > cap:
-                    continue
-                for b in monos:
-                    lhs = C.spec.linear(bdy_img, B.spec.mul_dicts(rho_g, {b: 1}))
-                    rhs = C.spec.mul_dicts(nu_g, bdy_img(b))
-                    if lhs != rhs:
-                        raise InexactAt(n + g_deg, "boundary module structure",
-                                        f"over {g.name} at {B.spec.format_mono(b)}")
-                    boundary_pairs += 1
-            for n, monos in C.table.items():
-                if n + g_deg > cap:
-                    continue
-                for cmono in monos:
-                    lhs = A.spec.linear(tau_img, C.spec.mul_dicts(nu_g, {cmono: 1}))
-                    rhs = A.normalize(A.spec.mul_dicts({g_mono: 1}, tau_img(cmono)))
-                    if lhs != rhs:
-                        raise InexactAt(n + g_deg, "tau module structure",
-                                        f"over {g.name} at {C.spec.format_mono(cmono)}")
-                    tau_pairs += 1
+            g_mono = unit[:i] + (1,) + unit[i + 1:]
+            top = cap - g.total_degree
+            pairs, bad = bdy.module_failure(rho_of(g_mono), nu_imgs[g.name], top, lambda d: d)
+            if bad is not None:
+                raise InexactAt(B.spec.total_degree_of(bad) + g.total_degree,
+                                "boundary module structure",
+                                f"over {g.name} at {B.spec.format_mono(bad)}")
+            boundary_pairs += pairs
+            pairs, bad = tau.module_failure(nu_imgs[g.name], {g_mono: 1}, top, A.normalize)
+            if bad is not None:
+                raise InexactAt(C.spec.total_degree_of(bad) + g.total_degree,
+                                "tau module structure",
+                                f"over {g.name} at {C.spec.format_mono(bad)}")
+            tau_pairs += pairs
 
     return ExactnessReport(cap, tuple(rows), boundary_pairs, tau_pairs)
 

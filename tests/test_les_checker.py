@@ -1,10 +1,24 @@
-"""Exactness checker: the two concrete sequences, frozen degree data, and
-sabotage cases that must be refused."""
+"""Exactness checker: the two concrete sequences, frozen degree data,
+sabotage cases that must be refused, and a term-dict reference that the
+table-based checker must agree with."""
 
+import random
+
+import numpy as np
 import pytest
 
-from thhlab.graded_algebra import DegreeMismatch, divided, exterior, make_algebra
+from thhlab import les_checker
+from thhlab.fp_linalg import map_rank
+from thhlab.graded_algebra import (
+    DegreeMismatch,
+    divided,
+    exterior,
+    make_algebra,
+    truncated,
+)
+from thhlab.key_arrays import RowFinder
 from thhlab.les_checker import (
+    JOINT_ALTERNATING,
     JOINT_BOUNDARY_TAU,
     JOINT_RHO_BOUNDARY,
     JOINT_TAU_RHO,
@@ -13,10 +27,12 @@ from thhlab.les_checker import (
     LongExactSpec,
     _checked,
     _Graded,
+    _require_algebra_map,
     check_les,
     ell_sequence,
     ku_sequence,
 )
+from thhlab.presentation import Presentation, RewriteRule
 
 
 # -- the adams-summand sequence ----------------------------------------------
@@ -292,3 +308,271 @@ def test_checked_image_is_memoised_only_after_its_degree_check():
         with pytest.raises(DegreeMismatch, match="boundary image of degree 12"):
             image(bad)
     assert calls == [good, bad, bad]
+
+
+# -- the term-dict reference: every rank by map_rank, every pair by mul_dicts -----------
+
+
+def reference_check_les(spec, cap):
+    """check_les as it was before image tables: ranks through map_rank per
+    degree, composites and module pairs on term dicts, one pair at a time."""
+    A, B, C = _Graded(spec.A, cap), _Graded(spec.B, cap), _Graded(spec.C, cap)
+    sides = [s for s in (A, B, C) if s.spec is not None]
+    if not sides:
+        return ExactnessReport(cap, (), 0, 0)
+    field = sides[0].spec.field
+    for s in sides:
+        if s.spec.field != field:
+            raise ValueError("the three terms live over different fields")
+    rho_of = lambda mono: {}  # noqa: E731
+    if A.spec is not None and B.spec is not None:
+        rho_of = _require_algebra_map(spec.A, B, spec.rho, "rho")
+    if spec.coefficient_action is not None and A.spec is not None and C.spec is not None:
+        _require_algebra_map(spec.A, C, spec.coefficient_action, "the coefficient action")
+    bdy_img = _checked(spec.boundary, B, C, 1, "boundary") if B.spec is not None else None
+    tau_img = _checked(spec.tau, C, A, 0, "tau") if C.spec is not None else None
+
+    linear = sides[0].spec.linear
+    rows = []
+    alternating = 0
+    r_next = map_rank(field, B.at(0), {}, bdy_img)
+    for n in range(cap + 1):
+        r_rho = map_rank(field, A.at(n), B.index(n), rho_of)
+        r_tau = map_rank(field, C.at(n), A.index(n), tau_img)
+        r_bdy, r_next = r_next, map_rank(field, B.at(n + 1), C.index(n), bdy_img)
+        a_n, b_n, c_prev = A.dim(n), B.dim(n), C.dim(n - 1)
+        if a_n - r_rho != r_tau:
+            raise InexactAt(n, JOINT_TAU_RHO, f"ker rho has dim {a_n - r_rho}, im tau {r_tau}")
+        if b_n - r_bdy != r_rho:
+            raise InexactAt(n, JOINT_RHO_BOUNDARY,
+                            f"ker boundary has dim {b_n - r_bdy}, im rho {r_rho}")
+        alternating = (a_n - b_n + c_prev) - alternating
+        if alternating != r_tau:
+            raise InexactAt(n, JOINT_ALTERNATING,
+                            f"running alternating sum {alternating}, rank tau {r_tau}")
+        if any(linear(rho_of, tau_img(c)) for c in C.at(n)):
+            raise InexactAt(n, JOINT_TAU_RHO, "subspaces differ")
+        if any(linear(bdy_img, rho_of(a)) for a in A.at(n)):
+            raise InexactAt(n, JOINT_RHO_BOUNDARY, "subspaces differ")
+        if n < cap and C.dim(n) - r_tau != r_next:
+            raise InexactAt(n, JOINT_BOUNDARY_TAU,
+                            f"ker tau has dim {C.dim(n) - r_tau}, im boundary {r_next}")
+        if any(linear(tau_img, bdy_img(b)) for b in B.at(n + 1)):
+            raise InexactAt(n, JOINT_BOUNDARY_TAU, "subspaces differ")
+        rows.append((n, a_n, b_n, c_prev, r_rho, r_bdy, r_tau))
+
+    boundary_pairs = tau_pairs = 0
+    if spec.coefficient_action is not None and all(s.spec is not None for s in (A, B, C)):
+        nu_imgs = {g.name: C.normalize(spec.coefficient_action[g.name])
+                   for g in A.spec.generators}
+        for i, g in enumerate(A.spec.generators):
+            g_mono = tuple(1 if j == i else 0 for j in range(len(A.spec.generators)))
+            g_deg = g.total_degree
+            rho_g, nu_g = rho_of(g_mono), nu_imgs[g.name]
+            for n, monos in B.table.items():
+                if n + g_deg > cap:
+                    continue
+                for b in monos:
+                    lhs = C.spec.linear(bdy_img, B.spec.mul_dicts(rho_g, {b: 1}))
+                    rhs = C.spec.mul_dicts(nu_g, bdy_img(b))
+                    if lhs != rhs:
+                        raise InexactAt(n + g_deg, "boundary module structure",
+                                        f"over {g.name} at {B.spec.format_mono(b)}")
+                    boundary_pairs += 1
+            for n, monos in C.table.items():
+                if n + g_deg > cap:
+                    continue
+                for cmono in monos:
+                    lhs = A.spec.linear(tau_img, C.spec.mul_dicts(nu_g, {cmono: 1}))
+                    rhs = A.normalize(A.spec.mul_dicts({g_mono: 1}, tau_img(cmono)))
+                    if lhs != rhs:
+                        raise InexactAt(n + g_deg, "tau module structure",
+                                        f"over {g.name} at {C.spec.format_mono(cmono)}")
+                    tau_pairs += 1
+    return ExactnessReport(cap, tuple(rows), boundary_pairs, tau_pairs)
+
+
+def outcome(check, spec, cap):
+    """The report, or the failure: ("InexactAt", degree, joint, message), or
+    the exception's type name and message."""
+    try:
+        return check(spec, cap)
+    except InexactAt as exc:
+        return ("InexactAt", exc.degree, exc.joint, str(exc))
+    except (DegreeMismatch, ValueError, KeyError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _algebra(side):
+    return getattr(side, "algebra", side)
+
+
+def _mutations(seq, p, cap, rng, count):
+    """count single-monomial mutations of seq as (which, key, kind, wrong),
+    for _apply: the boundary or tau image of one basis monomial key, or the
+    rho or nu image of one A-generator named key, scaled by kind (0, 2 or
+    p - 1) or, for kind "degree", replaced by wrong, one target monomial of
+    the wrong degree."""
+    A, B, C = (_Graded(side, cap) for side in (seq.A, seq.B, seq.C))
+    out = []
+    for _ in range(count):
+        which = rng.choice(["boundary", "tau", "rho", "nu"])
+        kind = rng.choice([0, 2, p - 1, "degree"])
+        src, dst = {"boundary": (B, C), "tau": (C, A), "rho": (A, B), "nu": (A, C)}[which]
+        if which in ("boundary", "tau"):
+            fn = getattr(seq, which)
+            key = mono = rng.choice(src.monos if kind == "degree" else
+                                    [m for m in src.monos if fn(m)])
+        else:
+            key = rng.choice([g.name for g in src.spec.generators])
+            mono = src.spec.mono_from_names({key: 1})
+        want = src.spec.total_degree_of(mono) - (which == "boundary")
+        wrong = rng.choice([m for m in dst.monos if dst.spec.total_degree_of(m) != want])
+        out.append((which, key, kind, {wrong: 1}))
+    return out
+
+
+def _apply(builder, p, ambiguity, which, key, kind, wrong):
+    """A fresh builder(p, ambiguity) with one mutation of _mutations."""
+    seq = builder(p, ambiguity)
+    if which in ("boundary", "tau"):
+        good = getattr(seq, which)
+
+        def changed(mono, good=good):
+            if mono != key:
+                return good(mono)
+            if kind == "degree":
+                return wrong
+            return {m: kind * c for m, c in _algebra(seq.C if which == "boundary" else seq.A)
+                    .dict_from_input(good(mono)).items()}
+        setattr(seq, which, changed)
+    else:
+        attr = "rho" if which == "rho" else "coefficient_action"
+        images = dict(getattr(seq, attr))
+        target = _algebra(seq.B if which == "rho" else seq.C)
+        terms = target.dict_from_input(images[key])
+        images[key] = wrong if kind == "degree" else {m: kind * c for m, c in terms.items()}
+        setattr(seq, attr, images)
+    return seq
+
+
+@pytest.mark.parametrize("builder, p, cap", [
+    (ell_sequence, 3, 40), (ku_sequence, 3, 40), (ell_sequence, 5, 60), (ku_sequence, 5, 60),
+])
+@pytest.mark.parametrize("ambiguity", [0, 1])
+def test_tables_agree_with_the_reference_under_single_mutations(builder, p, cap, ambiguity):
+    assert outcome(check_les, builder(p, ambiguity), cap) \
+        == outcome(reference_check_les, builder(p, ambiguity), cap)
+    rng = random.Random(1000 * p + 10 * ambiguity + (builder is ku_sequence))
+    kinds = set()
+    for which, key, kind, wrong in _mutations(builder(p, ambiguity), p, cap, rng, 12):
+        args = (builder, p, ambiguity, which, key, kind, wrong)
+        got = outcome(check_les, _apply(*args), cap)
+        assert got == outcome(reference_check_les, _apply(*args), cap), args
+        kinds.add(got[0] if isinstance(got, tuple) else "report")
+    assert "InexactAt" in kinds and "DegreeMismatch" in kinds, kinds
+
+
+def test_first_module_failure_follows_the_reference_order():
+    # ku_sequence(3) with tau at e1*m1^2 doubled and either the boundary at
+    # dlogu*k1^4 or nu(m2) doubled: every rank survives, but the module
+    # structure breaks over l1 and m2, on both sides
+    def broken(second):
+        seq = ku_sequence(3)
+        seq = _mutated(seq, "tau", seq.C, {"e1": 1, "m1": 2}, _scaled(2))
+        if second == "boundary":
+            return _mutated(seq, "boundary", seq.B, {"dlogu": 1, "k1": 4}, _scaled(2))
+        seq.coefficient_action = {**seq.coefficient_action, "m2": [(2, {"m1": 3})]}
+        return seq
+
+    # l1's boundary pairs come before its tau pairs, though tau fails lower down
+    got = outcome(check_les, broken("boundary"), 40)
+    assert got == outcome(reference_check_les, broken("boundary"), 40)
+    assert got == ("InexactAt", 30, "boundary module structure",
+                   "not exact in degree 30 at boundary module structure: over l1 at dlogu*k1^4")
+    # l1 comes before m2, though m2's boundary pairs fail lower down
+    got = outcome(check_les, broken("nu"), 40)
+    assert got == outcome(reference_check_les, broken("nu"), 40)
+    assert got == ("InexactAt", 22, "tau module structure",
+                   "not exact in degree 22 at tau module structure: over l1 at e1*m1^2")
+    seq = broken("nu")
+    seq.tau = ku_sequence(3).tau
+    assert outcome(check_les, seq, 40)[1:3] == (19, "boundary module structure")
+
+
+def _presented_sequence(boundary_of_x1_d):
+    """A toy sequence whose middle term B is a presentation: E(x1, d) with
+    x1*d rewritten to a new class w (w^2 = x1*w = d*w = 0), so that
+    rho(x1) * d leaves B's basis.  The boundary sends d to 1 and w to x1, and
+    on the reducible monomial x1*d it returns boundary_of_x1_d."""
+    A = make_algebra(3, [exterior("x1", 3), exterior("x2", 3)])
+    amb = make_algebra(3, [exterior("x1", 3), exterior("d", 1), truncated("w", 4, 2)])
+    mono = amb.mono_from_names
+    B = Presentation(amb, (RewriteRule(mono({"x1": 1, "d": 1}), {mono({"w": 1}): 1}),
+                           RewriteRule(mono({"x1": 1, "w": 1}), {}),
+                           RewriteRule(mono({"d": 1, "w": 1}), {})))
+    C = make_algebra(3, [exterior("x1", 3), exterior("c", 3)])
+    bdy = {mono({"d": 1}): {C.unit: 1}, mono({"w": 1}): {C.mono_from_names({"x1": 1}): 1},
+           mono({"x1": 1, "d": 1}): boundary_of_x1_d}
+    tau = {C.mono_from_names({"c": 1}): {A.mono_from_names({"x2": 1}): 1},
+           C.mono_from_names({"x1": 1, "c": 1}): {A.mono_from_names({"x1": 1, "x2": 1}): 1}}
+    return LongExactSpec(A, B, C, {"x1": [(1, {"x1": 1})], "x2": []},
+                         lambda m: bdy.get(m, {}), lambda m: tau.get(m, {}),
+                         coefficient_action={"x1": [(1, {"x1": 1})], "x2": []})
+
+
+def test_a_product_outside_the_basis_takes_the_term_dict_path():
+    x1 = {(1, 0): 1}
+    report = check_les(_presented_sequence(x1), 12)
+    assert report == reference_check_les(_presented_sequence(x1), 12)
+    assert report.rows[4] == (4, 0, 1, 2, 0, 1, 0)
+    got = outcome(check_les, _presented_sequence({}), 12)
+    assert got == outcome(reference_check_les, _presented_sequence({}), 12)
+    assert got == ("InexactAt", 4, "boundary module structure",
+                   "not exact in degree 4 at boundary module structure: over x1 at d")
+
+
+def test_an_image_term_outside_the_target_basis_raises_where_it_did():
+    # x2^2 is no basis monomial of E(x1, x2): map_rank meets it as tau's
+    # image of x1*c in degree 6, after every check of the lower degrees
+    def broken():
+        seq = _toy_sequence({})
+        return _mutated(seq, "tau", seq.C, {"x1": 1, "c": 1}, lambda img: {(0, 2): 1})
+    assert outcome(check_les, broken(), 8) == outcome(reference_check_les, broken(), 8) \
+        == ("KeyError", "(0, 2)")
+
+
+def test_monomial_images_are_ranked_without_map_rank(monkeypatch):
+    calls = {"map_rank": 0, "index": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(les_checker, "map_rank", counted("map_rank", les_checker.map_rank))
+    monkeypatch.setattr(_Graded, "index", counted("index", _Graded.index))
+    check_les(ku_sequence(3, 0), 40)
+    assert calls == {"map_rank": 0, "index": 0}
+    check_les(ku_sequence(3, 1), 40)  # the ambiguity-1 boundary has two-term images
+    assert calls["map_rank"] > 0 and calls["index"] == calls["map_rank"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_finder_matches_a_linear_search(seed):
+    # column maxima up to 2^39 force one to four mixed-radix runs
+    rng = random.Random(seed)
+    runs = set()
+    for _ in range(60):
+        width = rng.randrange(6)
+        highs = [2 ** rng.randrange(1, 40) for _ in range(width)]
+        rows = sorted({tuple(rng.randrange(h) for h in highs) for _ in range(rng.randrange(40))})
+        mat = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+        finder = RowFinder(mat)
+        runs.add(len(finder.runs))
+        queries = rows[:10] + [tuple(rng.randrange(-2, 2 ** 40) for _ in range(width))
+                               for _ in range(rng.randrange(1, 8))]
+        got = finder.find(np.array(queries, dtype=np.int64).reshape(len(queries), width))
+        assert got.tolist() == [rows.index(q) if q in rows else -1 for q in queries]
+    assert len(runs) > 1

@@ -66,13 +66,16 @@ def test_report_digests_match_the_catalog_golden():
 def test_page_turns_and_the_tor_oracle_never_import_numpy_ma():
     # bare np.unique, and np.isin on arrays, import numpy.ma on first use,
     # which costs a fresh process 11-14 ms and 1.6 MiB; thh-ell-log adds
-    # the monomial maps of check_morphism
+    # the monomial maps of check_morphism, les-ell and les-ku the image
+    # tables of check_les
     script = (
         "import sys\n"
         "from thhlab import graded_algebra as ga, tor_engine as tor\n"
         "from thhlab.scenarios import run_scenario\n"
         "assert run_scenario('thh-ku-ss', 3, 60).ok\n"
         "assert run_scenario('thh-ell-log', 3, 60).ok\n"
+        "assert run_scenario('les-ell', 3, 30).ok\n"
+        "assert run_scenario('les-ku', 3, 30).ok\n"
         "alg = ga.make_algebra(3, [ga.exterior('y', 3), ga.polynomial('x', 2), ga.polynomial('w', 4)])\n"
         "tor.tor_oracle(alg, tor.fp_module(alg), tor.fp_module(alg), 14)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
