@@ -27,6 +27,7 @@ Mono = tuple[int, ...]
 TermDict = dict[Mono, int]
 
 KINDS = ("exterior", "polynomial", "truncated", "divided")
+_NO_LIMIT = int(np.iinfo(np.int64).max)  # the exponent limit of a polynomial or divided slot
 
 
 class GradedError(Exception):
@@ -204,6 +205,12 @@ class AlgebraSpec:
         object.__setattr__(
             self, "_odd_slots", tuple(i for i, g in enumerate(self.generators) if g.is_odd)
         )
+        # for mul_rows: the largest exponent of each slot, and the divided slots
+        object.__setattr__(self, "_limits", np.array(
+            [1 if g.kind == "exterior" else (g.height or 0) - 1 if g.kind == "truncated"
+             else _NO_LIMIT for g in self.generators], dtype=np.int64))
+        object.__setattr__(self, "_divided_slots", tuple(
+            i for i, g in enumerate(self.generators) if g.kind == "divided"))
         object.__setattr__(self, "_degrees", tuple(g.total_degree for g in self.generators))
         object.__setattr__(self, "_filtrations", tuple(g.filtration for g in self.generators))
         object.__setattr__(self, "_inner", tuple(g.degree for g in self.generators))
@@ -289,11 +296,8 @@ class AlgebraSpec:
         odd = list(self._odd_slots)  # type: ignore[attr-defined]
         later = np.cumsum(A[:, odd[::-1]], axis=1)[:, ::-1] - A[:, odd]
         coeff = np.where((B[:, odd] * later).sum(axis=1) % 2, p - 1, 1)
-        limits = np.array([1 if g.kind == "exterior" else (g.height or 0) - 1
-                           if g.kind == "truncated" else np.iinfo(np.int64).max
-                           for g in self.generators], dtype=np.int64)
-        coeff[((E > limits) & (B > 0)).any(axis=1)] = 0
-        for i in (i for i, g in enumerate(self.generators) if g.kind == "divided"):
+        coeff[((E > self._limits) & (B > 0)).any(axis=1)] = 0  # type: ignore[attr-defined]
+        for i in self._divided_slots:  # type: ignore[attr-defined]
             both = np.flatnonzero((A[:, i] > 0) & (B[:, i] > 0))
             nk = np.stack((E[both, i], B[both, i]), axis=1)
             ids = lex_ids(nk)
@@ -645,7 +649,8 @@ def algebra_map(
     """Multiplicative extension of generator images, and its relation checks.
 
     source may be an AlgebraSpec or a Presentation (anything exposing
-    generators via .algebra and optionally .rules).  images maps every source
+    generators via .algebra and optionally .rules, with their "lhs -> rhs"
+    texts as .rule_texts).  images maps every source
     generator name to a target element (mono dict, or (coeff, {name: exp})
     pairs).  Divided source generators only support images c * (single
     divided target generator); anything else raises UnsupportedKind since a
@@ -730,11 +735,10 @@ def algebra_map(
             for _ in range(g.height or 0):
                 power = target.mul_dicts(power, img[g.name])
             relation_results.append((f"{g.name}^{g.height} -> 0", not power))
-    for rule in getattr(source, "rules", ()):
+    for rule, desc in zip(source.rules, source.rule_texts) if hasattr(source, "rules") else ():
         lhs_img = image_of_mono(rule.lhs)
         rhs_img = target.linear(image_of_mono, rule.rhs)
         diff = target.add_dicts(lhs_img, target.scale_dict(-1, rhs_img))
-        desc = f"{src_alg.format_mono(rule.lhs)} -> {src_alg.format_dict(rule.rhs)}"
         relation_results.append((desc, not diff))
     return image_of_mono, tuple(relation_results)
 

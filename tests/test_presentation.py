@@ -10,9 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thhlab import presentation
+from thhlab.cli import main
+from thhlab.fp_linalg import PrimeField
 from thhlab.graded_algebra import (
     DegreeMismatch,
     UnsupportedKind,
+    check_morphism,
     divided,
     exterior,
     make_algebra,
@@ -28,6 +32,8 @@ from thhlab.presentation import (
     hilbert_pres,
     make_theta,
 )
+from thhlab.les_checker import check_les, ku_sequence
+from thhlab.scenarios import _theta_sigma_images
 
 
 def theta(p, with_l1=False):
@@ -321,3 +327,74 @@ def test_rewrite_mismatch_survives_optimize():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
     assert done.returncode == 0
+
+
+# -- one theta per key, one walk per cap, one text per rule ------------------
+
+
+def test_make_theta_returns_one_object_per_key():
+    l1 = exterior("l1", 9)
+    with_l1 = make_theta(5, (l1,))
+    assert make_theta(PrimeField(5), [exterior("l1", 9)]) is with_l1
+    assert make_theta(5, extra_generators=[l1]) is with_l1
+    plain = make_theta(PrimeField(5))
+    assert make_theta(5, []) is plain
+    assert plain is not with_l1 and plain.algebra != with_l1.algebra
+    other = make_theta(7)
+    assert other is not plain and other.algebra.field.p == 7
+    with pytest.raises(ValueError, match="odd prime"):
+        make_theta(9)
+
+
+def test_shared_theta_tables_survive_the_catalog(tmp_path):
+    main(["run", "--all", "--prime", "5", "--format", "json", "--out", str(tmp_path / "r.json")])
+    shared = make_theta(5, (exterior("l1", 9),))
+    assert 70 in shared._bases  # the catalog walked it at the default cap 2p^2 + 4p
+    for cap, table in shared._bases.items():
+        assert table == Presentation(shared.algebra, shared.rules).basis_by_degree(cap)
+
+
+def test_both_ku_sequences_walk_theta_once(monkeypatch):
+    presentation._theta.cache_clear()
+    caps = []
+    walk = presentation._walk_monomials
+
+    def counted(degrees, limits, cap, closing):
+        caps.append(cap)
+        return walk(degrees, limits, cap, closing)
+
+    monkeypatch.setattr(presentation, "_walk_monomials", counted)
+    for ambiguity in (0, 1):
+        check_les(ku_sequence(3, ambiguity), cap=40)
+    assert caps == [40]
+
+
+def old_rule_text(alg, rule):
+    """A rule's description as algebra_map and check_derivation formatted it
+    for each check before the texts were kept on the presentation."""
+    return f"{alg.format_mono(rule.lhs)} -> {alg.format_dict(rule.rhs)}"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rule_texts_keep_the_relation_descriptions(p):
+    seq = ku_sequence(p)
+    alg, rules = seq.A.algebra, seq.A.rules
+    want = [old_rule_text(alg, rule) for rule in rules]
+    morph = check_morphism(seq.A, seq.B, seq.rho, 2 * p * p)
+    assert [desc for desc, _ in morph.relation_results[-len(rules):]] == want
+    mutated = _theta_sigma_images(p)
+    mutated["b1"] = [(2, {"a1": 1})]  # the mutation-detected carrier
+    report = check_derivation(seq.A, DerivationSpec(mutated))
+    assert [desc for desc, _, _ in report.checks[-len(rules):]] == [
+        f"sigma compatible with {text}" for text in want]
+
+
+def test_broken_rho_message_is_unchanged():
+    spec = ku_sequence(5)
+    spec.rho = {**spec.rho, "b2": [(2, {"u": 1, "k1": 2})]}
+    with pytest.raises(ValueError) as info:
+        check_les(spec, cap=20)
+    assert str(info.value) == (
+        "rho is not an algebra map: b1^2 -> u*b2; b1*b2 -> u*b3; b2^2 -> u*b4; "
+        "b2*b3 -> u^2*m2; b2*b4 -> u*m2*b1; b3*b4 -> u*m2*b2; a0*b2 -> u*a2; "
+        "a1*b2 -> u*a3; a2*b2 -> u*a4; a3*b2 -> u*m2*a0; a4*b2 -> u*m2*a1")
