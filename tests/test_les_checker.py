@@ -118,8 +118,13 @@ def test_ku_broken_relation_image_rejected():
     # at p=5 scaling rho(b2) breaks b1*b1 -> u*b2 before any exactness runs
     spec = ku_sequence(5)
     spec.rho = {**spec.rho, "b2": [(2, {"u": 1, "k1": 2})]}
-    with pytest.raises(ValueError, match="algebra map"):
+    with pytest.raises(ValueError) as info:
         check_les(spec, cap=20)
+    # every failing relation is named by its rule text, in rule order
+    assert str(info.value) == (
+        "rho is not an algebra map: b1^2 -> u*b2; b1*b2 -> u*b3; b2^2 -> u*b4; "
+        "b2*b3 -> u^2*m2; b2*b4 -> u*m2*b1; b3*b4 -> u*m2*b2; a0*b2 -> u*a2; "
+        "a1*b2 -> u*a3; a2*b2 -> u*a4; a3*b2 -> u*m2*a0; a4*b2 -> u*m2*a1")
 
 
 # -- degenerate shapes --------------------------------------------------------
