@@ -1,7 +1,16 @@
 #!/usr/bin/env python3
-"""Run every built-in scenario across a sweep of primes and report timings."""
+"""Run every built-in scenario across a sweep of primes and report timings.
+
+After the last scenario it prints the process's peak resident set size to
+stderr, so that
+
+    PYTHONPATH=src python scripts/run_catalog.py --primes 53 --format json > /dev/null
+
+reads the peak of the p = 53 catalog (ru_maxrss, which Linux gives in KiB).
+"""
 
 import argparse
+import resource
 import sys
 import time
 
@@ -28,6 +37,8 @@ def main(argv=None) -> int:
                 print(f"  elapsed {elapsed:.2f}s\n")
             if not report.ok:
                 failed += 1
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak RSS {peak / 1024:.1f} MiB", file=sys.stderr)
     return 1 if failed else 0
 
 

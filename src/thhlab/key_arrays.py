@@ -11,14 +11,17 @@ with it.
 A KeyTable holds the (monomial, label) keys of a spectral-sequence page,
 one array entry per key: the row of its monomial in a list of monomials,
 its label index (-1: none) and its bidegree s, t.  The keys fall into
-buckets, one per bidegree.  Counts need only the bucket sizes, which the
-basis walk counts; the (monomial, label) tuples are built one bucket at a
-time, on request.
+buckets, one per bidegree, whose bidegrees (heads) and sizes are arrays
+too.  One basis walk builds the exponent matrix and, by one matrix
+product, every bidegree, and one stable argsort finds the buckets in the
+order the keys first reach them, so a page that is only counted is never
+sorted; the (monomial, label) tuples are built one bucket at a time, on
+request.
 """
 
 from __future__ import annotations
 
-import operator
+import itertools
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
@@ -94,25 +97,20 @@ class RowFinder:
 
 class KeyTable:
     """Key i is monos[row[i]] with label[i] at bidegree (s[i], t[i]); bucket
-    b holds the sizes[b] keys at bidegrees[b], a tuple, which is heads[b] as
-    an array row.  A table from walk() may start with its keys unsorted, or
-    on a plain page with no key arrays at all: its bucket sizes are enough to
-    count.  sort() builds the arrays and puts the keys in bucket order, one
-    bucket after another, each in (monomial, label) order; it keeps the
-    bucket bidegrees as an array only.  mat holds the exponents of monos, one
-    row each, on a table from walk()."""
+    b holds the sizes[b] keys at bidegree heads[b], an array row.  A table
+    from walk() starts with its keys in walk order, which is enough to count,
+    and on a plain page with row and label None, since key i is monos[i],
+    unlabeled; sort() puts the keys in bucket order, one bucket after
+    another, each in (monomial, label) order.  mat holds the exponents of
+    monos, one row each, on a table from walk()."""
 
     def __init__(self, monos: list[Mono], row: Optional[np.ndarray], label: Optional[np.ndarray],
-                 s: Optional[np.ndarray], t: Optional[np.ndarray],
-                 bidegrees: list[tuple[int, int]] | np.ndarray, sizes: list[int],
-                 mat: Optional[np.ndarray] = None, spec: Optional[AlgebraSpec] = None):
-        self.monos, self.mat, self._spec = monos, mat, spec
+                 s: np.ndarray, t: np.ndarray, heads: np.ndarray, sizes: np.ndarray,
+                 mat: Optional[np.ndarray] = None, ordered: bool = True):
+        self.monos, self.mat = monos, mat
         self.row, self.label, self.s, self.t = row, label, s, t
-        self.sizes = sizes
-        self._bidegrees, self._heads = bidegrees, None
-        if isinstance(bidegrees, np.ndarray):
-            self._bidegrees, self._heads = None, bidegrees
-        self._sorted = mat is None and spec is None  # only walk() tables need sort()
+        self.heads, self.sizes = heads, sizes
+        self._sorted = ordered
         self._ends: Optional[np.ndarray] = None
         self._at: Optional[dict[tuple[int, int], int]] = None
 
@@ -120,39 +118,43 @@ class KeyTable:
     def walk(cls, spec: AlgebraSpec, labels: Optional[Sequence], work_cap: int) -> "KeyTable":
         """Every key of degree <= work_cap, from one walk of the spec: a label
         of shift d takes the monomials of degree <= work_cap - d (those with
-        a divided factor only if it allows gamma).  Keys are enumerated
-        monomial by monomial, labels by shift, and the buckets are placed in
-        the order that enumeration first reaches their bidegrees.  A plain
-        page's keys are its monomials, so their bidegrees are counted as
-        they come, and sort() builds the arrays if they are needed."""
-        table = spec.basis_by_degree(work_cap)
-        monos = [m for n in range(work_cap + 1) for m in table[n]]
-        counts: dict[tuple[int, int], int] = {}
-        if labels is None:
-            filtrations = [g.filtration for g in spec.generators]
-            for n in range(work_cap + 1):
-                for m in table[n]:
-                    s = sum(map(operator.mul, m, filtrations))
-                    counts[s, n - s] = counts.get((s, n - s), 0) + 1
-            return cls(monos, None, None, None, None, list(counts), list(counts.values()),
-                       spec=spec)
-        mat = _exponents(spec, monos)
-        s, t = _bidegrees(spec, mat)
-        by_shift = np.array(sorted(range(len(labels)), key=lambda li: labels[li].shift),
-                            dtype=np.int64)
-        shift = np.array([labels[li].shift for li in by_shift], dtype=np.int64)
-        allows = np.array([labels[li].allows_gamma for li in by_shift], dtype=bool)
-        plain = ~mat[:, [g.kind == "divided" for g in spec.generators]].any(axis=1)
-        # the labels (by shift) that fit each monomial, minus gamma refusals
-        fit = np.searchsorted(shift, work_cap - s - t, side="right")
-        row = np.repeat(np.arange(len(monos)), fit)
-        pos = np.arange(row.size) - np.repeat(np.cumsum(fit) - fit, fit)
-        ok = allows[pos] | plain[row]
-        row, pos = row[ok], pos[ok]
-        label, s, t = by_shift[pos], s[row], t[row] + shift[pos]
-        for bd in zip(s.tolist(), t.tolist()):
-            counts[bd] = counts.get(bd, 0) + 1
-        return cls(monos, row, label, s, t, list(counts), list(counts.values()), mat)
+        a divided factor only if it allows gamma); on a plain page the keys
+        are the monomials.  One matrix product gives the monomials'
+        bidegrees, and each key's are its monomial's, shifted by its label.
+        A monomial is paired only with the labels that take it, so the pair
+        arrays hold exactly the keys.  Keys are enumerated monomial by
+        monomial, labels by shift, and the buckets are placed in the order
+        that enumeration first reaches their bidegrees (_first_appearance)."""
+        # no label takes a monomial above top; the basis comes by degree
+        top = work_cap - min((lab.shift for lab in labels), default=0) if labels else work_cap
+        monos = list(itertools.chain.from_iterable(spec.basis_by_degree(top).values()))
+        k, width = len(spec.generators), work_cap + 1
+        mat = np.fromiter(itertools.chain.from_iterable(monos), np.int64,
+                          len(monos) * k).reshape(len(monos), k)
+        # one product gives each monomial's s, t and code s * width + t
+        stc = mat.dot(np.array([(f, d, f * width + d) for f, d in zip(
+            spec._filtrations, spec._inner)], dtype=np.int64).reshape(k, 3))  # type: ignore[attr-defined]
+        row = label = None  # a plain page's keys are its monomials, unlabeled: see sort()
+        if labels is not None:
+            shift = np.array([lab.shift for lab in labels], dtype=np.int64)
+            by_shift = np.argsort(shift, kind="stable")
+            shift = shift[by_shift]
+            allowed = np.flatnonzero([labels[li].allows_gamma for li in by_shift])
+            plain = ~mat[:, spec._divided_slots].any(axis=1)  # type: ignore[attr-defined]
+            # a monomial with a divided factor counts against the labels that
+            # allow gamma only, a subsequence of the labels by shift
+            room = work_cap - stc[:, 0] - stc[:, 1]
+            fit = np.where(plain, shift.searchsorted(room, "right"),
+                           shift[allowed].searchsorted(room, "right"))
+            row = np.repeat(np.arange(len(monos)), fit)
+            pos = np.arange(row.size) - np.repeat(np.cumsum(fit) - fit, fit)
+            gamma = np.flatnonzero(~plain[row])
+            pos[gamma] = allowed[pos[gamma]]
+            label, stc = by_shift[pos], stc[row]
+            stc[:, 1:] += shift[pos, None]  # a label shifts t, and with it the code
+        first, sizes = _first_appearance(stc[:, 2])
+        return cls(monos, row, label, stc[:, 0], stc[:, 1], stc[first, :2], sizes, mat,
+                   ordered=False)
 
     @classmethod
     def from_buckets(cls, buckets: Mapping[tuple[int, int], Sequence[PageKey]]) -> "KeyTable":
@@ -166,40 +168,34 @@ class KeyTable:
             s += [bs] * len(keys)
             t += [bt] * len(keys)
         return cls(list(row_of), *(np.array(a, dtype=np.int64) for a in (rows, labels, s, t)),
-                   list(buckets), [len(ks) for ks in buckets.values()])
+                   np.array(list(buckets), dtype=np.int64).reshape(len(buckets), 2),
+                   np.array([len(ks) for ks in buckets.values()], dtype=np.int64))
 
     def sort(self) -> "KeyTable":
         """Put the keys of a table from walk() in bucket order, each bucket in
-        (monomial, label) order."""
+        (monomial, label) order, by one stable sort of the bucket of each
+        key (one sorted search of the heads) and its lexicographic row id."""
         if not self._sorted:
-            if self.mat is None:  # a plain page: key i is monos[i], unlabeled
-                n = len(self.monos)
-                self.mat = _exponents(self._spec, self.monos)
-                self.s, self.t = _bidegrees(self._spec, self.mat)
-                self.row, self.label = np.arange(n), np.full(n, -1, dtype=np.int64)
+            if self.row is None:
+                self.row = np.arange(len(self.monos))
+                self.label = np.full(len(self.monos), -1, dtype=np.int64)
             key = self.bucket_of(self.s, self.t) * len(self.monos) + lex_ids(self.mat)[self.row]
             perm = np.argsort(key * (self.label.max(initial=-1) + 2) + self.label + 1,
                               kind="stable")
             self.row, self.label, self.s, self.t = (a[perm] for a in (self.row, self.label,
                                                                        self.s, self.t))
-            self._sorted, self._bidegrees = True, None
+            self._sorted = True
         return self
 
     @property
-    def heads(self) -> np.ndarray:
-        if self._heads is None:
-            self._heads = np.array(self._bidegrees, dtype=np.int64).reshape(-1, 2)
-        return self._heads
-
-    @property
     def bidegrees(self) -> list[tuple[int, int]]:
-        if self._bidegrees is None:
-            self._bidegrees = list(zip(self.heads[:, 0].tolist(), self.heads[:, 1].tolist()))
-        return self._bidegrees
+        """The bucket bidegrees as tuples, in bucket order."""
+        return list(map(tuple, self.heads.tolist()))
 
     def dims(self, cap: int) -> dict[tuple[int, int], int]:
         """The size of each bucket up to total degree cap, in bucket order."""
-        return {bd: n for bd, n in zip(self.bidegrees, self.sizes) if sum(bd) <= cap}
+        return {(s, t): n for (s, t), n in zip(self.heads.tolist(), self.sizes.tolist())
+                if s + t <= cap}
 
     def bucket_of(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The bucket at each bidegree (s, t), s >= 0, by one sorted search;
@@ -208,10 +204,11 @@ class KeyTable:
         code = np.where(t < 0, -1, s * width + t)
         return _lookup(self.heads[:, 0] * width + self.heads[:, 1], code, -1)
 
-    def bucket_at(self) -> dict[tuple[int, int], int]:
+    def bucket_at(self, s: int, t: int) -> Optional[int]:
+        """The bucket at bidegree (s, t), None where there is none."""
         if self._at is None:
             self._at = {bd: b for b, bd in enumerate(self.bidegrees)}
-        return self._at
+        return self._at.get((s, t))
 
     def key(self, i: int) -> PageKey:
         li = self.label.item(i)
@@ -222,7 +219,7 @@ class KeyTable:
         if self._ends is None:
             self._ends = np.cumsum(self.sizes)
         hi = self._ends.item(b)
-        lo, monos = hi - self.sizes[b], self.monos
+        lo, monos = hi - self.sizes.item(b), self.monos
         return tuple((monos[r], None if li < 0 else li)
                      for r, li in zip(self.row[lo:hi].tolist(), self.label[lo:hi].tolist()))
 
@@ -253,21 +250,19 @@ class KeyTable:
         at = np.flatnonzero(found >= 0)
         return at, found[at]
 
-    def masked(self, keep: np.ndarray, buckets: np.ndarray, sizes: list[int]) -> "KeyTable":
+    def masked(self, keep: np.ndarray, buckets: np.ndarray, sizes: np.ndarray) -> "KeyTable":
         """The keys of a sorted table where keep holds, which fill exactly
         the given buckets, with the given sizes."""
         return KeyTable(self.monos, self.row[keep], self.label[keep], self.s[keep],
                         self.t[keep], self.heads[buckets], sizes)
 
 
-def _exponents(spec: AlgebraSpec, monos: list[Mono]) -> np.ndarray:
-    """The exponents of monos, one row each."""
-    return np.array(monos, dtype=np.int64).reshape(len(monos), len(spec.generators))
-
-
-def _bidegrees(spec: AlgebraSpec, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bidegree (s, t) of each row of exponents, by one matrix product."""
-    gens = spec.generators
-    st = mat @ np.array([(g.filtration, g.degree) for g in gens],
-                        dtype=np.int64).reshape(len(gens), 2)
-    return st[:, 0], st[:, 1]
+def _first_appearance(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of the first appearance of each distinct code, ascending,
+    and how often it appears.  After one stable sort each code's first
+    appearance leads its run, which one sorted search finds for every code;
+    counting the keys that each position leads gives both answers."""
+    order = code.argsort(kind="stable")
+    sizes = np.bincount(order[code[order].searchsorted(code)])
+    first = sizes.nonzero()[0]
+    return first, sizes[first]

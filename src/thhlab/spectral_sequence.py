@@ -14,14 +14,15 @@ fp_linalg.sparse_homology takes per connected component of the support of d.
 
 A page holds its keys in a key_arrays.KeyTable, as int64 arrays with one
 entry per key: the row of its monomial in one basis_by_degree walk, its
-label (-1 on a plain page), and its bidegree s, t, which a matrix product
-with the generators' degrees gives.  One stable sort puts the keys in
-bucket order: the bidegrees in the order the walk first reaches them, and
-inside each the order of the (monomial, label) tuples.  Totals and
-bigraded dimensions are bucket sizes, counted from the bidegrees during
-the walk, so a page that is only counted is never sorted; the tuples of
-PageKey are built bucket by bucket, and only when raw_buckets, survivors
-or keys_at is read.
+label (-1 on a plain page), and its bidegree s, t, which one matrix
+product with the generators' degrees gives, plain pages and labeled ones
+alike.  The buckets, one per bidegree in the order the walk first reaches
+it, come from one stable argsort as arrays of bidegrees and sizes.
+Bigraded dimensions are bucket sizes and totals an integer bincount of
+s + t, so a page that is only counted is never sorted; one stable sort
+puts the keys in bucket order, each bucket in the order of its (monomial,
+label) tuples, and those tuples of PageKey are built bucket by bucket,
+only when raw_buckets, survivors or keys_at is read.
 
 A turn evaluates d on exponent arrays, one row per term: on a plain page
 per factor x_i^e of a key and term of d(x_i^e), on a labeled page per key
@@ -41,7 +42,6 @@ graded under the filtration assignment, bidegree by bidegree.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -124,7 +124,7 @@ class Page:
         self._label_at = {L.name: i for i, L in enumerate(labels or ())}
         if labels is not None and len(self._label_at) != len(labels):
             raise ValueError("duplicate page labels")
-        self._gamma = tuple(i for i, g in enumerate(spec.generators) if g.kind == "divided")
+        self._gamma: tuple[int, ...] = spec._divided_slots  # type: ignore[attr-defined]
         self._raw = survivors is None
         self._keys = None if survivors is None else KeyTable.from_buckets(survivors)
         self._decoded: dict[tuple[int, int], tuple[PageKey, ...]] = {}
@@ -148,22 +148,27 @@ class Page:
         order the walk at work_cap first reaches them (KeyTable.walk)."""
         if not self._raw:
             return Page(self.spec, self.page_index, self.cap, self.labels).raw_buckets()
-        return {bd: self.keys_at(*bd) for bd in self._table().bidegrees}
+        return self._buckets()
 
     @property
     def survivors(self) -> Optional[dict[tuple[int, int], tuple[PageKey, ...]]]:
         """The surviving keys by bidegree on a turned page, None on a raw one."""
-        return None if self._raw else {bd: self.keys_at(*bd) for bd in self._table().bidegrees}
+        return None if self._raw else self._buckets()
+
+    def _buckets(self) -> dict[tuple[int, int], tuple[PageKey, ...]]:
+        table = self._table()
+        return {bd: self._keys_of(bd, b) for b, bd in enumerate(table.bidegrees)}
 
     def keys_at(self, s: int, t: int) -> tuple[PageKey, ...]:
         """The keys at (s, t): the survivors once turned, else the raw keys."""
-        if (s, t) not in self._decoded:
-            table = self._table()
-            b = table.bucket_at().get((s, t))
-            if b is None:
-                return ()
-            self._decoded[(s, t)] = table.keys(b)
-        return self._decoded[(s, t)]
+        b = self._table().bucket_at(s, t)
+        return () if b is None else self._keys_of((s, t), b)
+
+    def _keys_of(self, bd: tuple[int, int], b: int) -> tuple[PageKey, ...]:
+        """The keys of bucket b, at bd, decoded once."""
+        if bd not in self._decoded:
+            self._decoded[bd] = self._table().keys(b)
+        return self._decoded[bd]
 
     def key_bidegree(self, key: PageKey) -> tuple[int, int]:
         m, li = key
@@ -186,11 +191,11 @@ class Page:
 
     def total_dims(self, cap: Optional[int] = None) -> list[int]:
         """Dimensions by total degree 0..cap, counted once per page from the
-        bucket sizes; a smaller cap is a prefix."""
+        keys' bidegrees; a smaller cap is a prefix."""
         if self._totals is None:
-            self._totals = [0] * max(self.cap + 1, 0)
-            counts = self._table(sort=False).dims(self.cap).items()
-            for (s, t), n in itertools.chain(counts, (self.extra_classes or {}).items()):
+            table, size = self._table(sort=False), max(self.cap + 1, 0)
+            self._totals = np.bincount(table.s + table.t, minlength=size)[:size].tolist()
+            for (s, t), n in (self.extra_classes or {}).items():
                 if s + t <= self.cap:
                     self._totals[s + t] += n
         cap = self.cap if cap is None else min(cap, self.cap)
@@ -490,7 +495,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
             raise LeibnizConflict(f"Leibniz fails on {lo} * {hi}")
 
     table = page._table()
-    nb = len(table.sizes)
+    nb = table.sizes.size
     bucket = np.repeat(np.arange(nb), table.sizes)
     if d is None:
         rank_out = np.bincount(bucket[src], minlength=nb)
@@ -506,7 +511,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     # (s + r, t - r + 1); the survivors are the keys up to cap that live
     r, (bs, bt) = diff.r, table.heads.T
     up = table.bucket_of(bs + r, bt - r + 1)
-    dim_h = np.array(table.sizes) - rank_out - np.where(up >= 0, rank_out[up], 0)
+    dim_h = table.sizes - rank_out - np.where(up >= 0, rank_out[up], 0)
     window = bs + bt <= page.cap
     bad = np.flatnonzero(window & (dim_h < 0))
     if bad.size:
@@ -519,7 +524,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     full = np.flatnonzero(kept)
     next_page = Page(spec, r + 1, page.cap, page.labels, extra_classes=extra or None)
     next_page._raw = False
-    next_page._keys = table.masked(keep, full, kept[full].tolist())
+    next_page._keys = table.masked(keep, full, kept[full])
     # charge conservation: what one page loses is exactly the rank of d
     old = page.total_dims()
     new = next_page.total_dims()

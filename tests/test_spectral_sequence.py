@@ -40,6 +40,7 @@ from thhlab.spectral_sequence import (
     run_differential,
     verify_rule_family,
 )
+from thhlab.tor_engine import fp_module, tor_closed_form
 
 # -- the divided-power tower page: E(l1,l2) x P(m2) x E([v]) x Gamma([dv]) --------
 
@@ -579,16 +580,19 @@ def test_labeled_rule_sources_must_be_gamma_pure():
 
 def raw_buckets_by_scan(page):
     """Every label tested for every monomial, labels visited by shift, then
-    each bucket sorted: the buckets come in the order the scan reaches them."""
+    each bucket sorted: the buckets come in the order the scan reaches them.
+    On a plain page each monomial is one unlabeled key."""
     gamma = [i for i, g in enumerate(page.spec.generators) if g.kind == "divided"]
-    by_shift = sorted(range(len(page.labels)), key=lambda li: page.labels[li].shift)
+    if page.labels is None:
+        labels = [(None, PageLabel("none", 0))]
+    else:
+        labels = sorted(enumerate(page.labels), key=lambda item: item[1].shift)
     buckets = {}
     for n, monos in page.spec.basis_by_degree(page.work_cap).items():
         for m in monos:
             s, t = page.spec.bidegree_of(m)
             plain = not any(m[i] for i in gamma)
-            for li in by_shift:
-                lab = page.labels[li]
+            for li, lab in labels:
                 if n + lab.shift <= page.work_cap and (lab.allows_gamma or plain):
                     buckets.setdefault((s, t + lab.shift), []).append((m, li))
     return {bd: tuple(sorted(ks)) for bd, ks in buckets.items()}
@@ -598,17 +602,37 @@ def sec8_page(p, cap, alternative=False):
     return scenarios._sec8_page(p, cap, alternative)[2]
 
 
+def thhz_page(p, cap):
+    base, left = scenarios._tower_base(p)
+    return tor_closed_form(base, left, fp_module(base), cap)
+
+
 @pytest.mark.parametrize("make", [
     lambda: sec8_page(3, 40),
     lambda: sec8_page(3, 61, alternative=True),
     lambda: sec8_page(5, 70),
     lambda: module_page(cap=45, drop_z_from_free=True),
+    lambda: tower_page(3, 40),
+    lambda: thhz_page(3, 60),
+    lambda: tower_page(5, 90),
 ])
 def test_raw_buckets_match_a_scan_of_every_label(make):
+    # bucket order, key order, bigraded dimensions and totals, labeled
+    # pages with labels out of shift order and plain pages alike
     page = make()
-    shifts = [lab.shift for lab in page.labels]
-    assert shifts != sorted(shifts)
-    assert list(page.raw_buckets().items()) == list(raw_buckets_by_scan(page).items())
+    if page.labels is not None:
+        shifts = [lab.shift for lab in page.labels]
+        assert shifts != sorted(shifts)
+    scan = raw_buckets_by_scan(page)
+    window = [(bd, len(ks)) for bd, ks in scan.items() if sum(bd) <= page.cap]
+    totals = [0] * (page.cap + 1)
+    for (s, t), n in window:
+        totals[s + t] += n
+    # counting never sorts the keys, so count before and after they are read
+    assert list(page.bigraded_dims().items()) == window
+    assert page.total_dims() == totals
+    assert list(page.raw_buckets().items()) == list(scan.items())
+    assert list(page.bigraded_dims().items()) == window
 
 
 def test_key_table_finds_every_raw_key_and_no_other():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -53,6 +54,7 @@ def test_run_catalog_json_matches_the_catalog_golden():
         pos += 1  # each document ends in one newline
     golden = json.loads((ROOT / "tests" / "data" / "catalog-p3.json").read_text())
     assert len(docs) == 10 and docs == golden
+    assert re.fullmatch(r"peak RSS \d+\.\d MiB\n", done.stderr)  # stdout stays the reports
 
 
 def test_report_digests_match_the_catalog_golden():
@@ -65,19 +67,22 @@ def test_report_digests_match_the_catalog_golden():
 
 def test_page_turns_and_the_tor_oracle_never_import_numpy_ma():
     # bare np.unique, and np.isin on arrays, import numpy.ma on first use,
-    # which costs a fresh process 11-14 ms and 1.6 MiB; thh-ell-log adds
-    # the monomial maps of check_morphism, les-ell and les-ku the image
-    # tables of check_les
+    # which costs a fresh process 11-14 ms and 1.6 MiB; thhz turns a plain
+    # page, thh-ell-log adds the monomial maps of check_morphism, les-ell
+    # and les-ku the image tables of check_les, and the closed form counts
+    # the buckets of a plain page that is never sorted
     script = (
         "import sys\n"
         "from thhlab import graded_algebra as ga, tor_engine as tor\n"
         "from thhlab.scenarios import run_scenario\n"
+        "assert run_scenario('thhz', 3, 60).ok\n"
         "assert run_scenario('thh-ku-ss', 3, 60).ok\n"
         "assert run_scenario('thh-ell-log', 3, 60).ok\n"
         "assert run_scenario('les-ell', 3, 30).ok\n"
         "assert run_scenario('les-ku', 3, 30).ok\n"
         "alg = ga.make_algebra(3, [ga.exterior('y', 3), ga.polynomial('x', 2), ga.polynomial('w', 4)])\n"
         "tor.tor_oracle(alg, tor.fp_module(alg), tor.fp_module(alg), 14)\n"
+        "assert tor.tor_closed_form(alg, tor.fp_module(alg), tor.fp_module(alg), 14).bigraded_dims(14)\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
     done = _run(["-c", script])

@@ -283,6 +283,32 @@ def test_counted_ranks_read_the_entries_of_one_row_and_one_column_blocks(monkeyp
             resolution(alg, 12)
 
 
+def test_a_stacked_rank_one_short_fails_the_check(monkeypatch):
+    # on P(x2) ox P(w4) ox E(y1) the check takes the ranks of 26 level
+    # blocks of three rows and three columns in one stack_ranks call, so
+    # those ranks decide the verdict: one of them one short must fail it
+    alg = make_algebra(3, [polynomial("x", 2), polynomial("w", 4), exterior("y", 1)])
+    stack_ranks, shapes = tor_engine.stack_ranks, []
+
+    def spy(field, stack):
+        shapes.append(stack.shape)
+        return stack_ranks(field, stack)
+
+    monkeypatch.setattr(tor_engine, "stack_ranks", spy)
+    resolution(alg, 14)
+    assert shapes == [(26, 3, 3)]
+
+    def short(field, stack):
+        ranks = stack_ranks(field, stack)
+        assert ranks[0] > 0
+        ranks[0] -= 1
+        return ranks
+
+    monkeypatch.setattr(tor_engine, "stack_ranks", short)
+    with pytest.raises(AssertionError, match="not a resolution"):
+        resolution(alg, 14)
+
+
 def test_key_lookup_marks_absent_keys():
     keys = np.array([40, 7, 19, -3], dtype=np.int64)
     queries = np.array([[19, 8], [-3, 41], [40, -4], [7, 0]], dtype=np.int64)
