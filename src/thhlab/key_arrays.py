@@ -106,11 +106,11 @@ class KeyTable:
 
     def __init__(self, monos: list[Mono], row: Optional[np.ndarray], label: Optional[np.ndarray],
                  s: np.ndarray, t: np.ndarray, heads: np.ndarray, sizes: np.ndarray,
-                 mat: Optional[np.ndarray] = None, ordered: bool = True):
+                 mat: Optional[np.ndarray] = None):
         self.monos, self.mat = monos, mat
         self.row, self.label, self.s, self.t = row, label, s, t
         self.heads, self.sizes = heads, sizes
-        self._sorted = ordered
+        self._sorted = mat is None  # only walk() tables, which keep mat, need sort()
         self._ends: Optional[np.ndarray] = None
         self._at: Optional[dict[tuple[int, int], int]] = None
 
@@ -153,8 +153,7 @@ class KeyTable:
             label, stc = by_shift[pos], stc[row]
             stc[:, 1:] += shift[pos, None]  # a label shifts t, and with it the code
         first, sizes = _first_appearance(stc[:, 2])
-        return cls(monos, row, label, stc[:, 0], stc[:, 1], stc[first, :2], sizes, mat,
-                   ordered=False)
+        return cls(monos, row, label, stc[:, 0], stc[:, 1], stc[first, :2], sizes, mat)
 
     @classmethod
     def from_buckets(cls, buckets: Mapping[tuple[int, int], Sequence[PageKey]]) -> "KeyTable":
