@@ -12,7 +12,10 @@ Each record holds the median and quartiles over the seeds of every
 end-to-end metric, the per-layer metrics of one `--trace 1` run at the
 first seed, and the environment block that `bench/run.py` writes next to
 its raw passes.  It prints, per metric, in how many pairs the change is
-better than the parent.  Runs go one at a time.  A run that exits nonzero
+better than the parent, and the change-minus-parent median beside the
+parent's interquartile spread, so that a claimed gain can be read off: it
+needs nine pairs in ten and a shift larger than that spread.  Runs go one
+at a time.  A run that exits nonzero
 or reports `correct: false` makes the record fail (exit 1), and nothing is
 written.
 """
@@ -50,6 +53,17 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def median_shift(parent: dict, change: dict, better: str) -> str:
+    """One metric's change-minus-parent median beside the parent's
+    interquartile spread (two spread() records), and where the shift falls:
+    "better" or "worse" when it is larger than the spread, else "within"."""
+    shift = change["median"] - parent["median"]
+    width = parent["q3"] - parent["q1"]
+    gain = -shift if better == "lower" else shift
+    verdict = "within" if abs(shift) <= width else ("better" if gain > 0 else "worse")
+    return f"{shift:+.4g} against {width:.4g} {verdict}"
 
 
 def main(argv=None) -> int:
@@ -121,6 +135,13 @@ def main(argv=None) -> int:
             sign = 1 if m["better"] == "lower" else -1
             wins.append(f"{m['name']} {sum(sign * (x - y) > 0 for x, y in zip(a, b))}/{len(a)}")
         print(f"  {name}: " + ", ".join(wins))
+    print(f"median of {outs[1]} minus median of {outs[0]}, against the quartile "
+          f"spread of {outs[0]}:")
+    for name in records[0]["workloads"]:
+        parent, change = (r["workloads"][name]["end_to_end"] for r in records)
+        print(f"  {name}: " + ", ".join(
+            f"{m['name']} {median_shift(parent[m['name']], change[m['name']], m['better'])}"
+            for m in metrics))
     return 0
 
 

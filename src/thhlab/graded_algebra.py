@@ -464,19 +464,21 @@ def dims_shift(a: Sequence[int], shift: int, cap: int) -> list[int]:
     return out
 
 
-def generator_dims(g: Generator, cap: int) -> list[int]:
-    s = [0] * (cap + 1)
-    for e in range(g.max_exponent(cap) + 1):
-        s[e * g.total_degree] = 1
-    return s
-
-
 def hilbert(spec: AlgebraSpec, cap: int) -> list[int]:
-    """Dimensions by total degree 0..cap (coefficient factors are unit)."""
+    """Dimensions by total degree 0..cap (coefficient factors are unit).  A
+    generator of degree d and top exponent E multiplies the series by
+    1 + x^d + ... + x^(Ed): new[n] = out[n] + new[n - d] - out[n - (E + 1)d]."""
     out = [0] * (cap + 1)
     out[0] = 1
     for g in spec.generators:
-        out = dims_convolve(out, generator_dims(g, cap), cap)
+        d = g.total_degree
+        span = (g.max_exponent(cap) + 1) * d
+        new = out[:]
+        for n in range(d, min(span, cap + 1)):
+            new[n] += new[n - d]
+        for n in range(span, cap + 1):
+            new[n] += new[n - d] - out[n - span]
+        out = new
     return out
 
 

@@ -1,12 +1,12 @@
 """Keys as int64 arrays: sorted lookups, lexicographic ids, page key tables.
 
 _lookup finds integer keys by one sorted search.  The Tor check looks up
-its packed resolution words with it, and a page turn the targets of d.
-lex_ids numbers the distinct rows of an exponent matrix; graded_algebra
+its packed resolution words with it.  lex_ids numbers the distinct rows of
+an integer matrix, packed into mixed-radix codes (_runs); graded_algebra
 takes distinct binomials and distinct image monomials with it, so this
-module imports graded_algebra for type hints only.  A RowFinder finds
-exponent rows in a basis table; the exactness check looks up its products
-with it.
+module imports graded_algebra for type hints only.  RowFinder, the one row
+locator, finds rows in a table: page keys and the exactness check's
+products.
 
 A KeyTable holds the (monomial, label) keys of a spectral-sequence page,
 one array entry per key: the row of its monomial in a list of monomials,
@@ -22,6 +22,7 @@ request.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
@@ -41,14 +42,40 @@ def _lookup(keys: np.ndarray, queries: np.ndarray, missing: int) -> np.ndarray:
     return np.where(keys[order[at]] == queries, order[at], missing)
 
 
+def _runs(radices: list[int]) -> list[tuple[slice, np.ndarray]]:
+    """Columns of the given radices in runs whose radices multiply to below
+    2^63 (a column whose radix alone reaches it runs alone), each with its
+    columns' mixed-radix multipliers, the first column most significant, so
+    that a run's codes order its rows lexicographically."""
+    bounds, mult = [0], 1
+    for j, radix in enumerate(radices):
+        if mult * radix >= 2**63 and j > bounds[-1]:
+            bounds.append(j)
+            mult = 1
+        mult *= radix
+    bounds.append(len(radices))
+    return [(slice(lo, hi), np.array([math.prod(radices[j + 1:hi]) for j in range(lo, hi)],
+                                     dtype=np.int64)) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _pack(rows: np.ndarray, runs: list[tuple[slice, np.ndarray]]) -> np.ndarray:
+    """The code of each row in each run, one column per run."""
+    return np.stack([rows[:, cols] @ mult for cols, mult in runs], axis=1)
+
+
 def lex_ids(mat: np.ndarray) -> np.ndarray:
     """Dense ids of the rows of an integer matrix, in lexicographic order:
-    equal rows share an id.  One stable sort per column, the last first."""
+    equal rows share an id.  One stable sort per packed run (_runs), the
+    last first; each column's entries, and 0, must span less than 2^63."""
+    low = mat.min(axis=0, initial=0)
+    codes = _pack(mat - low, _runs([hi - lo + 1 for hi, lo in zip(
+        mat.max(axis=0, initial=0).tolist(), low.tolist())]))
     order = np.arange(mat.shape[0])
-    for c in reversed(range(mat.shape[1])):
-        order = order[np.argsort(mat[order, c], kind="stable")]
+    for c in reversed(range(codes.shape[1])):
+        order = order[np.argsort(codes[order, c], kind="stable")]
+    codes = codes[order]
     new = np.ones(order.size, dtype=bool)
-    new[1:] = (mat[order[1:]] != mat[order[:-1]]).any(axis=1)
+    new[1:] = (codes[1:] != codes[:-1]).any(axis=1)
     ids = np.empty(order.size, dtype=np.int64)
     ids[order] = np.cumsum(new) - 1
     return ids
@@ -57,42 +84,29 @@ def lex_ids(mat: np.ndarray) -> np.ndarray:
 class RowFinder:
     """Finds exponent rows among the distinct rows of a nonnegative integer
     matrix by one sorted search.  Each row is packed into mixed-radix codes,
-    one per run of columns whose radices multiply to below 2^63, so no code
-    overflows: column j takes the values 0..top[j], where top[j] is one past
-    the matrix's largest entry there, and a query entry outside 0..top[j] - 1
-    becomes top[j], which no row of the matrix holds.  With one run the code
-    is the row; with several, the queries and the matrix rows that share a
-    first-run code with one of them are numbered together by lex_ids."""
+    one per run of columns (_runs): column j takes the values 0..top[j],
+    where top[j] is one past the matrix's largest entry there, and a query
+    entry outside 0..top[j] - 1 becomes top[j], which no row of the matrix
+    holds.  With one run the code is the row; with several, lex_ids numbers
+    the matrix rows and the queries together."""
 
     def __init__(self, mat: np.ndarray) -> None:
         self.top = mat.max(axis=0, initial=-1) + 1
-        self.runs: list[tuple[slice, np.ndarray]] = []
-        lo, mult = 0, [1]
-        for j, radix in enumerate((self.top + 1).tolist()):
-            if mult[-1] * radix >= 2**63:
-                self.runs.append((slice(lo, j), np.array(mult[:-1], dtype=np.int64)))
-                lo, mult = j, [1]
-            mult.append(mult[-1] * radix)
-        self.runs.append((slice(lo, mat.shape[1]), np.array(mult[:-1], dtype=np.int64)))
-        self.codes = self._pack(mat)
-        self.order = np.argsort(self.codes[:, 0], kind="stable")
-        self.first = self.codes[self.order, 0]  # ascending
-
-    def _pack(self, rows: np.ndarray) -> np.ndarray:
-        return np.stack([rows[:, cols] @ mult for cols, mult in self.runs], axis=1)
+        self.runs = _runs((self.top + 1).tolist())
+        codes = _pack(mat, self.runs)
+        self.order = np.argsort(codes[:, 0], kind="stable")
+        self.codes = codes[self.order]  # ascending in the first run
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """The index of each row among the matrix's rows, -1 where absent."""
-        codes = self._pack(np.where((rows < 0) | (rows > self.top), self.top, rows))
-        if codes.shape[1] == 1 and self.first.size:  # one run: codes are the rows
-            at = np.minimum(np.searchsorted(self.first, codes[:, 0]), self.first.size - 1)
-            return np.where(self.first[at] == codes[:, 0], self.order[at], -1)
-        n = self.first.size + 1
-        lo, hi = (np.bincount(np.searchsorted(self.first, codes[:, 0], side), minlength=n)
-                  for side in ("left", "right"))
-        near = self.order[np.flatnonzero(np.cumsum(lo - hi)[:-1])]
-        ids = lex_ids(np.concatenate((self.codes[near], codes)))
-        return np.append(near, -1)[_lookup(ids[:near.size], ids[near.size:], -1)]  # -1 stays
+        codes = _pack(np.where((rows < 0) | (rows > self.top), self.top, rows), self.runs)
+        n = self.order.size
+        if codes.shape[1] > 1 or not n:
+            ids = lex_ids(np.concatenate((self.codes, codes)))
+            return np.append(self.order, -1)[_lookup(ids[:n], ids[n:], -1)]
+        first = self.codes[:, 0]
+        at = np.minimum(np.searchsorted(first, codes[:, 0]), n - 1)
+        return np.where(first[at] == codes[:, 0], self.order[at], -1)
 
 
 class KeyTable:
@@ -102,17 +116,18 @@ class KeyTable:
     and on a plain page with row and label None, since key i is monos[i],
     unlabeled; sort() puts the keys in bucket order, one bucket after
     another, each in (monomial, label) order.  mat holds the exponents of
-    monos, one row each, on a table from walk()."""
+    monos, one row each, which one RowFinder locates (_rows)."""
 
     def __init__(self, monos: list[Mono], row: Optional[np.ndarray], label: Optional[np.ndarray],
                  s: np.ndarray, t: np.ndarray, heads: np.ndarray, sizes: np.ndarray,
-                 mat: Optional[np.ndarray] = None):
+                 mat: np.ndarray, in_order: bool = True):
         self.monos, self.mat = monos, mat
         self.row, self.label, self.s, self.t = row, label, s, t
         self.heads, self.sizes = heads, sizes
-        self._sorted = mat is None  # only walk() tables, which keep mat, need sort()
+        self._sorted = in_order  # only walk() tables need sort()
         self._ends: Optional[np.ndarray] = None
         self._at: Optional[dict[tuple[int, int], int]] = None
+        self._finder: Optional[RowFinder] = None
 
     @classmethod
     def walk(cls, spec: AlgebraSpec, labels: Optional[Sequence], work_cap: int) -> "KeyTable":
@@ -153,11 +168,14 @@ class KeyTable:
             label, stc = by_shift[pos], stc[row]
             stc[:, 1:] += shift[pos, None]  # a label shifts t, and with it the code
         first, sizes = _first_appearance(stc[:, 2])
-        return cls(monos, row, label, stc[:, 0], stc[:, 1], stc[first, :2], sizes, mat)
+        return cls(monos, row, label, stc[:, 0], stc[:, 1], stc[first, :2], sizes, mat,
+                   in_order=False)
 
     @classmethod
-    def from_buckets(cls, buckets: Mapping[tuple[int, int], Sequence[PageKey]]) -> "KeyTable":
-        """The table of keys given by bidegree, in the mapping's order."""
+    def from_buckets(cls, buckets: Mapping[tuple[int, int], Sequence[PageKey]],
+                     width: int) -> "KeyTable":
+        """The table of keys given by bidegree, in the mapping's order, their
+        monomials width exponents long."""
         row_of: dict[Mono, int] = {}
         rows, labels, s, t = [], [], [], []
         for (bs, bt), keys in buckets.items():
@@ -168,7 +186,8 @@ class KeyTable:
             t += [bt] * len(keys)
         return cls(list(row_of), *(np.array(a, dtype=np.int64) for a in (rows, labels, s, t)),
                    np.array(list(buckets), dtype=np.int64).reshape(len(buckets), 2),
-                   np.array([len(ks) for ks in buckets.values()], dtype=np.int64))
+                   np.array([len(ks) for ks in buckets.values()], dtype=np.int64),
+                   np.array(list(row_of), dtype=np.int64).reshape(len(row_of), width))
 
     def sort(self) -> "KeyTable":
         """Put the keys of a table from walk() in bucket order, each bucket in
@@ -222,38 +241,51 @@ class KeyTable:
         return tuple((monos[r], None if li < 0 else li)
                      for r, li in zip(self.row[lo:hi].tolist(), self.label[lo:hi].tolist()))
 
-    def _codes(self, cols, mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A code for each key of the table and for each key given as an
-        exponent row of mat and a label: codes agree exactly where the
-        exponents on cols and the labels agree."""
-        ids = lex_ids(np.concatenate((self.mat[:, cols], mat[:, cols])))
-        width = max(self.label.max(initial=-1), labels.max(initial=-1)) + 2
-        return ids[self.row] * width + self.label + 1, ids[len(self.monos):] * width + labels + 1
+    def _rows(self) -> RowFinder:
+        """The row locator over mat, built once; masked tables share it."""
+        if self._finder is None:
+            self._finder = RowFinder(self.mat)
+        return self._finder
 
     def find(self, mat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For keys given as exponent rows and labels: a code per key, equal
-        for equal keys, and its position in a sorted table, -1 where absent."""
-        mine, codes = self._codes(slice(None), mat, labels)
-        return codes, _lookup(mine, codes, -1)
+        for equal keys, and its position in a sorted table, -1 where absent.
+        A key's code is its position, or past every position by its
+        lexicographic id where absent."""
+        keys = RowFinder(np.column_stack((self.row, self.label + 1)))
+        at = keys.find(np.column_stack((self._rows().find(mat), labels + 1)))
+        codes, out = at.copy(), np.flatnonzero(at < 0)
+        if out.size:
+            codes[out] = self.row.size + lex_ids(np.column_stack((mat[out], labels[out])))
+        return codes, at
 
     def matching(self, cols: list[int], keys: Sequence[PageKey]) -> tuple[np.ndarray, np.ndarray]:
-        """The positions, ascending, of the keys of a sorted table that agree
-        with one of keys in label and in the exponents on cols, and the index
-        in keys of the one each agrees with."""
-        if not keys:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        """The positions, ascending, of the keys of a sorted walked table
+        that agree with one of keys in label and in the exponents on cols,
+        and the index in keys of the one each agrees with.  The row locator
+        finds the part on cols of each walked monomial, which is walked too,
+        and of each of keys among the monomials."""
+        n = len(self.monos)
         mat = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), self.mat.shape[1])
         labels = np.array([-1 if li is None else li for _, li in keys], dtype=np.int64)
-        mine, theirs = self._codes(cols, mat, labels)
-        found = _lookup(theirs, mine, -1)
-        at = np.flatnonzero(found >= 0)
-        return at, found[at]
+        parts = np.concatenate((self.mat, mat))
+        other = np.ones(parts.shape[1], dtype=bool)
+        other[cols] = False
+        parts[:, other] = 0
+        found = self._rows().find(parts)
+        theirs = RowFinder(np.column_stack((np.where(found[n:] < 0, n, found[n:]), labels + 1)))
+        at = theirs.find(np.column_stack((found[self.row], self.label + 1)))
+        mine = np.flatnonzero(at >= 0)
+        return mine, at[mine]
 
     def masked(self, keep: np.ndarray, buckets: np.ndarray, sizes: np.ndarray) -> "KeyTable":
         """The keys of a sorted table where keep holds, which fill exactly
-        the given buckets, with the given sizes."""
-        return KeyTable(self.monos, self.row[keep], self.label[keep], self.s[keep],
-                        self.t[keep], self.heads[buckets], sizes)
+        the given buckets, with the given sizes; it shares mat and its row
+        locator."""
+        out = KeyTable(self.monos, self.row[keep], self.label[keep], self.s[keep],
+                       self.t[keep], self.heads[buckets], sizes, self.mat)
+        out._finder = self._finder
+        return out
 
 
 def _first_appearance(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

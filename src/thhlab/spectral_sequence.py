@@ -126,7 +126,8 @@ class Page:
             raise ValueError("duplicate page labels")
         self._gamma: tuple[int, ...] = spec._divided_slots  # type: ignore[attr-defined]
         self._raw = survivors is None
-        self._keys = None if survivors is None else KeyTable.from_buckets(survivors)
+        self._keys = (None if survivors is None
+                      else KeyTable.from_buckets(survivors, len(spec.generators)))
         self._decoded: dict[tuple[int, int], tuple[PageKey, ...]] = {}
         self._totals: Optional[list[int]] = None
 
@@ -366,7 +367,7 @@ class _Differential:
         sources = [key for key, tgt in self.rule_map.items() if tgt]
         parts = []
         for i in sorted({next(i for i, e in enumerate(m) if e) for m, _ in sources}):
-            exps = table.mat[table.row, i]  # type: ignore[index]
+            exps = table.mat[table.row, i]
             values = [self.of_mono(spec.unit[:i] + (e,) + spec.unit[i + 1:])
                       for e in range(exps.max(initial=0) + 1)]
             terms = [(t, c) for v in values for t, c in v.items()]
@@ -374,7 +375,7 @@ class _Differential:
             scalar = np.array([c for _, c in terms], dtype=np.int64)
             at = np.flatnonzero(exps)
             src, term = _expand(at, exps[at], [len(v) for v in values])
-            right = table.mat[table.row[src]]  # type: ignore[index]
+            right = table.mat[table.row[src]]
             odd = (right[:, :i] @ degrees[:i] % 2 == 1) & (left @ degrees % 2 == 0)[term]
             right[:, i] = 0
             parts.append((src, left[term], right, np.where(odd, -scalar[term], scalar[term]),
@@ -395,7 +396,7 @@ class _Differential:
         label = np.array([li for (_, li), _ in terms], dtype=np.int64)
         scalar = np.array([c for _, c in terms], dtype=np.int64)
         src, term = _expand(at, which, [len(tgt) for _, tgt in rules])
-        left = table.mat[table.row[src]]  # type: ignore[index]
+        left = table.mat[table.row[src]]
         left[:, gamma] = 0
         odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
         return [(src, left, right[term], np.where(odd, -scalar[term], scalar[term]), label[term])]
@@ -471,7 +472,9 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     arrays.  Any other d goes to fp_linalg.sparse_homology, which map_rank
     calls too: it turns the page component by component of d's support,
     over key positions graded by bucket, and returns the rank of d out of
-    each bucket and the keys that die.  Every other key up to cap survives.
+    each bucket and the keys that die.  Every other key up to cap survives,
+    and what the page loses in each degree n must be the rank of d out of
+    degrees n and n + 1, one integer bincount by total degree.
     """
     if not rules:
         same = Page(page.spec, page.page_index + 1, page.cap, page.labels,
@@ -526,16 +529,12 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
     next_page._raw = False
     next_page._keys = table.masked(keep, full, kept[full])
     # charge conservation: what one page loses is exactly the rank of d
-    old = page.total_dims()
-    new = next_page.total_dims()
-    rank_from: dict[int, int] = {}
-    for b in np.flatnonzero(rank_out).tolist():
-        n_deg = bs.item(b) + bt.item(b)
-        rank_from[n_deg] = rank_from.get(n_deg, 0) + rank_out.item(b)
-    for n in range(page.cap + 1):
-        drop = rank_from.get(n, 0) + rank_from.get(n + 1, 0)
-        if old[n] - new[n] != drop:
-            raise ConservationViolation(f"homology accounting failed at degree {n}")
+    size = max(page.cap + 1, 0)
+    rank_from = np.bincount(np.repeat(bs + bt, rank_out), minlength=size + 1)
+    lost = np.array(page.total_dims(), dtype=np.int64) - next_page.total_dims()
+    bad = np.flatnonzero(lost != rank_from[:size] + rank_from[1:size + 1])
+    if bad.size:
+        raise ConservationViolation(f"homology accounting failed at degree {bad[0]}")
     return next_page
 
 
@@ -680,13 +679,14 @@ class AbutmentReport:
         return max((n for n, _ in self.degrees), default=-1)
 
 
-def default_representative(
-    einfty: Page, abutment: AbutmentSpec, extensions: Sequence[ExtensionRule]
-) -> Callable[[Mono], PageKey]:
-    """Exponent-arithmetic representatives: each abutment generator maps to
-    the unique page key in its assigned bidegree, and every extension rule
-    rewrites (greedily, in order) a power of its abutment monomial into the
-    declared low-filtration key.  Coefficients are deliberately ignored: the
+def default_representatives(
+    einfty: Page, abutment: AbutmentSpec, extensions: Sequence[ExtensionRule], mat: np.ndarray
+) -> np.ndarray:
+    """Exponent-arithmetic representatives of the abutment monomials, the
+    rows of mat: each abutment generator maps to the unique page key in its
+    assigned bidegree, and every extension rule rewrites (greedily, in
+    order) the largest power of its abutment monomial into the declared
+    low-filtration key.  Coefficients are deliberately ignored: the
     associated graded only needs the monomial."""
     if einfty.labels is not None:
         raise ValueError("labeled pages need an explicit representative function")
@@ -706,28 +706,19 @@ def default_representative(
             )
         gen_keys.append(candidates[0][0])
 
-    rewrites: list[tuple[Mono, Mono]] = []
+    work = mat.copy()
+    acc = np.zeros((len(mat), n), dtype=np.int64)
     for rule in extensions:
         elt = target.dict_from_input(rule.abutment_element)  # type: ignore[arg-type]
         if len(elt) != 1:
             continue  # multi-term rules carry no monomial rewrite
         (abut_mono,) = elt
-        key = einfty.key_from_input(rule.einfty_monomial)
-        rewrites.append((abut_mono, key[0]))
-
-    def rep(mono: Mono) -> PageKey:
-        acc = [0] * n
-        work = list(mono)
-        for abut_mono, key_mono in rewrites:
-            while all(w >= a for w, a in zip(work, abut_mono)):
-                work = [w - a for w, a in zip(work, abut_mono)]
-                acc = [x + y for x, y in zip(acc, key_mono)]
-        for i, e in enumerate(work):
-            if e:
-                acc = [x + e * y for x, y in zip(acc, gen_keys[i])]
-        return (tuple(acc), None)
-
-    return rep
+        a = np.array(abut_mono, dtype=np.int64)
+        supp = np.flatnonzero(a)  # nonempty: a drops filtration, so it is no unit
+        q = (work[:, supp] // a[supp]).min(axis=1)[:, None]
+        work -= q * a
+        acc += q * np.array(einfty.key_from_input(rule.einfty_monomial)[0], dtype=np.int64)
+    return acc + work @ np.array(gen_keys, dtype=np.int64).reshape(len(gen_keys), n)
 
 
 def compare_abutment(
@@ -739,10 +730,15 @@ def compare_abutment(
 ) -> AbutmentReport:
     """Three checks: (i) per-degree totals agree; (ii) every extension rule is
     degree-consistent and drops filtration; (iii) the abutment's associated
-    graded matches the page bidegree-wise, certified by a monomial bijection.
+    graded matches the page bidegree-wise, certified by a monomial bijection:
+    the representatives of every abutment monomial, one exponent matrix and
+    label array (default_representatives, or representative called once per
+    monomial), are found by one KeyTable.find, and bidegrees are counted by
+    one bincount.
 
-    Raises DimMismatch at the first failing degree or bidegree, and
-    ExtensionDegreeError for a bad rule.  Returns the matched table.
+    Raises DimMismatch at the first failing degree, bidegree or monomial in
+    basis order, and ExtensionDegreeError for a bad rule.  Returns the
+    matched table.
     """
     if cap > einfty.cap:
         raise ValueError(f"cap {cap} exceeds the page's trusted window {einfty.cap}")
@@ -792,41 +788,56 @@ def compare_abutment(
         raise DimMismatch(
             "page has non-monomial classes in the window; bijection not certified"
         )
-    rep = representative or default_representative(einfty, abutment, extensions)
-    mapped: dict[tuple[int, int], set[PageKey]] = {}
+    spec = einfty.spec
     basis = target.basis_by_degree(cap)
-    for nn in range(cap + 1):
-        for mono in basis[nn]:
-            key = rep(mono)
-            bd = einfty.key_bidegree(key)
-            if sum(bd) != nn:
-                raise DimMismatch(
-                    f"representative of {target.format_mono(mono)} sits in total "
-                    f"degree {sum(bd)}, not {nn}"
-                )
-            if key not in einfty.keys_at(*bd):
-                raise DimMismatch(
-                    f"representative {einfty.format_key(key)} of "
-                    f"{target.format_mono(mono)} is not a surviving basis key"
-                )
-            bucket = mapped.setdefault(bd, set())
-            if key in bucket:
-                raise DimMismatch(
-                    f"two abutment monomials share the representative "
-                    f"{einfty.format_key(key)}"
-                )
-            bucket.add(key)
-    dims = einfty.bigraded_dims(cap)
-    for bd, n in dims.items():
-        if len(mapped.get(bd, ())) != n:
+    monos = [m for nn in range(cap + 1) for m in basis[nn]]
+    degree = np.repeat(np.arange(cap + 1), [len(basis[nn]) for nn in range(cap + 1)])
+    if representative is None:
+        keys = None
+        mat = np.array(monos, dtype=np.int64).reshape(len(monos), len(target.generators))
+        reps = default_representatives(einfty, abutment, extensions, mat)
+        labels = np.full(len(monos), -1, dtype=np.int64)
+    else:
+        keys = [representative(mono) for mono in monos]
+        reps = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), len(spec.generators))
+        labels = np.array([-1 if li is None else li for _, li in keys], dtype=np.int64)
+    shift = np.array([lab.shift for lab in einfty.labels or ()] + [0], dtype=np.int64)
+    total = reps @ np.add(spec._filtrations, spec._inner) + shift[labels]  # type: ignore[attr-defined]
+    table = einfty._table()
+    at = table.find(reps, labels)[1]
+    order = np.argsort(at, kind="stable")
+    shared = np.zeros(at.size, dtype=bool)  # a key that an earlier monomial reached
+    shared[order[1:]] = (at[order[1:]] == at[order[:-1]]) & (at[order[1:]] >= 0)
+    bad = np.flatnonzero((total != degree) | (at < 0) | shared)
+    if bad.size:
+        i = bad.item(0)
+        mono = monos[i]
+        key = keys[i] if keys is not None else (tuple(reps[i].tolist()), None)
+        if total[i] != degree[i]:
             raise DimMismatch(
-                f"bidegree {bd}: page dim {n}, associated graded supplies "
-                f"{len(mapped.get(bd, ()))}"
+                f"representative of {target.format_mono(mono)} sits in total "
+                f"degree {total[i]}, not {degree[i]}"
             )
-    for bd in mapped:
-        if bd not in dims:
-            raise DimMismatch(f"bidegree {bd}: abutment maps into an empty lane")
-
+        if at[i] < 0:
+            raise DimMismatch(
+                f"representative {einfty.format_key(key)} of "
+                f"{target.format_mono(mono)} is not a surviving basis key"
+            )
+        raise DimMismatch(
+            f"two abutment monomials share the representative "
+            f"{einfty.format_key(key)}"
+        )
+    nb = table.sizes.size
+    mapped = np.bincount(np.repeat(np.arange(nb), table.sizes)[at], minlength=nb)
+    window = table.heads.sum(axis=1) <= cap
+    wrong = np.flatnonzero(np.where(window, mapped != table.sizes, mapped > 0))
+    if wrong.size:
+        b = wrong.item(0)
+        bd = tuple(table.heads[b].tolist())
+        raise DimMismatch(f"bidegree {bd}: page dim {table.sizes[b]}, associated graded "
+                          f"supplies {mapped[b]}" if window[b] else
+                          f"bidegree {bd}: abutment maps into an empty lane")
+    dims = einfty.bigraded_dims(cap)
     return AbutmentReport(
         degrees=tuple((n, page_dims[n]) for n in range(cap + 1)),
         extension_drops=tuple(drops),

@@ -127,6 +127,41 @@ def test_hilbert_counts_basis():
     assert hilbert(spec, 25) == [len(table[n]) for n in range(26)]
 
 
+def convolved_hilbert(spec, cap):
+    """The series as a product of each generator's 1 + x^d + ... + x^(Ed),
+    one dims_convolve per generator: a reference for hilbert."""
+    out = [1] + [0] * cap
+    for g in spec.generators:
+        series = [0] * (cap + 1)
+        for e in range(g.max_exponent(cap) + 1):
+            series[e * g.total_degree] = 1
+        out = dims_convolve(out, series, cap)
+    return out
+
+
+@st.composite
+def generators(draw):
+    kind = draw(st.sampled_from(["exterior", "polynomial", "truncated", "divided"]))
+    filtration = draw(st.integers(0, 2))
+    degree = draw(st.integers(0, 7))
+    if (degree + filtration) % 2 != (kind == "exterior") or degree + filtration == 0:
+        degree += 1 if degree + filtration else 2 - (kind == "exterior")
+    height = draw(st.integers(2, 6)) if kind == "truncated" else None
+    return Generator("x", degree, kind, height, filtration)
+
+
+@given(st.lists(generators(), max_size=5), st.integers(0, 40))
+@settings(max_examples=80, deadline=None)
+def test_hilbert_is_the_basis_count_and_the_convolved_series(gens, cap):
+    # every kind, truncations of several heights, generators in positive
+    # filtration, and the empty spec
+    spec = make_algebra(3, [Generator(f"x{i}", g.degree, g.kind, g.height, g.filtration)
+                            for i, g in enumerate(gens)])
+    table = spec.basis_by_degree(cap)
+    assert hilbert(spec, cap) == [len(table.get(n, [])) for n in range(cap + 1)]
+    assert hilbert(spec, cap) == convolved_hilbert(spec, cap)
+
+
 @pytest.mark.parametrize("cap", [-1, 0, 7, 25])
 def test_basis_by_degree_is_the_capped_product_in_lexicographic_order(cap):
     spec = make_algebra(

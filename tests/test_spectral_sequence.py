@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -21,9 +22,11 @@ from thhlab.graded_algebra import (
     polynomial,
     truncated,
 )
+from thhlab.key_arrays import KeyTable, _runs, lex_ids
 from thhlab.spectral_sequence import (
     AbutmentSpec,
     BidegreeViolation,
+    ConservationViolation,
     DifferentialRule,
     DimMismatch,
     ExtensionDegreeError,
@@ -196,6 +199,87 @@ def test_identity_abutment_with_no_extensions():
     abut = AbutmentSpec(spec, {g.name: 0 for g in spec.generators})
     report = compare_abutment(page, abut, [], cap)
     assert report.extension_drops == ()
+
+
+def _tower_einfty(cap=54):
+    """The p = 3 tower's E-infinity page, its abutment E(e1, l1) x P(m1)
+    with m1^3 = m2, and representatives e1^a l1^b m1^c -> [v]^a l1^b
+    m2^(c // 3) g_(c % 3)([dv]), except where bend says otherwise."""
+    p = 3
+    out = run_differential(tower_page(p, cap), tower_rules(p, cap))
+    abut = AbutmentSpec(make_algebra(p, [exterior("e1", 5), exterior("l1", 5),
+                                         polynomial("m1", 6)]), {"e1": 1, "l1": 0, "m1": 1})
+    ext = [ExtensionRule({"m2": 1}, [(1, {"m1": 3})])]
+
+    def representative(bend):
+        def rep(mono):
+            a, b, c = mono
+            return bend.get(mono) or key(**{"[v]": a, "l1": b, "m2": c // 3, "[dv]": c % 3})
+        return rep
+
+    def key(**powers):
+        return (out.spec.mono_from_names(powers), None)
+
+    return out, abut, ext, representative, key
+
+
+@pytest.mark.parametrize("bends, message", [
+    # m1 (degree 6) is the first bent monomial: its key sits in degree 12
+    (lambda key: {(0, 0, 1): key(**{"[dv]": 2}), (0, 1, 1): key(l1=1),
+                  (0, 0, 3): key(**{"[dv]": 3})},
+     "representative of m1 sits in total degree 12, not 6"),
+    # in degree 11 the basis lists l1*m1 before e1*m1
+    (lambda key: {(1, 0, 1): key(l1=1, **{"[dv]": 1}), (0, 1, 1): key(l1=1, m2=1),
+                  (0, 0, 3): key(**{"[dv]": 3})},
+     "representative of l1*m1 sits in total degree 23, not 11"),
+    # gamma_3 dies to l2 on E3; the later duplicate is not reached
+    (lambda key: {(0, 0, 3): key(**{"[dv]": 3}), (1, 0, 3): key(l1=1, m2=1),
+                  (0, 1, 3): key(l1=1, m2=1)},
+     "representative g3([dv]) of m1^3 is not a surviving basis key"),
+    # l1 comes before e1 in degree 5, so e1 is the second to reach [v]
+    (lambda key: {(0, 1, 0): key(**{"[v]": 1}), (0, 0, 2): key(**{"[dv]": 1, "[v]": 1}),
+                  (0, 0, 3): key(**{"[dv]": 3})},
+     "two abutment monomials share the representative [v]"),
+    (lambda key: {(1, 0, 1): key(l1=1, **{"[dv]": 1}), (0, 0, 3): key(**{"[dv]": 3})},
+     "two abutment monomials share the representative l1*[dv]"),
+])
+def test_abutment_representative_errors_name_the_first_monomial_in_basis_order(bends, message):
+    cap = 54
+    out, abut, ext, representative, key = _tower_einfty(cap)
+    assert compare_abutment(out, abut, ext, cap, representative=representative({}))
+    bend = bends(key)
+    basis = abut.target.basis_by_degree(cap)
+    first = next(m for n in range(cap + 1) for m in basis[n] if m in bend)
+    with pytest.raises(DimMismatch) as exc:
+        compare_abutment(out, abut, ext, cap, representative=representative(bend))
+    assert str(exc.value) == message
+    named = abut.target.format_mono(first)
+    assert f" of {named} " in message or out.format_key(bend[first]) in message
+
+
+def test_default_representative_needs_one_candidate_per_generator():
+    # after the extension rules (ii) and the totals (i), before any monomial
+    p, cap = 3, 4
+    page = Page(make_algebra(p, [exterior("x", 1), exterior("y", 1)]), page_index=2, cap=cap)
+
+    def compare(fils, names=("a", "b"), ext=()):
+        target = make_algebra(p, [exterior(name, 1) for name in names])
+        return compare_abutment(page, AbutmentSpec(target, dict(zip(names, fils))), ext, cap)
+
+    with pytest.raises(ValueError) as exc:
+        compare((0, 0))
+    assert str(exc.value) == ("2 candidate representatives for a at (0, 1); "
+                              "pass a representative function")
+    with pytest.raises(ValueError) as exc:
+        compare((1, 0))
+    assert str(exc.value) == ("0 candidate representatives for a at (1, 0); "
+                              "pass a representative function")
+    with pytest.raises(DimMismatch) as exc:
+        compare((0, 0, 0), names=("a", "b", "c"))
+    assert str(exc.value) == "total degree 1: page has 2, abutment has 3"
+    with pytest.raises(ExtensionDegreeError) as exc:
+        compare((0, 0, 0), names=("a", "b", "c"), ext=[ExtensionRule({"x": 1}, [(1, {"a": 1})])])
+    assert str(exc.value) == "extension x does not drop filtration"
 
 
 # -- failure modes -----------------------------------------------------------------
@@ -636,28 +720,105 @@ def test_raw_buckets_match_a_scan_of_every_label(make):
 
 
 def test_key_table_finds_every_raw_key_and_no_other():
-    # positions follow raw_buckets order; a monomial outside the window, a
-    # label that admits no gamma and a label past the last one are absent
-    page = module_page(cap=30)
+    # labeled and plain pages, raw and turned
+    module = module_page(cap=45)
+    for page in (module_page(cap=30), tower_page(3, 40),
+                 run_differential(module, module_rules(module)),
+                 run_differential(tower_page(3, 54), tower_rules(3, 54))):
+        check_key_table(page)
+
+
+def check_key_table(page):
+    # positions follow the bucket order of the raw keys, or of the survivors
+    # on a turned page; a monomial outside the window, an exterior square,
+    # a label that admits no gamma, a label past the last one and, on a
+    # turned page, every key that died are absent
     table = page._table()
-    keys = [k for ks in page.raw_buckets().values() for k in ks]
-    n = len(page.spec.generators)
+    spec, n = page.spec, len(page.spec.generators)
+    keys = [k for ks in (page.survivors or page.raw_buckets()).values() for k in ks]
 
     def find(keys):
         mat = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), n)
-        return table.find(mat, np.array([li for _, li in keys], dtype=np.int64))
+        return table.find(mat, np.array([-1 if li is None else li for _, li in keys],
+                                        dtype=np.int64))
 
-    codes, found = find(keys)
-    assert found.tolist() == list(range(len(keys)))
-    assert len(set(codes.tolist())) == len(keys)
-    gamma1 = page.spec.mono_from_names({"[du]": 1})
-    outside = page.spec.mono_from_names({"m2": 5})
-    absent = [(gamma1, page.label_index("1")), (outside, 0), (outside, 0),
-              (page.spec.unit, len(page.labels))]
-    codes, found = find(absent)
-    assert found.tolist() == [-1, -1, -1, -1]
-    assert codes[1] == codes[2] and len(set(codes.tolist())) == 3  # equal keys share a code
+    label = None if page.labels is None else 0
+    outside = spec.mono_from_names({"m2": 5})
+    square = tuple(2 if g.kind == "exterior" else 0 for g in spec.generators)
+    absent = [(outside, label), (outside, label), (square, label),
+              (spec.unit, len(page.labels or ()))]
+    if page.labels is not None:
+        absent.append((spec.mono_from_names({"[du]": 1}), page.label_index("1")))
+    if page.survivors is not None:
+        survivors = set(keys)
+        raw = Page(spec, 2, page.cap, page.labels).raw_buckets()
+        dead = [k for (s, t), ks in raw.items() if s + t <= page.cap
+                for k in ks if k not in survivors]
+        assert dead
+        absent += dead
+    # all keys, and two at a time: fewer queries than keys, past every position
+    for present in [keys] + [keys[i:i + 2] for i in range(len(keys) - 1)]:
+        codes, found = find(present + absent)
+        assert found.tolist() == [keys.index(k) for k in present] + [-1] * len(absent)
+        outside = len(present)  # the first two absent keys are equal and share a code
+        assert codes[outside] == codes[outside + 1]
+        assert len(set(codes.tolist())) == len(present) + len(absent) - 1
     assert find([])[1].size == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lex_ids_rank_rows_among_the_sorted_distinct_rows(seed):
+    # column spreads up to 2^40, negative entries and repeated rows; wide
+    # matrices need several packed runs
+    rng = random.Random(seed)
+    runs = set()
+    for _ in range(40):
+        width, height = rng.randrange(8), rng.randrange(30)
+        spreads = [2 ** rng.randrange(0, 41) for _ in range(width)]
+        rows = [tuple(rng.randrange(-s // 2, s // 2 + 1) for s in spreads)
+                for _ in range(height)]
+        rows += rng.sample(rows, min(len(rows), 3))
+        mat = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+        distinct = sorted(set(rows))
+        assert lex_ids(mat).tolist() == [distinct.index(r) for r in rows]
+        if rows:
+            runs.add(len(_runs([hi - lo + 1 for hi, lo in zip(mat.max(axis=0).tolist(),
+                                                               mat.min(axis=0).tolist())])))
+    assert max(runs) > 1
+
+
+def test_lex_ids_of_empty_matrices():
+    assert lex_ids(np.zeros((0, 3), dtype=np.int64)).tolist() == []
+    assert lex_ids(np.zeros((0, 0), dtype=np.int64)).tolist() == []
+    assert lex_ids(np.zeros((4, 0), dtype=np.int64)).tolist() == [0, 0, 0, 0]
+    big = np.array([[2**62, -2**61, 1], [-2**61, 2**62, 0], [2**62, -2**61, 1]])
+    assert lex_ids(big).tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("make, rules", [
+    (lambda: tower_page(3, 54), lambda page: tower_rules(3, 54)),
+    (lambda: module_page(cap=45), module_rules),
+])
+def test_a_key_lost_in_the_turn_fails_the_conservation_check(monkeypatch, make, rules):
+    # a spy drops the middle kept key of the next page's table: the page
+    # then loses one more class than the rank of d, in that key's degree
+    page = make()
+    assert run_differential(page, rules(page)).total_dims()
+    masked, lost = KeyTable.masked, []
+
+    def spy(self, keep, buckets, sizes):
+        i = np.flatnonzero(keep)[keep.sum() // 2]
+        lost.append((self.s[i] + self.t[i]).item())
+        keep = keep.copy()
+        keep[i] = False
+        return masked(self, keep, buckets, sizes)
+
+    monkeypatch.setattr(KeyTable, "masked", spy)
+    page = make()
+    with pytest.raises(ConservationViolation) as exc:
+        run_differential(page, rules(page))
+    assert lost[0] > 0
+    assert str(exc.value) == f"homology accounting failed at degree {lost[0]}"
 
 
 def test_label_index_finds_every_name():

@@ -87,3 +87,21 @@ def test_page_turns_and_the_tor_oracle_never_import_numpy_ma():
     )
     done = _run(["-c", script])
     assert done.returncode == 0, done.stderr
+
+
+def test_bench_record_sets_the_median_shift_against_the_parent_spread():
+    # the rule for a claimed gain: the medians differ by more than the
+    # parent's interquartile spread, in the metric's better direction
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_record
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    parent = bench_record.spread([1.0, 1.1, 1.2, 1.3, 1.4])
+    assert (parent["q1"], parent["median"], parent["q3"]) == (1.1, 1.2, 1.3)
+    faster = bench_record.spread([0.8, 0.85, 0.9, 0.95, 1.0])
+    assert bench_record.median_shift(parent, faster, "lower") == "-0.3 against 0.2 better"
+    assert bench_record.median_shift(parent, faster, "higher") == "-0.3 against 0.2 worse"
+    near = bench_record.spread([1.0, 1.2, 1.3, 1.4, 1.5])
+    assert bench_record.median_shift(parent, near, "lower") == "+0.1 against 0.2 within"
+    assert bench_record.median_shift(parent, parent, "lower") == "+0 against 0.2 within"
