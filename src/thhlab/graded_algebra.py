@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .fp_linalg import PrimeField, count_ranks, map_rank
-from .key_arrays import lex_ids
+from .key_arrays import basis_rows, lex_ids
 
 Mono = tuple[int, ...]
 TermDict = dict[Mono, int]
@@ -778,10 +778,8 @@ def _monomial_ranks(target: AlgebraSpec, slots: int, basis: Mapping[int, list[Mo
     basis of monomials with slots slots: the distinct images that do not
     vanish (monomial_images) are counted in their degree
     (fp_linalg.count_ranks)."""
-    monos = [m for n in range(cap + 1) for m in basis.get(n, [])]
-    degree = np.repeat(np.arange(max(cap + 1, 0)), [len(basis.get(n, [])) for n in range(cap + 1)])
-    coeff, exps = monomial_images(target, np.array(monos, dtype=np.int64).reshape(len(monos), slots),
-                                  image_of_mono)
+    _, mat, degree = basis_rows(basis, slots)
+    coeff, exps = monomial_images(target, mat, image_of_mono)
     live = np.flatnonzero(coeff)
     return count_ranks(degree[live], lex_ids(exps[live]), max(cap + 1, 0))
 

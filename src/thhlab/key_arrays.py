@@ -1,12 +1,15 @@
-"""Keys as int64 arrays: sorted lookups, lexicographic ids, page key tables.
+"""Monomials, page keys and term dicts as int64 arrays: lookups, ids, tables.
 
-_lookup finds integer keys by one sorted search.  The Tor check looks up
-its packed resolution words with it.  lex_ids numbers the distinct rows of
-an integer matrix, packed into mixed-radix codes (_runs); graded_algebra
-takes distinct binomials and distinct image monomials with it, so this
-module imports graded_algebra for type hints only.  RowFinder, the one row
-locator, finds rows in a table: page keys and the exactness check's
-products.
+mono_rows, basis_rows (a by-degree basis, with degrees) and key_rows (with
+labels, -1 for none) give monomials as exponent rows; term_arrays gives
+term dicts as CSR arrays, csr_terms lists their terms and nonzero_sums
+sums values by key mod p.  _lookup finds integer keys by one sorted
+search; the Tor check looks up its packed resolution words with it.
+lex_ids numbers the distinct rows of an integer matrix, packed into
+mixed-radix codes (_runs); graded_algebra takes distinct binomials and
+distinct image monomials with it, so this module imports graded_algebra
+for type hints only.  RowFinder, the one row locator, finds rows in a
+table: page keys and the exactness check's products.
 
 A KeyTable holds the (monomial, label) keys of a spectral-sequence page,
 one array entry per key: the row of its monomial in a list of monomials,
@@ -40,6 +43,54 @@ def _lookup(keys: np.ndarray, queries: np.ndarray, missing: int) -> np.ndarray:
     order = np.argsort(keys)
     at = np.minimum(np.searchsorted(keys[order], queries), keys.size - 1)
     return np.where(keys[order[at]] == queries, order[at], missing)
+
+
+def mono_rows(monos: Sequence[Mono], width: int) -> np.ndarray:
+    """The exponents of monomials of width slots, one int64 row each."""
+    return np.fromiter(itertools.chain.from_iterable(monos), np.int64,
+                       len(monos) * width).reshape(len(monos), width)
+
+
+def basis_rows(basis: Mapping[int, Sequence[Mono]],
+               width: int) -> tuple[list[Mono], np.ndarray, np.ndarray]:
+    """The monomials of a by-degree basis in degree and basis order, their
+    exponent rows and their degrees."""
+    monos = list(itertools.chain.from_iterable(basis.values()))
+    degree = np.repeat(np.fromiter(basis, np.int64, len(basis)),
+                       np.fromiter(map(len, basis.values()), np.int64, len(basis)))
+    return monos, mono_rows(monos, width), degree
+
+
+def key_rows(keys: Sequence[PageKey], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent rows of page keys' monomials, and their labels (-1: none)."""
+    return (mono_rows([m for m, _ in keys], width),
+            np.fromiter((-1 if li is None else li for _, li in keys), np.int64, len(keys)))
+
+
+def term_arrays(dicts: Sequence[Mapping]) -> tuple[np.ndarray, list, np.ndarray]:
+    """Term dicts in CSR form: the offsets of each dict's terms, their keys,
+    dict by dict, and their coefficients."""
+    ptr = np.cumsum(np.fromiter(itertools.chain((0,), map(len, dicts)), np.int64, len(dicts) + 1))
+    return ptr, list(itertools.chain.from_iterable(dicts)), np.fromiter(
+        itertools.chain.from_iterable(d.values() for d in dicts), np.int64, ptr.item(-1))
+
+
+def csr_terms(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For CSR offsets ptr and some rows: the position of each term of those
+    rows, row by row, and the index in rows of the row it belongs to."""
+    sizes = ptr[rows + 1] - ptr[rows]
+    owner = np.repeat(np.arange(rows.size), sizes)
+    return np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes - ptr[rows], sizes), owner
+
+
+def nonzero_sums(key: np.ndarray, value: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, whose values sum to nonzero mod p, and
+    those sums mod p."""
+    order = np.argsort(key)
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))  # each key's first place
+    total = np.add.reduceat(value[order], start) % p
+    return key[start[total != 0]], total[total != 0]
 
 
 def _runs(radices: list[int]) -> list[tuple[slice, np.ndarray]]:
@@ -142,10 +193,8 @@ class KeyTable:
         that enumeration first reaches their bidegrees (_first_appearance)."""
         # no label takes a monomial above top; the basis comes by degree
         top = work_cap - min((lab.shift for lab in labels), default=0) if labels else work_cap
-        monos = list(itertools.chain.from_iterable(spec.basis_by_degree(top).values()))
         k, width = len(spec.generators), work_cap + 1
-        mat = np.fromiter(itertools.chain.from_iterable(monos), np.int64,
-                          len(monos) * k).reshape(len(monos), k)
+        monos, mat, _ = basis_rows(spec.basis_by_degree(top), k)
         # one product gives each monomial's s, t and code s * width + t
         stc = mat.dot(np.array([(f, d, f * width + d) for f, d in zip(
             spec._filtrations, spec._inner)], dtype=np.int64).reshape(k, 3))  # type: ignore[attr-defined]
@@ -187,7 +236,7 @@ class KeyTable:
         return cls(list(row_of), *(np.array(a, dtype=np.int64) for a in (rows, labels, s, t)),
                    np.array(list(buckets), dtype=np.int64).reshape(len(buckets), 2),
                    np.array([len(ks) for ks in buckets.values()], dtype=np.int64),
-                   np.array(list(row_of), dtype=np.int64).reshape(len(row_of), width))
+                   mono_rows(list(row_of), width))
 
     def sort(self) -> "KeyTable":
         """Put the keys of a table from walk() in bucket order, each bucket in
@@ -224,8 +273,8 @@ class KeyTable:
 
     def bucket_at(self, s: int, t: int) -> Optional[int]:
         """The bucket at bidegree (s, t), None where there is none."""
-        if self._at is None:
-            self._at = {bd: b for b, bd in enumerate(self.bidegrees)}
+        if self._at is None:  # a dict: a scenario reads up to 4p^2 bidegrees, most empty
+            self._at = dict(zip(zip(*self.heads.T.tolist()), range(self.sizes.size)))
         return self._at.get((s, t))
 
     def key(self, i: int) -> PageKey:
@@ -266,8 +315,7 @@ class KeyTable:
         finds the part on cols of each walked monomial, which is walked too,
         and of each of keys among the monomials."""
         n = len(self.monos)
-        mat = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), self.mat.shape[1])
-        labels = np.array([-1 if li is None else li for _, li in keys], dtype=np.int64)
+        mat, labels = key_rows(keys, self.mat.shape[1])
         parts = np.concatenate((self.mat, mat))
         other = np.ones(parts.shape[1], dtype=bool)
         other[cols] = False

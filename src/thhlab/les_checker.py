@@ -7,19 +7,21 @@ basis monomials).  C is stored unshifted; the boundary consumes it with a
 degree drop of one.
 
 check_les reads each map once, on every basis monomial of its source, into
-an image table (_Image): the source's exponent rows in degree and basis
-order, and CSR arrays of each row's image terms, as target rows and
-coefficients mod p.  A rho that sends each generator to one term or to
-zero is read by one AlgebraSpec.mul_rows per generator slot
-(graded_algebra.monomial_images), any other map image by image.  Exactness is verified per degree both as dimension
-identities and as subspace equalities (composites that vanish, summed off
-the tables).  A degree whose images have at most one term each is ranked by
-counting the target rows it hits (fp_linalg.count_ranks); any other degree
-goes to fp_linalg.map_rank.  boundary and tau are checked to be module maps
-over A through a declared coefficient action, one A-generator at a time:
-each side of all its (generator, basis monomial) pairs is one
-AlgebraSpec.mul_rows and one sorted search of the products in a table.  A
-pair whose product leaves its table is checked on term dicts instead."""
+an image table (_Image) in key_arrays' encoding: the source's exponent rows
+in degree and basis order, and CSR arrays of each row's image terms, as
+target rows and coefficients mod p.  A rho that sends each generator to
+one term or to zero is read by one AlgebraSpec.mul_rows per generator slot
+(graded_algebra.monomial_images), any other map image by image.  Exactness
+is verified per degree both as dimension identities and as subspace
+equalities (composites that vanish, summed off the tables by
+key_arrays.nonzero_sums).  A degree whose images have at most one term
+each is ranked by counting the target rows it hits (fp_linalg.count_ranks);
+any other degree goes to fp_linalg.map_rank.  boundary and tau are checked
+to be module maps over A through a declared coefficient action, one
+A-generator at a time: each side of all its (generator, basis monomial)
+pairs is one AlgebraSpec.mul_rows and one sorted search of the products in
+a table.  A pair whose product leaves its table is checked on term dicts
+instead."""
 
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .graded_algebra import (
     polynomial,
     truncated,
 )
-from .key_arrays import RowFinder
+from .key_arrays import RowFinder, basis_rows, csr_terms, mono_rows, nonzero_sums, term_arrays
 from .presentation import make_theta
 
 JOINT_TAU_RHO = "im(tau) = ker(rho)"
@@ -98,11 +100,8 @@ class _Graded:
         self.obj = obj
         self.spec = None if obj is None else getattr(obj, "algebra", obj)
         self.table = {} if obj is None else obj.basis_by_degree(cap)
-        self.monos = [m for ms in self.table.values() for m in ms]
         width = 0 if self.spec is None else len(self.spec.generators)
-        self.mat = np.array(self.monos, dtype=np.int64).reshape(len(self.monos), width)
-        self.degree = np.repeat(np.array(list(self.table), dtype=np.int64),
-                                [len(ms) for ms in self.table.values()])
+        self.monos, self.mat, self.degree = basis_rows(self.table, width)
         self._index: dict[int, dict[Mono, int]] = {}
         self._finder: Optional[RowFinder] = None
 
@@ -167,25 +166,6 @@ def _checked(fn: Callable[[Mono], object], src: _Graded, dst: _Graded, drop: int
     return image
 
 
-def _terms(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For CSR offsets ptr and some rows: the position of each term of those
-    rows, row by row, and the index in rows of the row it belongs to."""
-    sizes = ptr[rows + 1] - ptr[rows]
-    owner = np.repeat(np.arange(rows.size), sizes)
-    return np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes - ptr[rows], sizes), owner
-
-
-def _nonzero_sums(key: np.ndarray, value: np.ndarray, p: int) -> np.ndarray:
-    """The distinct keys, ascending, whose values (each in 0..p) sum to
-    nonzero mod p."""
-    if not key.size:
-        return key
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return key[start[np.add.reduceat(value[order], start) % p != 0]]
-
-
 class _Image:
     """A map fn read once on every monomial of src's table: row i goes to
     the terms val[ptr[i]:ptr[i + 1]] (mod p) times the rows col[...] of dst's
@@ -197,15 +177,12 @@ class _Image:
         self.fn, self.src, self.dst, self.drop, self.field = fn, src, dst, drop, field
         if monomial:  # fn is an algebra map sending each generator to one term or to 0
             coeff, rows = monomial_images(dst.spec, src.mat, fn)
-            sizes = (coeff != 0).astype(np.int64)
+            self.ptr = np.concatenate(([0], np.cumsum(coeff != 0)))
             rows, vals = rows[coeff != 0], coeff[coeff != 0]
         else:
-            images = [fn(m) for m in src.monos]
-            sizes = np.array([len(d) for d in images], dtype=np.int64)
-            terms = [m for d in images for m in d]
-            rows = np.array(terms, dtype=np.int64).reshape(len(terms), dst.mat.shape[1])
-            vals = np.array([c for d in images for c in d.values()], dtype=np.int64)
-        self.ptr = np.concatenate(([0], np.cumsum(sizes)))
+            self.ptr, terms, vals = term_arrays([fn(m) for m in src.monos])
+            rows = mono_rows(terms, dst.mat.shape[1])
+        sizes = np.diff(self.ptr)
         self.col = dst.find(rows)
         self.val = vals % field.p
         # map_rank takes a degree with an image of several terms, and one with
@@ -227,13 +204,13 @@ class _Image:
         monomial, summed off the two tables.  Terms outside a table are left
         out: map_rank raises on their degree before its composites are read."""
         p, width = self.field.p, max(len(then.dst.monos), 1)
-        pos, src = _terms(self.ptr, np.arange(len(self.src.monos)))
+        pos, src = csr_terms(self.ptr, np.arange(len(self.src.monos)))
         keep = self.col >= 0
         pos, src = pos[keep], src[keep]
-        at, owner = _terms(then.ptr, self.col[pos])
+        at, owner = csr_terms(then.ptr, self.col[pos])
         keep = then.col[at] >= 0
-        bad = _nonzero_sums(src[owner[keep]] * width + then.col[at[keep]],
-                            self.val[pos[owner[keep]]] * then.val[at[keep]] % p, p)
+        bad = nonzero_sums(src[owner[keep]] * width + then.col[at[keep]],
+                           self.val[pos[owner[keep]]] * then.val[at[keep]] % p, p)[0]
         return set(self.src.degree[bad // width].tolist())
 
     def module_failure(self, left: TermDict, right: TermDict, top: int,
@@ -255,10 +232,10 @@ class _Image:
             row = S.find(prod[live])
             off.append(live[row < 0])
             live, row = live[row >= 0], row[row >= 0]
-            at, owner = _terms(self.ptr, row)
+            at, owner = csr_terms(self.ptr, row)
             keys.append(live[owner] * width + self.col[at])
             values.append(c * coeff[live[owner]] % p * self.val[at] % p)
-        at, owner = _terms(self.ptr, src)  # each term of right times each term of fn(s)
+        at, owner = csr_terms(self.ptr, src)  # each term of right times each term of fn(s)
         for m, c in right.items() if at.size else ():
             coeff, prod = T.spec.mul_rows(np.tile(np.array(m, dtype=np.int64), (at.size, 1)),
                                           T.mat[self.col[at]])
@@ -270,7 +247,7 @@ class _Image:
             values.append(p - c * coeff[live] % p * self.val[at[live]] % p)
         if not keys:  # both sides vanish on every s
             return src.size, None
-        bad = _nonzero_sums(np.concatenate(keys), np.concatenate(values), p) // width
+        bad = nonzero_sums(np.concatenate(keys), np.concatenate(values), p)[0] // width
         off_table = np.zeros(src.size, dtype=bool)
         off_table[np.concatenate(off)] = True
         bad = bad[~off_table[bad]]

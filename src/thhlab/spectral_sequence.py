@@ -24,12 +24,13 @@ puts the keys in bucket order, each bucket in the order of its (monomial,
 label) tuples, and those tuples of PageKey are built bucket by bucket,
 only when raw_buckets, survivors or keys_at is read.
 
-A turn evaluates d on exponent arrays, one row per term: on a plain page
-per factor x_i^e of a key and term of d(x_i^e), on a labeled page per key
-whose gamma part and label are a rule source (KeyTable.matching) and term
-of that rule's target.  AlgebraSpec.mul_rows takes every product at once;
-the terms of one source on one target are summed mod p, and one sorted
-search over the key table finds every target and checks its lane.  When d
+A turn evaluates d on exponent arrays in key_arrays' encoding, one row per
+term: on a plain page per factor x_i^e of a key and term of d(x_i^e), on
+a labeled page per key whose gamma part and label are a rule source
+(KeyTable.matching) and term of that rule's target.  AlgebraSpec.mul_rows
+takes every product at once, one sorted search over the key table codes
+every target, and key_arrays.nonzero_sums sums the terms of one source on
+one target mod p; each sum must stay in its lane.  When d
 is a partial matching, as every catalogued turn is, the rank out of each
 bucket and the keys that die are read off the arrays; any other d goes to
 sparse_homology on key positions graded by bucket.  The next page keeps
@@ -60,7 +61,8 @@ from .graded_algebra import (
     leibniz,
     truncation_residuals,
 )
-from .key_arrays import KeyTable, PageKey, _lookup
+from .key_arrays import (KeyTable, PageKey, _lookup, basis_rows, csr_terms, key_rows, mono_rows,
+                         nonzero_sums, term_arrays)
 
 
 class NotADifferential(GradedError):
@@ -368,13 +370,10 @@ class _Differential:
         parts = []
         for i in sorted({next(i for i, e in enumerate(m) if e) for m, _ in sources}):
             exps = table.mat[table.row, i]
-            values = [self.of_mono(spec.unit[:i] + (e,) + spec.unit[i + 1:])
-                      for e in range(exps.max(initial=0) + 1)]
-            terms = [(t, c) for v in values for t, c in v.items()]
-            left = np.array([t for t, _ in terms], dtype=np.int64).reshape(len(terms), degrees.size)
-            scalar = np.array([c for _, c in terms], dtype=np.int64)
-            at = np.flatnonzero(exps)
-            src, term = _expand(at, exps[at], [len(v) for v in values])
+            ptr, terms, scalar = term_arrays([self.of_mono(spec.unit[:i] + (e,) + spec.unit[i + 1:])
+                                              for e in range(exps.max(initial=0) + 1)])
+            left = mono_rows(terms, degrees.size)
+            term, src = csr_terms(ptr, exps)  # d(x_i^0) = d(1) = 0 has no terms
             right = table.mat[table.row[src]]
             odd = (right[:, :i] @ degrees[:i] % 2 == 1) & (left @ degrees % 2 == 0)[term]
             right[:, i] = 0
@@ -390,12 +389,10 @@ class _Differential:
         spec, gamma = self.page.spec, list(self.page._gamma)
         rules = [(key, tgt) for key, tgt in self.rule_map.items() if tgt]
         at, which = table.matching(gamma, [key for key, _ in rules])
-        terms = [term for _, tgt in rules for term in tgt.items()]
-        width = len(spec.generators)
-        right = np.array([m for (m, _), _ in terms], dtype=np.int64).reshape(len(terms), width)
-        label = np.array([li for (_, li), _ in terms], dtype=np.int64)
-        scalar = np.array([c for _, c in terms], dtype=np.int64)
-        src, term = _expand(at, which, [len(tgt) for _, tgt in rules])
+        ptr, terms, scalar = term_arrays([tgt for _, tgt in rules])
+        right, label = key_rows(terms, len(spec.generators))
+        term, src = csr_terms(ptr, which)
+        src = at[src]
         left = table.mat[table.row[src]]
         left[:, gamma] = 0
         odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
@@ -418,17 +415,14 @@ class _Differential:
         coeff, exps = page.spec.mul_rows(left, right)
         live = np.flatnonzero(coeff)
         src, coeff, exps, label = src[live], coeff[live] * scalar[live] % p, exps[live], label[live]
-        # one sorted search finds every target; an absent one has no lane
-        code, at = table.find(exps, label)
+        # one sorted search codes every target by its position in the table,
+        # or past the table where it is absent, and then it has no lane
+        code = table.find(exps, label)[0]
         del left, right, exps
-        order = np.argsort(src * (code.max(initial=0) + 1) + code, kind="stable")
-        src, code, at, coeff = src[order], code[order], at[order], coeff[order]
-        last = np.ones(src.size, dtype=bool)
-        last[:-1] = (src[1:] != src[:-1]) | (code[1:] != code[:-1])
-        total = np.cumsum(coeff)[last]
-        total = (total - np.concatenate(([0], total[:-1]))) % p
-        keep = total != 0
-        a, b, c = src[last][keep], at[last][keep], total[keep]
+        width = code.max(initial=0) + 1
+        key, c = nonzero_sums(src * width + code, coeff, p)
+        a, code = np.divmod(key, width)
+        b = np.where(code < table.row.size, code, -1)
         lane = (b >= 0) & (table.s[b] == table.s[a] - r) & (table.t[b] == table.t[a] + r - 1)
         if not lane.all():
             key = table.key(a.item(np.argmin(lane)))
@@ -445,16 +439,6 @@ class _Differential:
                 bd = (table.s.item(i), table.t.item(i))
                 raise NotADifferential(f"d.d != 0 out of bidegree {bd} on page {r}")
         return a, b, d
-
-
-def _expand(at: np.ndarray, group: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each at[k] repeated once per member of its group group[k], and the
-    index of that member when the members of all groups are listed group
-    by group, sizes[g] of group g."""
-    sizes = np.array(sizes, dtype=np.int64)
-    n = sizes[group]
-    first = np.cumsum(sizes) - sizes
-    return np.repeat(at, n), np.repeat(first[group] - (np.cumsum(n) - n), n) + np.arange(n.sum())
 
 
 def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
@@ -718,7 +702,7 @@ def default_representatives(
         q = (work[:, supp] // a[supp]).min(axis=1)[:, None]
         work -= q * a
         acc += q * np.array(einfty.key_from_input(rule.einfty_monomial)[0], dtype=np.int64)
-    return acc + work @ np.array(gen_keys, dtype=np.int64).reshape(len(gen_keys), n)
+    return acc + work @ mono_rows(gen_keys, n)
 
 
 def compare_abutment(
@@ -789,18 +773,14 @@ def compare_abutment(
             "page has non-monomial classes in the window; bijection not certified"
         )
     spec = einfty.spec
-    basis = target.basis_by_degree(cap)
-    monos = [m for nn in range(cap + 1) for m in basis[nn]]
-    degree = np.repeat(np.arange(cap + 1), [len(basis[nn]) for nn in range(cap + 1)])
+    monos, mat, degree = basis_rows(target.basis_by_degree(cap), len(target.generators))
     if representative is None:
         keys = None
-        mat = np.array(monos, dtype=np.int64).reshape(len(monos), len(target.generators))
         reps = default_representatives(einfty, abutment, extensions, mat)
         labels = np.full(len(monos), -1, dtype=np.int64)
     else:
         keys = [representative(mono) for mono in monos]
-        reps = np.array([m for m, _ in keys], dtype=np.int64).reshape(len(keys), len(spec.generators))
-        labels = np.array([-1 if li is None else li for _, li in keys], dtype=np.int64)
+        reps, labels = key_rows(keys, len(spec.generators))
     shift = np.array([lab.shift for lab in einfty.labels or ()] + [0], dtype=np.int64)
     total = reps @ np.add(spec._filtrations, spec._inner) + shift[labels]  # type: ignore[attr-defined]
     table = einfty._table()

@@ -54,7 +54,7 @@ from .graded_algebra import (
     make_algebra,
     tensor,
 )
-from .key_arrays import _lookup
+from .key_arrays import _lookup, basis_rows, mono_rows
 from .spectral_sequence import Page, PageLabel
 
 GradedDims = dict[tuple[int, int], int]
@@ -176,12 +176,9 @@ class ChainComplexOfFrees:
         """
         alg, cap, n = self.algebra, self.cap, len(self.algebra.generators)
         poly = np.array([g.kind == "polynomial" for g in alg.generators], dtype=bool)
-        table = alg.basis_by_degree(cap)
-        mono_list = [m for d in range(cap + 1) for m in table[d]]
-        monos = np.array(mono_list, dtype=np.int64).reshape(len(mono_list), n)
-        mono_degree = np.array([d for d in range(cap + 1) for _ in table[d]], dtype=np.int64)
+        _, monos, mono_degree = basis_rows(alg.basis_by_degree(cap), n)
         gens = [(s, g) for s, layer in enumerate(self.generators) for g in layer]
-        words = np.array([g.word for _, g in gens], dtype=np.int64).reshape(len(gens), n)
+        words = mono_rows([g.word for _, g in gens], n)
         gen_degree = np.array([g.internal_degree for _, g in gens], dtype=np.int64)
         gen_layer = np.array([s for s, _ in gens], dtype=np.int64)
         # generator g owns the elements first[g] .. first[g] + count[g] - 1

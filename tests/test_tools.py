@@ -105,3 +105,21 @@ def test_bench_record_sets_the_median_shift_against_the_parent_spread():
     near = bench_record.spread([1.0, 1.2, 1.3, 1.4, 1.5])
     assert bench_record.median_shift(parent, near, "lower") == "+0.1 against 0.2 within"
     assert bench_record.median_shift(parent, parent, "lower") == "+0 against 0.2 within"
+
+
+def test_src_lines_counts_code_lines_only():
+    done = _run([str(ROOT / "scripts" / "src_lines.py")])
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    names = sorted(p.name for p in (ROOT / "src" / "thhlab").glob("*.py"))
+    assert [name for _, name in rows] == names + ["total"]
+    assert sum(int(n) for n, _ in rows[:-1]) == int(rows[-1][0]) > 0
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import src_lines
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    text = ('"""Module\n\ndoc."""\n\n# a comment\nx = (1,\n     2)  # trailing\n\n\n'
+            'class A:\n    """Doc."""\n\n    def f(self):\n        """Doc\n        more."""\n'
+            '        return """not a\n        docstring"""\n')
+    assert src_lines.code_lines(text) == 6  # two of x, class, def, two of the return
