@@ -10,7 +10,9 @@ map_matrix.  sparse_homology is the one routine that splits a sparse map
 into the components of its support and takes the rank and the surviving
 keys of each; map_rank calls it, and so do the page turns whose d is not
 a partial matching.  A map that sends each source to one key or to zero is
-ranked by counting the keys it hits (count_ranks).
+ranked by counting the keys it hits (count_ranks).  The Tor resolution
+check eliminates nothing: tor_engine certifies exactness with a
+contracting homotopy, which is checked by gathers alone.
 """
 
 from __future__ import annotations
@@ -108,7 +110,13 @@ class FpMatrix:
         return not self.data.any()
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns."""
+        """Reduced row echelon form and the tuple of pivot columns.
+
+        The one elimination kernel: its loop touches only the rows that
+        need clearing, so on one matrix it beats a lockstep elimination
+        over a stack (routing rank through a stack of one took a page-turns
+        pass from 1.9 s to 2.8 s on a 2-core x86 host).
+        """
         p = self.field.p
         R = self.data.copy()
         m, n = R.shape
@@ -148,49 +156,6 @@ class FpMatrix:
             for j, c in enumerate(pivots):
                 rows[k, c] = (-int(R.data[j, f])) % self.field.p
         return FpMatrix(self.field, rows)
-
-
-def stack_ranks(field: PrimeField, stack: np.ndarray) -> np.ndarray:
-    """Exact rank over F_p of every matrix in a (B, r, c) integer stack.
-
-    Gaussian elimination runs in lockstep across the stack: one step per
-    column of the shorter side (rank is transpose-invariant), each step a
-    fixed number of numpy calls on all B matrices.  A step clears the rows
-    below a pivot a by row <- a * row - b * pivot_row, which needs no
-    inverse, and every intermediate stays below p^2 < 2^62.
-
-    FpMatrix.rref stays the single-matrix kernel, which sparse_homology
-    calls on a map's larger support components: on one matrix
-    its loop, which touches only the rows that need clearing, beats a stack
-    of one (routing FpMatrix.rank through here took a page-turns pass from
-    1.9 s to 2.8 s on a 2-core x86 host).  The other way round, the Tor check
-    keeps this routine: ranking every tor-grid resolution (198 cases, seed 1)
-    through sparse_homology gave the same homology in 2.1-2.5 s, against
-    0.37-0.44 s for ChainComplexOfFrees.homology_dims, on the same host and
-    although that run skipped the d o d check.
-    """
-    p = field.p
-    R = np.asarray(stack, dtype=np.int64) % p
-    if R.ndim != 3:
-        raise DimensionMismatch(f"expected a (B, r, c) stack, got ndim={R.ndim}")
-    if R.shape[2] > R.shape[1]:
-        R = R.transpose(0, 2, 1).copy()
-    B, m, n = R.shape
-    rank = np.zeros(B, dtype=np.int64)
-    rows = np.arange(m)
-    for c in range(n):
-        b, i = np.nonzero((R[:, :, c] != 0) & (rows >= rank[:, None]))
-        first = np.ones(b.size, dtype=bool)
-        first[1:] = b[1:] != b[:-1]
-        b, i = b[first], i[first]
-        r = rank[b]
-        pivot = R[b, i]
-        R[b, i] = R[b, r]
-        R[b, r] = pivot
-        below = R[b, :, c] * (rows > r[:, None])
-        R[b] = (R[b] * pivot[:, c, None, None] - below[:, :, None] * pivot[:, None, :]) % p
-        rank[b] += 1
-    return rank
 
 
 def map_matrix(field: PrimeField, source: Sequence, target_index: Mapping,

@@ -10,24 +10,27 @@ The closed forms produce the same answers as algebra specs: an exterior
 class [x] per polynomial generator, a divided-power tower [y] per exterior
 generator.  Both feed second pages of spectral sequences.
 
-The resolution is checked block by block.  A basis element m.g (base
-monomial m, generator word g) has the weight m + g, one integer per base
-generator: a + e for x^a [x]^e, a + k for y^a gamma_k.  Each term of d moves
-one unit from the word to the monomial, so d keeps the weight (hence the
-internal degree) and lowers the filtration by one.  Ordering the rows and
-columns of every (s, t) matrix by weight therefore makes it block diagonal,
-one block per level (the elements of one weight in one filtration), with at
-most C(n, n/2) columns over n base generators.  A composite of block
-diagonal maps is zero iff it is zero on every block, and rank is additive
-over blocks, so d o d = 0 and the homology at (s, t), the sum over its
-levels of size - rank(d out) - rank(d in), are exactly the numbers the dense
-(s, t) matrices give (Miller & Sturmfels, Combinatorial Commutative Algebra,
-ch. 1, for multigraded resolutions).  The differential comes from index
+The resolution is checked by a contracting homotopy, with no elimination.
+A basis element m.g (base monomial m, generator word g) has the weight
+m + g, one integer per base generator: a + e for x^a [x]^e, a + k for
+y^a gamma_k.  Each term of d moves one unit from the word to the monomial,
+so d keeps the weight (hence the internal degree) and lowers the
+filtration by one, and d is the sum of its slot terms d_i, at most one per
+element.  The elements of one weight span a tensor product of two-term
+complexes F_p -> F_p, one per slot of nonzero weight, with differential
++-1: x^a <- x^(a-1) [x] and y gamma_(k-1) <- gamma_k.  The first factor, on
+the lead slot L (the first slot of nonzero weight), is contractible, and
+inverting its terms gives h with h d_L + d_L h = 1 and h d_j + d_j h = 0
+for j != L, the standard homotopy of the Koszul complex (Eisenbud,
+Commutative Algebra, ch. 17).  check_resolves_unit builds h from the lead
+terms and verifies these identities element by element and slot by slot,
+each a pair of gathers, together with d o d = 0 slot pair by slot pair and
+a single element of weight 0, the unit.  Summed over the slots they give
+dh + hd = 1 - pi, pi the projection onto the unit, a cycle that no term
+of d reaches; so every cycle is the unit's multiple plus a boundary, and
+the only homology is F_p at (0, 0).  The differential comes from index
 arithmetic, each term's generator and monomial found by one sorted search
-per slot.  Most blocks have one row or one column, and such a block has
-rank 1 exactly when one of its entries is nonzero mod p, so their ranks are
-counted all at once; the blocks of each larger shape are ranked by one
-lockstep elimination (fp_linalg.stack_ranks).
+per slot.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fp_linalg import CompositionNonzero, stack_ranks
+from .fp_linalg import CompositionNonzero
 from .graded_algebra import (
     AlgebraSpec,
     Generator,
@@ -58,6 +61,7 @@ from .key_arrays import _lookup, basis_rows, mono_rows
 from .spectral_sequence import Page, PageLabel
 
 GradedDims = dict[tuple[int, int], int]
+Terms = tuple[np.ndarray, np.ndarray]  # a map of one term per element: (target, value)
 
 _ACTIONS = ("free", "trivial")
 
@@ -166,8 +170,9 @@ class ChainComplexOfFrees:
         Element e is (generator, base monomial): the generators in layer
         order, each with the monomials of degree <= cap - |g| in degree
         order, so every (s, t) slice is a run of ascending indices.  Returns
-        layer[e], degree[e], key[e] (weight and layer in one integer), and
-        target[e, i], value[e, i]: the slot-i term of d(e), value 0 if none.
+        layer[e], degree[e], lead[e] (the first slot of nonzero weight, n if
+        none), and target[e, i], value[e, i]: the slot-i term of d(e), value
+        0 if none.
 
         The slot-i term takes the generator with word - e_i, times the
         monomial m + e_i, which is zero over an exterior slot with m_i = 1.
@@ -219,82 +224,82 @@ class ChainComplexOfFrees:
         key = gen_key[eg] + gen_layer[eg] + mono_key[em]
         if (term & (key[target] != key[:, None] - 1)).any():
             raise AssertionError("the differential leaves a weight block")
-        return gen_layer[eg], gen_degree[eg] + mono_degree[em], key, target, value
-
-    def homology_dims(self) -> GradedDims:
-        """Homology of the complex on the capped window (internal degree <= cap).
-
-        Checked level by level, a level being the elements of one weight in
-        one layer (see the module docstring): d o d = 0 on every element, then
-        the rank of every level block, counted for a block of one row or one
-        column (1 iff an entry is nonzero mod p) and taken in one stack_ranks
-        call per shape for the blocks with at least two of each.
-        """
-        layer, degree, key, target, value = self._differential()
-        field = self.algebra.field
-        n_elems, n = value.shape
-        if not n_elems:
-            return {}
-        # levels are the runs of equal keys; pos is the place inside a level
-        order = np.argsort(key, kind="stable")
-        new = np.ones(n_elems, dtype=bool)
-        new[1:] = key[order[1:]] != key[order[:-1]]
-        starts = np.flatnonzero(new)
-        level = np.empty(n_elems, dtype=np.int64)
-        level[order] = np.cumsum(new) - 1
-        pos = np.empty(n_elems, dtype=np.int64)
-        pos[order] = np.arange(n_elems) - starts[level[order]]
-        size = np.diff(np.append(starts, n_elems))
-
-        # d o d, slot pair by slot pair: every term lands two levels down, in
-        # the same weight, so a row per element and a column per place suffice
-        dd = np.zeros((n_elems, int(size.max())), dtype=np.int64)
-        every = np.arange(n_elems)
-        for i in range(n):
-            f, v = target[:, i], value[:, i]
-            for j in range(n):
-                dd[every, pos[target[f, j]]] += v * value[f, j]
-        if (dd % field.p).any():
-            raise CompositionNonzero("d o d != 0 on the resolution")
-
-        src, slot = np.nonzero(value)
-        dst, val = target[src, slot], value[src, slot]
-        del dd, every, slot, target, value, key  # free the element arrays first
-        src_level, dst_level = level[src], level[dst]
-        # all terms of one level land in one level, so these are well defined
-        down = np.zeros(starts.size, dtype=np.int64)
-        down[src_level] = dst_level
-        rows = np.zeros(starts.size, dtype=np.int64)
-        rows[src_level] = size[dst_level]
-        shape = rows * (size.max() + 1) + size
-        mapped = rows > 0
-        # a block of one row or one column has rank 1 iff an entry is nonzero mod p
-        thin = mapped & ((rows == 1) | (size == 1))
-        live = np.bincount(src_level[val % field.p != 0], minlength=starts.size)
-        rank = np.where(thin & (live > 0), 1, 0)
-        for code in np.flatnonzero(np.bincount(shape[mapped & ~thin])):
-            blocks = np.flatnonzero(mapped & (shape == code))
-            slot = np.zeros(starts.size, dtype=np.int64)
-            slot[blocks] = np.arange(blocks.size)
-            hit = np.flatnonzero(shape[src_level] == code)
-            stack = np.zeros((blocks.size, rows[blocks[0]], size[blocks[0]]), dtype=np.int64)
-            stack[slot[src_level[hit]], pos[dst[hit]], pos[src[hit]]] = val[hit]
-            rank[blocks] = stack_ranks(field, stack)
-
-        # homology of a level: its size less the ranks of d out of it and into it
-        h = size - rank
-        h[down[mapped]] -= rank[mapped]
-        out: defaultdict[tuple[int, int], int] = defaultdict(int)
-        for lv in np.flatnonzero(h).tolist():
-            e = order[starts[lv]]
-            out[(int(layer[e]), int(degree[e]))] += int(h[lv])
-        return dict(sorted(out.items()))
+        # the weights of slots 0 .. i - 1 are all zero iff key < stride[i - 1],
+        # so the lead slot counts the strides above the key
+        lead = n - np.searchsorted(stride[::-1], key, side="right")
+        return gen_layer[eg], gen_degree[eg] + mono_degree[em], lead, target, value
 
     def check_resolves_unit(self) -> None:
-        """d composes to zero and the only homology is F_p in bidegree (0, 0)."""
-        extra = dict(self.homology_dims())
-        if extra.pop((0, 0), 0) != 1 or extra:
-            raise AssertionError(f"complex is not a resolution of F_p: {extra}")
+        """d composes to zero and the only homology is F_p in bidegree (0, 0).
+
+        Checked with explicit raises, so also under python -O.  d o d = 0
+        slot pair by slot pair: d_i d_j + d_j d_i lands on one element with
+        coefficients that cancel, and d_i d_i = 0.  Exactly one element, the
+        unit, has weight 0.  The contracting homotopy h of _homotopy must
+        then give, on every element x and for every slot j, d_j h + h d_j =
+        x when j is the lead slot of x and 0 otherwise.  Summed over the
+        slots, dh + hd = 1 - pi, pi the projection onto the unit (see the
+        module docstring).
+        """
+        layer, degree, lead, target, value = self._differential()
+        p, n = self.algebra.field.p, value.shape[1]
+        slots = [(target[:, j], value[:, j] % p) for j in range(n)]
+        for i, (t, v) in enumerate(slots):
+            if (v * v[t]).any():
+                raise CompositionNonzero("d o d != 0 on the resolution: a slot follows itself")
+            for d_j in slots[i + 1:]:
+                if not _cancel(p, *_two_paths((t, v), d_j)).all():
+                    raise CompositionNonzero("d o d != 0 on the resolution")
+        units = np.count_nonzero(lead == n)
+        if units != 1:
+            raise AssertionError(f"complex is not a resolution of F_p: {units} units")
+        h = _homotopy(p, lead, target, value)
+        here = np.arange(lead.size)
+        for j, d_j in enumerate(slots):
+            (s, a), (t, b) = _two_paths(d_j, h)
+            # d_j h + h d_j is x on the lead slot of x, 0 on the others: each
+            # live term lands on x, or off the lead slot on the other's element
+            itself = lead == j
+            on = np.where(itself, here, t)
+            ok = ((a + b - itself) % p == 0) & ((a == 0) | (s == on)) & ((b == 0) | (t == on))
+            if not ok.all():
+                e = np.flatnonzero(~ok)[0]
+                where = "its lead slot" if itself[e] else f"slot {j}"
+                raise AssertionError(
+                    f"complex is not a resolution of F_p: d_j h + h d_j is not"
+                    f" {int(itself[e])} on {where} at bidegree ({layer[e]}, {degree[e]})"
+                )
+
+
+def _two_paths(a: Terms, b: Terms) -> tuple[Terms, Terms]:
+    """b after a and a after b on every element, for two maps with values
+    reduced mod p (0: no term).  Each path is (element, coefficient): the
+    product of two reduced values, so zero exactly when it is zero mod p."""
+    (at, av), (bt, bv) = a, b
+    return (bt[at], av * bv[at]), (at[bt], bv * av[bt])
+
+
+def _cancel(p: int, x: Terms, y: Terms) -> np.ndarray:
+    """Per element, whether the terms x and y sum to zero: they land on one
+    element with coefficients that cancel mod p, or both vanish."""
+    (s, a), (t, b) = x, y
+    return ((a + b) % p == 0) & ((a == 0) | (s == t))
+
+
+def _homotopy(p: int, lead: np.ndarray, target: np.ndarray, value: np.ndarray) -> Terms:
+    """The contracting homotopy h: each live lead-slot term x -> c y (c != 0
+    mod p) gives h(y) = x / c, and h is zero on every other element.  A c
+    with c^2 = 1, such as the +-1 of every term of d, is its own inverse mod
+    p; pow inverts any other."""
+    src = np.flatnonzero(lead < target.shape[1])
+    dst, c = target[src, lead[src]], value[src, lead[src]] % p
+    live = c != 0
+    src, dst, inverse = src[live], dst[live], c[live]
+    other = np.flatnonzero(inverse * inverse % p != 1)
+    inverse[other] = [pow(v, -1, p) for v in inverse[other].tolist()]
+    h_target, h_value = np.zeros_like(lead), np.zeros_like(lead)
+    h_target[dst], h_value[dst] = src, inverse
+    return h_target, h_value
 
 
 def _require_monomial_base(algebra: AlgebraSpec) -> None:
@@ -352,7 +357,8 @@ def tor_oracle(
     a pair shifted by a and b is the pair's table shifted by a + b.  Two
     trivial summands give the resolution P of F_p with zero differential,
     since positive-degree generators act by zero: one class per generator
-    of P, which check_resolves_unit has verified by elimination.  Two free
+    of P, which check_resolves_unit has certified by a contracting
+    homotopy.  Two free
     summands give the algebra itself in filtration 0, and a free with a
     trivial one gives F_p at (0, 0).  The window is internal degree <= cap
     (all filtrations land inside it)."""

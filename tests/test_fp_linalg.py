@@ -15,7 +15,6 @@ from thhlab.fp_linalg import (
     span_contains,
     sparse_homology,
     spans_equal,
-    stack_ranks,
     support_components,
 )
 from thhlab.graded_algebra import exterior, make_algebra
@@ -357,27 +356,6 @@ def test_matmul_matches_python_integers_at_the_bound(data):
         for i in range(m)
     ]
     assert (FpMatrix(F_TOP, a) @ FpMatrix(F_TOP, b)).data.tolist() == exact
-
-
-@pytest.mark.parametrize("p", [3, P_TOP])
-def test_stack_ranks_match_rank_on_random_stacks(p):
-    field = PrimeField(p)
-    rng = np.random.default_rng(p % 1000)
-    for B, r, c in [(0, 3, 2), (4, 0, 3), (4, 3, 0), (1, 1, 1), (7, 2, 5), (7, 5, 2), (30, 4, 4)]:
-        # few distinct values, so rank deficiency is common
-        stack = rng.choice([0, 1, p - 1, p // 2], size=(B, r, c)).astype(np.int64)
-        ranks = stack_ranks(field, stack)
-        assert ranks.shape == (B,)
-        assert ranks.tolist() == [FpMatrix(field, a).rank() for a in stack]
-        assert not stack_ranks(field, np.zeros((B, r, c), dtype=np.int64)).any()
-    # a product of random factors has rank at most their inner size
-    left = rng.integers(0, p, size=(20, 5, 2))
-    right = rng.integers(0, p, size=(20, 2, 5))
-    stack = np.array([(FpMatrix(field, a) @ FpMatrix(field, b)).data for a, b in zip(left, right)])
-    assert stack_ranks(field, stack).tolist() == [FpMatrix(field, a).rank() for a in stack]
-    assert (stack_ranks(field, stack) <= 2).all()
-    with pytest.raises(DimensionMismatch):
-        stack_ranks(field, np.zeros((2, 2), dtype=np.int64))
 
 
 # -- the one-pass matching path of support_components against set union -------------

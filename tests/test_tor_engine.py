@@ -1,6 +1,10 @@
 """Resolutions, the brute-force Tor oracle, and the closed forms."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,7 +112,8 @@ def test_resolution_koszul_two_term_p3():
 def test_resolution_empty_algebra():
     res = resolution(make_algebra(3, []), 10)
     assert res.top_filtration == 0
-    assert res.homology_dims() == {(0, 0): 1}
+    res.check_resolves_unit()
+    assert _dense_homology(res) == {(0, 0): 1}
 
 
 def test_resolution_rejects_unresolvable_bases():
@@ -191,10 +196,15 @@ def test_block_check_equals_dense_check_in_every_order(kinds, p, cap):
         for s in range(res.top_filtration + 2):
             for t in range(cap + 1):
                 assert np.array_equal(matrix(s, t).data, _reference_matrix(res, s, t).data)
-        assert res.homology_dims() == _dense_homology(res) == {(0, 0): 1}
+        res.check_resolves_unit()
+        assert _dense_homology(res) == {(0, 0): 1}
         for top in range(1, res.top_filtration + 1):
             cut = ChainComplexOfFrees(res.algebra, cap, res.generators[:top])
-            assert cut.homology_dims() == _dense_homology(cut)
+            if _dense_homology(cut) == {(0, 0): 1}:
+                cut.check_resolves_unit()
+            else:
+                with pytest.raises(AssertionError, match="not a resolution"):
+                    cut.check_resolves_unit()
 
 
 @given(small_generators, st.sampled_from([3, 5]), st.integers(0, 10))
@@ -260,53 +270,94 @@ def test_block_check_rejects_a_sign_that_breaks_d_squared(monkeypatch):
         resolution(alg, 8)
 
 
-def test_counted_ranks_read_the_entries_of_one_row_and_one_column_blocks(monkeypatch):
-    # on P(x) ox E(y) every level block has one row or one column, so no
-    # block reaches stack_ranks and every rank is counted
-    alg = make_algebra(3, [polynomial("x", 2), exterior("y", 3)])
-
-    def no_stack(field, stack):
-        pytest.fail("a block with two rows and two columns")
-
-    monkeypatch.setattr(tor_engine, "stack_ranks", no_stack)
-    resolution(alg, 12)
+def test_the_lead_inverse_is_taken_mod_p(monkeypatch):
+    # the Koszul slot's terms times 2 still resolve F_p (h takes 1/2 = 3 mod 5);
+    # dropped (0) or kept as zero mod p (5), they leave homology
+    alg = make_algebra(5, [polynomial("x", 2), exterior("y", 3)])
     signs = tor_engine._word_signs
-    # the Koszul slot's terms vanish: dropped (0) or kept as zero mod p (3)
-    for factor in (0, 3):
-        def dead_koszul(poly, words, factor=factor):
+    for factor in (2, 0, 5):
+        def scaled_koszul(poly, words, factor=factor):
             out = signs(poly, words)
             out[:, 0] *= factor
             return out
 
-        monkeypatch.setattr(tor_engine, "_word_signs", dead_koszul)
-        with pytest.raises(AssertionError, match="not a resolution"):
+        monkeypatch.setattr(tor_engine, "_word_signs", scaled_koszul)
+        if factor == 2:
             resolution(alg, 12)
+        else:
+            with pytest.raises(AssertionError, match="not a resolution"):
+                resolution(alg, 12)
 
 
-def test_a_stacked_rank_one_short_fails_the_check(monkeypatch):
-    # on P(x2) ox P(w4) ox E(y1) the check takes the ranks of 26 level
-    # blocks of three rows and three columns in one stack_ranks call, so
-    # those ranks decide the verdict: one of them one short must fail it
+@pytest.mark.parametrize("mutation", ["second_unit", "doubled", "dropped", "flipped"])
+def test_a_broken_homotopy_certificate_fails_the_check(monkeypatch, mutation):
+    # on P(x2) ox P(w4) ox E(y1) every weight block of two or more base
+    # generators has cross terms; each spy breaks one condition of the check
     alg = make_algebra(3, [polynomial("x", 2), polynomial("w", 4), exterior("y", 1)])
-    stack_ranks, shapes = tor_engine.stack_ranks, []
-
-    def spy(field, stack):
-        shapes.append(stack.shape)
-        return stack_ranks(field, stack)
-
-    monkeypatch.setattr(tor_engine, "stack_ranks", spy)
     resolution(alg, 14)
-    assert shapes == [(26, 3, 3)]
+    differential = ChainComplexOfFrees._differential
+    homotopy, two_paths = tor_engine._homotopy, tor_engine._two_paths
+    built = []
 
-    def short(field, stack):
-        ranks = stack_ranks(field, stack)
-        assert ranks[0] > 0
-        ranks[0] -= 1
-        return ranks
+    def second_unit(self):
+        layer, degree, lead, target, value = differential(self)
+        lead[np.flatnonzero(lead < value.shape[1])[-1]] = value.shape[1]
+        return layer, degree, lead, target, value
 
-    monkeypatch.setattr(tor_engine, "stack_ranks", short)
-    with pytest.raises(AssertionError, match="not a resolution"):
+    def doubled(p, *args):
+        h_target, h_value = homotopy(p, *args)
+        e = np.flatnonzero(h_value)[len(h_value) // 4]
+        h_value[e] = 2 * h_value[e] % p
+        return h_target, h_value
+
+    def dropped(p, *args):
+        h_target, h_value = homotopy(p, *args)
+        h_value[np.flatnonzero(h_value)[len(h_value) // 4]] = 0
+        return h_target, h_value
+
+    def recorded(p, *args):
+        built.append(homotopy(p, *args))
+        return built[-1]
+
+    def flipped(a, b):
+        (s, c), ba = two_paths(a, b)
+        # h d_j x landing off x: a cross term, j not the lead slot of x
+        cross = np.flatnonzero((c != 0) & (s != np.arange(s.size)))
+        if len(built) == 1 and b is built[0] and cross.size:
+            c[cross[0]] *= -1
+            built.append(b)  # flip once
+        return (s, c), ba
+
+    owner, name, spy, message = {
+        "second_unit": (ChainComplexOfFrees, "_differential", second_unit, "2 units"),
+        "doubled": (tor_engine, "_homotopy", doubled, "is not 1 on its lead slot"),
+        "dropped": (tor_engine, "_homotopy", dropped, "is not 1 on its lead slot"),
+        "flipped": (tor_engine, "_two_paths", flipped, "is not 0 on slot"),
+    }[mutation]
+    monkeypatch.setattr(tor_engine, "_homotopy", recorded)
+    monkeypatch.setattr(owner, name, spy)
+    with pytest.raises(AssertionError, match=f"not a resolution.*{message}"):
         resolution(alg, 14)
+
+
+def test_a_dropped_top_layer_fails_the_check_under_optimize():
+    # the check raises explicitly, so python -O keeps it
+    script = (
+        "from thhlab.graded_algebra import exterior, make_algebra, polynomial\n"
+        "from thhlab.tor_engine import ChainComplexOfFrees, resolution\n"
+        "res = resolution(make_algebra(3, [polynomial('x', 2), exterior('y', 3)]), 12)\n"
+        "broken = ChainComplexOfFrees(res.algebra, res.cap, res.generators[:-1])\n"
+        "try:\n"
+        "    broken.check_resolves_unit()\n"
+        "except AssertionError as exc:\n"
+        "    raise SystemExit(0 if 'not a resolution' in str(exc) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert done.returncode == 0
 
 
 def test_key_lookup_marks_absent_keys():
