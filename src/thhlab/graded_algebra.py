@@ -9,6 +9,8 @@ binom(i+j, i) * gamma_{i+j} reduced mod p).
 
 Monomials are exponent tuples aligned with the generator tuple; element
 dicts map monomials to nonzero coefficients, with zero as the empty dict.
+Bases come from one array walk (walk_rows) as int64 exponent rows with
+their degrees; basis_by_degree is the dict view of those rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .fp_linalg import PrimeField, count_ranks, map_rank
-from .key_arrays import basis_rows, lex_ids
+from .key_arrays import lex_ids
 
 Mono = tuple[int, ...]
 TermDict = dict[Mono, int]
@@ -129,43 +131,129 @@ def divided(name: str, degree: int, filtration: int = 0) -> Generator:
     return Generator(name, degree, "divided", None, filtration)
 
 
-def _walk_monomials(
-    degrees: Sequence[int], limits: Sequence[int], cap: int, closing: Sequence[Sequence]
-) -> dict[int, list[Mono]]:
-    """Exponent words of degree <= cap in lexicographic order, keyed by degree.
+@dataclass(frozen=True, eq=False)
+class SlotBounds:
+    """The monomials that no word of a walk may be divisible by (a
+    presentation's rule lhs), as bounds on each slot's exponent, each
+    monomial at its last nonzero slot i with exponent a there: the word's
+    slot i may rise to at most a - 1 once its earlier slots reach the
+    monomial's.  start[i] bounds slot i on every word (the one-letter
+    monomials).  after[j], if not None, is a table whose row e bounds every
+    later slot once slot j holds e (row 0 bounds nothing; a larger e reads
+    the last row), for the two-letter monomials; a running minimum over e
+    makes each row hold every monomial whose slot-j exponent is at most e.
+    longer[i] holds, per longer monomial, its earlier slots as positions in
+    watched, their exponents and a - 1, compared on the words' columns of
+    the watched slots."""
+
+    start: np.ndarray
+    after: tuple[Optional[np.ndarray], ...]
+    longer: tuple[tuple[tuple[np.ndarray, np.ndarray, int], ...], ...]
+    watched: tuple[int, ...]
+
+
+def slot_bounds(width: int, monos: Sequence[Mono]) -> SlotBounds:
+    """The SlotBounds of words of width slots that none of monos (nonzero
+    exponent tuples) divides."""
+    start = np.full(width, _NO_LIMIT, dtype=np.int64)
+    pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(width)]
+    longer: list[list[tuple[list[tuple[int, int]], int]]] = [[] for _ in range(width)]
+    for mono in monos:
+        *rest, (i, a) = [(j, e) for j, e in enumerate(mono) if e]
+        if not rest:
+            start[i] = min(start[i], a - 1)
+        elif len(rest) == 1:
+            pairs[rest[0][0]].append((rest[0][1], i, a - 1))
+        else:
+            longer[i].append((rest, a - 1))
+    after: list[Optional[np.ndarray]] = []
+    for by_j in pairs:
+        table = None
+        if by_j:
+            table = np.full((max(e for e, _, _ in by_j) + 1, width), _NO_LIMIT, dtype=np.int64)
+            for e, i, bound in by_j:
+                table[e, i] = min(table[e, i], bound)
+            np.minimum.accumulate(table, axis=0, out=table)
+        after.append(table)
+    watched = sorted({j for rules in longer for rest, _ in rules for j, _ in rest})
+    return SlotBounds(start, tuple(after), tuple(
+        tuple((np.array([watched.index(j) for j, _ in rest]), np.array([e for _, e in rest]), a)
+              for rest, a in rules) for rules in longer), tuple(watched))
+
+
+def walk_rows(degrees: Sequence[int], limits: Sequence[int], cap: int,
+              bounds: Optional[SlotBounds] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent words of degree <= cap as int64 rows, by degree and
+    lexicographic within a degree, and their degrees.
 
     The one enumerator of graded bases: algebra bases, rewriting bases and
     the generator words of Tor resolutions.  Slot i has degree degrees[i]
-    and exponents 0..limits[i].  closing[i] holds the rewrite rules whose lhs
-    has its last nonzero slot at i, as (j, group) pairs: group holds the
-    (position, rule) pairs whose lhs has its first nonzero slot at j.  The
-    first rule to divide the prefix stops slot i from rising further, since
-    every larger exponent is reducible too.  Only groups whose slot j is
-    nonzero in the word are tested: a rule can divide the word only if its
-    whole lhs support is.  A plain algebra passes empty lists.
-
-    An odometer: record the word, then raise the last slot that can still
-    rise and reset the slots after it.  A negative cap gives {}.
+    and exponents 0..limits[i], and bounds, if given, keeps out the words
+    that its monomials divide.  The walk goes slot by slot: every prefix
+    is extended by all of its exponents at once, an outer sum of its degree
+    and the slot's multiples, and one row-major nonzero keeps the
+    candidates of degree <= cap and under the prefix's bound.  The walk
+    keeps only each prefix's parent, exponent and degree, and each
+    prefix's bounds on the later slots, which a two-letter monomial
+    lowers through a table row once its first slot is reached.  The
+    prefixes stay in lexicographic order, so one stable sort by degree at
+    the end gives the order, and the columns are read back through the
+    parents.  Every prefix of a kept word is kept, with zeros after it,
+    so no step holds more rows than the result.  A negative cap gives no
+    rows.
     """
-    table: dict[int, list[Mono]] = {n: [] for n in range(cap + 1)}
+    width = len(degrees)
     if cap < 0:
-        return table
-    word, deg = [0] * len(degrees), 0
-    while True:
-        table[deg].append(tuple(word))
-        for i in reversed(range(len(degrees))):
-            d, rules = degrees[i], closing[i]
-            if word[i] < limits[i] and deg + d <= cap:
-                word[i] += 1
-                if not (rules and any(r.divides(word) for j, group in rules if word[j]
-                                      for _, r in group)):
-                    deg += d
-                    break
-                word[i] -= 1
-            deg -= word[i] * d
-            word[i] = 0
-        else:
-            return table
+        return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    deg = np.zeros(1, dtype=np.int64)
+    steps: list[tuple[int, np.ndarray, np.ndarray]] = []  # (slot, parent, exponent)
+    if bounds is not None:  # the bounds on slots lo.., and the watched columns
+        lo, top = 0, bounds.start[None, :]
+        seen = np.zeros((1, len(bounds.watched)), dtype=np.int64)
+    for i, (d, lim) in enumerate(zip(degrees, limits)):
+        bound = None
+        if bounds is not None:
+            bound = top[:, i - lo]
+            for cols, exps, a in bounds.longer[i]:
+                hit = (seen[:, cols] >= exps).all(axis=1)
+                bound = np.where(hit, np.minimum(bound, a), bound)
+            lim = min(lim, bound.max())
+        lim = min(lim, cap // d)
+        if lim <= 0:
+            continue  # every prefix takes exponent 0 here
+        exps = np.arange(lim + 1)
+        cand = deg[:, None] + exps * d
+        ok = cand <= cap
+        if bound is not None:
+            ok &= exps <= bound[:, None]
+        r, e = ok.nonzero()
+        steps.append((i, r, e))
+        deg = cand[r, e]
+        if bounds is not None:
+            top, lo = top[r, i + 1 - lo:], i + 1
+            table = bounds.after[i]
+            if table is not None:
+                nz = e.nonzero()[0]
+                top[nz] = np.minimum(top[nz], table[np.minimum(e[nz], len(table) - 1), lo:])
+            seen = seen[r]
+            if i in bounds.watched:
+                seen[:, bounds.watched.index(i)] = e
+    order = deg.argsort(kind="stable")
+    mat, at = np.zeros((order.size, width), dtype=np.int64), order
+    for i, r, e in reversed(steps):
+        mat[:, i] = e[at]
+        at = r[at]
+    return mat, deg[order]
+
+
+def by_degree(mat: np.ndarray, degree: np.ndarray, cap: int) -> dict[int, list[Mono]]:
+    """The rows of a basis in degree order as monomial tuples, keyed by
+    degree 0..cap: the dict view of walk_rows."""
+    if cap < 0:
+        return {}
+    monos = list(map(tuple, mat.tolist()))
+    ends = np.cumsum(np.bincount(degree, minlength=cap + 1)).tolist()
+    return {n: monos[lo:hi] for n, lo, hi in zip(range(cap + 1), [0] + ends, ends)}
 
 
 @dataclass(frozen=True)
@@ -364,11 +452,15 @@ class AlgebraSpec:
 
     # -- bases and display -----------------------------------------------------
 
+    def basis_rows(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """All normal-form monomials of total degree <= cap as exponent rows,
+        by degree and lexicographic within a degree, and their degrees."""
+        return walk_rows(self._degrees,  # type: ignore[attr-defined]
+                         [g.max_exponent(cap) for g in self.generators], cap)
+
     def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
         """All normal-form monomials of total degree <= cap, keyed by degree."""
-        gens = self.generators
-        return _walk_monomials(self._degrees,  # type: ignore[attr-defined]
-                               [g.max_exponent(cap) for g in gens], cap, [()] * len(gens))
+        return by_degree(*self.basis_rows(cap), cap)
 
     def format_mono(self, mono: Mono) -> str:
         parts = []
@@ -438,14 +530,20 @@ def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
 
 
 def dims_convolve(a: Sequence[int], b: Sequence[int], cap: int) -> list[int]:
-    out = [0] * (cap + 1)
-    for i, x in enumerate(a[: cap + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: cap + 1 - i]):
-            if y:
-                out[i + j] += x * y
-    return out
+    """The product of two dimension series, degrees 0..cap: one int64
+    convolution, which is exact because every entry is a sum of at most
+    cap + 1 products of at most max|a| * max|b|; OverflowError where that
+    bound could reach 2^63."""
+    a, b = a[: cap + 1], b[: cap + 1]
+    top = max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    out = np.zeros(max(cap + 1, 0), dtype=np.int64)
+    if top:
+        if top * (cap + 1) >= 2**63:
+            raise OverflowError("dimension series too large to convolve exactly in int64")
+        conv = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        out[: conv.size] = conv[: out.size]
+    return out.tolist()
+
 
 def dims_add(a: Sequence[int], b: Sequence[int], cap: int) -> list[int]:
     out = [0] * (cap + 1)
@@ -747,7 +845,7 @@ def algebra_map(
 
 def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], cap: int) -> MorphismReport:
     """Degreewise rank table and relation checks for a declared algebra map
-    (see algebra_map); source also needs a basis_by_degree(cap).
+    (see algebra_map); source also needs a basis_rows(cap).
 
     A monomial map, one whose generators each go to one term or to zero,
     sends every source monomial to one term or to zero, so its rank in a
@@ -758,30 +856,21 @@ def check_morphism(source, target: AlgebraSpec, images: Mapping[str, object], ca
     map_rank over the target basis."""
     image_of_mono, relation_results = algebra_map(source, target, images)
     src_alg: AlgebraSpec = getattr(source, "algebra", source)
-    src_basis = source.basis_by_degree(cap)
+    mat, degree = source.basis_rows(cap)
     unit = src_alg.unit
     if all(len(image_of_mono(unit[:i] + (1,) + unit[i + 1:])) <= 1 for i in range(len(unit))):
-        ranks = _monomial_ranks(target, len(unit), src_basis, image_of_mono, cap)
+        coeff, exps = monomial_images(target, mat, image_of_mono)
+        live = np.flatnonzero(coeff)
+        ranks = count_ranks(degree[live], lex_ids(exps[live]), max(cap + 1, 0))
     else:
-        tgt_basis = target.basis_by_degree(cap)
-        ranks = [map_rank(target.field, src_basis.get(n, []),
-                          {m: i for i, m in enumerate(tgt_basis.get(n, []))}, image_of_mono)
+        src_basis, tgt_basis = by_degree(mat, degree, cap), target.basis_by_degree(cap)
+        ranks = [map_rank(target.field, src_basis[n],
+                          {m: i for i, m in enumerate(tgt_basis[n])}, image_of_mono)
                  for n in range(cap + 1)]
+    src_dims = np.bincount(degree, minlength=max(cap + 1, 0)).tolist()
     tgt_dims = hilbert(target, max(cap, 0))  # the sizes of the target basis
-    return MorphismReport(tuple(DegreeRank(n, len(src_basis.get(n, [])), tgt_dims[n], ranks[n])
+    return MorphismReport(tuple(DegreeRank(n, src_dims[n], tgt_dims[n], ranks[n])
                                 for n in range(cap + 1)), relation_results)
-
-
-def _monomial_ranks(target: AlgebraSpec, slots: int, basis: Mapping[int, list[Mono]],
-                    image_of_mono: Callable[[Mono], TermDict], cap: int) -> list[int]:
-    """The rank in each degree 0..cap of a monomial map given on a source
-    basis of monomials with slots slots: the distinct images that do not
-    vanish (monomial_images) are counted in their degree
-    (fp_linalg.count_ranks)."""
-    _, mat, degree = basis_rows(basis, slots)
-    coeff, exps = monomial_images(target, mat, image_of_mono)
-    live = np.flatnonzero(coeff)
-    return count_ranks(degree[live], lex_ids(exps[live]), max(cap + 1, 0))
 
 
 def monomial_images(target: AlgebraSpec, src: np.ndarray,

@@ -1,7 +1,8 @@
 """Monomials, page keys and term dicts as int64 arrays: lookups, ids, tables.
 
-mono_rows, basis_rows (a by-degree basis, with degrees) and key_rows (with
-labels, -1 for none) give monomials as exponent rows; term_arrays gives
+mono_rows and key_rows (with labels, -1 for none) give monomials as
+exponent rows (a basis comes as rows from graded_algebra.walk_rows, with
+no tuples); term_arrays gives
 term dicts as CSR arrays, csr_terms lists their terms and nonzero_sums
 sums values by key mod p.  _lookup finds integer keys by one sorted
 search; the Tor check looks up its packed resolution words with it.
@@ -15,11 +16,12 @@ A KeyTable holds the (monomial, label) keys of a spectral-sequence page,
 one array entry per key: the row of its monomial in a list of monomials,
 its label index (-1: none) and its bidegree s, t.  The keys fall into
 buckets, one per bidegree, whose bidegrees (heads) and sizes are arrays
-too.  One basis walk builds the exponent matrix and, by one matrix
+too.  One basis walk gives the exponent matrix and, by one matrix
 product, every bidegree, and one stable argsort finds the buckets in the
 order the keys first reach them, so a page that is only counted is never
-sorted; the (monomial, label) tuples are built one bucket at a time, on
-request.
+sorted; the (monomial, label) tuples are decoded from the rows one bucket
+at a time, on request, and a set of bidegrees is looked up by one sorted
+search (bucket_of).
 """
 
 from __future__ import annotations
@@ -49,16 +51,6 @@ def mono_rows(monos: Sequence[Mono], width: int) -> np.ndarray:
     """The exponents of monomials of width slots, one int64 row each."""
     return np.fromiter(itertools.chain.from_iterable(monos), np.int64,
                        len(monos) * width).reshape(len(monos), width)
-
-
-def basis_rows(basis: Mapping[int, Sequence[Mono]],
-               width: int) -> tuple[list[Mono], np.ndarray, np.ndarray]:
-    """The monomials of a by-degree basis in degree and basis order, their
-    exponent rows and their degrees."""
-    monos = list(itertools.chain.from_iterable(basis.values()))
-    degree = np.repeat(np.fromiter(basis, np.int64, len(basis)),
-                       np.fromiter(map(len, basis.values()), np.int64, len(basis)))
-    return monos, mono_rows(monos, width), degree
 
 
 def key_rows(keys: Sequence[PageKey], width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,23 +153,23 @@ class RowFinder:
 
 
 class KeyTable:
-    """Key i is monos[row[i]] with label[i] at bidegree (s[i], t[i]); bucket
-    b holds the sizes[b] keys at bidegree heads[b], an array row.  A table
-    from walk() starts with its keys in walk order, which is enough to count,
-    and on a plain page with row and label None, since key i is monos[i],
-    unlabeled; sort() puts the keys in bucket order, one bucket after
-    another, each in (monomial, label) order.  mat holds the exponents of
-    monos, one row each, which one RowFinder locates (_rows)."""
+    """Key i is the monomial of exponent row mat[row[i]] with label[i] at
+    bidegree (s[i], t[i]); bucket b holds the sizes[b] keys at bidegree
+    heads[b], an array row.  A table from walk() starts with its keys in
+    walk order, which is enough to count, and on a plain page with row and
+    label None, since key i is row i of mat, unlabeled; sort() puts the
+    keys in bucket order, one bucket after another, each in (monomial,
+    label) order.  One RowFinder locates the rows of mat (_rows); a key's
+    monomial tuple is decoded from its row when read (key, keys)."""
 
-    def __init__(self, monos: list[Mono], row: Optional[np.ndarray], label: Optional[np.ndarray],
+    def __init__(self, mat: np.ndarray, row: Optional[np.ndarray], label: Optional[np.ndarray],
                  s: np.ndarray, t: np.ndarray, heads: np.ndarray, sizes: np.ndarray,
-                 mat: np.ndarray, in_order: bool = True):
-        self.monos, self.mat = monos, mat
+                 in_order: bool = True):
+        self.mat = mat
         self.row, self.label, self.s, self.t = row, label, s, t
         self.heads, self.sizes = heads, sizes
         self._sorted = in_order  # only walk() tables need sort()
         self._ends: Optional[np.ndarray] = None
-        self._at: Optional[dict[tuple[int, int], int]] = None
         self._finder: Optional[RowFinder] = None
 
     @classmethod
@@ -194,7 +186,7 @@ class KeyTable:
         # no label takes a monomial above top; the basis comes by degree
         top = work_cap - min((lab.shift for lab in labels), default=0) if labels else work_cap
         k, width = len(spec.generators), work_cap + 1
-        monos, mat, _ = basis_rows(spec.basis_by_degree(top), k)
+        mat, _ = spec.basis_rows(top)
         # one product gives each monomial's s, t and code s * width + t
         stc = mat.dot(np.array([(f, d, f * width + d) for f, d in zip(
             spec._filtrations, spec._inner)], dtype=np.int64).reshape(k, 3))  # type: ignore[attr-defined]
@@ -210,15 +202,14 @@ class KeyTable:
             room = work_cap - stc[:, 0] - stc[:, 1]
             fit = np.where(plain, shift.searchsorted(room, "right"),
                            shift[allowed].searchsorted(room, "right"))
-            row = np.repeat(np.arange(len(monos)), fit)
+            row = np.repeat(np.arange(len(mat)), fit)
             pos = np.arange(row.size) - np.repeat(np.cumsum(fit) - fit, fit)
             gamma = np.flatnonzero(~plain[row])
             pos[gamma] = allowed[pos[gamma]]
             label, stc = by_shift[pos], stc[row]
             stc[:, 1:] += shift[pos, None]  # a label shifts t, and with it the code
         first, sizes = _first_appearance(stc[:, 2])
-        return cls(monos, row, label, stc[:, 0], stc[:, 1], stc[first, :2], sizes, mat,
-                   in_order=False)
+        return cls(mat, row, label, stc[:, 0], stc[:, 1], stc[first, :2], sizes, in_order=False)
 
     @classmethod
     def from_buckets(cls, buckets: Mapping[tuple[int, int], Sequence[PageKey]],
@@ -233,10 +224,10 @@ class KeyTable:
                 labels.append(-1 if li is None else li)
             s += [bs] * len(keys)
             t += [bt] * len(keys)
-        return cls(list(row_of), *(np.array(a, dtype=np.int64) for a in (rows, labels, s, t)),
+        return cls(mono_rows(list(row_of), width),
+                   *(np.array(a, dtype=np.int64) for a in (rows, labels, s, t)),
                    np.array(list(buckets), dtype=np.int64).reshape(len(buckets), 2),
-                   np.array([len(ks) for ks in buckets.values()], dtype=np.int64),
-                   mono_rows(list(row_of), width))
+                   np.array([len(ks) for ks in buckets.values()], dtype=np.int64))
 
     def sort(self) -> "KeyTable":
         """Put the keys of a table from walk() in bucket order, each bucket in
@@ -244,9 +235,9 @@ class KeyTable:
         key (one sorted search of the heads) and its lexicographic row id."""
         if not self._sorted:
             if self.row is None:
-                self.row = np.arange(len(self.monos))
-                self.label = np.full(len(self.monos), -1, dtype=np.int64)
-            key = self.bucket_of(self.s, self.t) * len(self.monos) + lex_ids(self.mat)[self.row]
+                self.row = np.arange(len(self.mat))
+                self.label = np.full(len(self.mat), -1, dtype=np.int64)
+            key = self.bucket_of(self.s, self.t) * len(self.mat) + lex_ids(self.mat)[self.row]
             perm = np.argsort(key * (self.label.max(initial=-1) + 2) + self.label + 1,
                               kind="stable")
             self.row, self.label, self.s, self.t = (a[perm] for a in (self.row, self.label,
@@ -265,30 +256,24 @@ class KeyTable:
                 if s + t <= cap}
 
     def bucket_of(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """The bucket at each bidegree (s, t), s >= 0, by one sorted search;
-        -1 where there is none."""
+        """The bucket at each bidegree (s, t) by one sorted search; -1 where
+        there is none."""
         width = max(self.heads[:, 1].max(initial=0), t.max(initial=0)) + 1
-        code = np.where(t < 0, -1, s * width + t)
+        code = np.where((s < 0) | (t < 0), -1, s * width + t)
         return _lookup(self.heads[:, 0] * width + self.heads[:, 1], code, -1)
-
-    def bucket_at(self, s: int, t: int) -> Optional[int]:
-        """The bucket at bidegree (s, t), None where there is none."""
-        if self._at is None:  # a dict: a scenario reads up to 4p^2 bidegrees, most empty
-            self._at = dict(zip(zip(*self.heads.T.tolist()), range(self.sizes.size)))
-        return self._at.get((s, t))
 
     def key(self, i: int) -> PageKey:
         li = self.label.item(i)
-        return (self.monos[self.row.item(i)], None if li < 0 else li)
+        return (tuple(self.mat[self.row.item(i)].tolist()), None if li < 0 else li)
 
     def keys(self, b: int) -> tuple[PageKey, ...]:
         """The keys of bucket b, of a sorted table, as (monomial, label) tuples."""
         if self._ends is None:
             self._ends = np.cumsum(self.sizes)
         hi = self._ends.item(b)
-        lo, monos = hi - self.sizes.item(b), self.monos
-        return tuple((monos[r], None if li < 0 else li)
-                     for r, li in zip(self.row[lo:hi].tolist(), self.label[lo:hi].tolist()))
+        lo = hi - self.sizes.item(b)
+        return tuple((tuple(m), None if li < 0 else li) for m, li in zip(
+            self.mat[self.row[lo:hi]].tolist(), self.label[lo:hi].tolist()))
 
     def _rows(self) -> RowFinder:
         """The row locator over mat, built once; masked tables share it."""
@@ -314,7 +299,7 @@ class KeyTable:
         and the index in keys of the one each agrees with.  The row locator
         finds the part on cols of each walked monomial, which is walked too,
         and of each of keys among the monomials."""
-        n = len(self.monos)
+        n = len(self.mat)
         mat, labels = key_rows(keys, self.mat.shape[1])
         parts = np.concatenate((self.mat, mat))
         other = np.ones(parts.shape[1], dtype=bool)
@@ -330,8 +315,8 @@ class KeyTable:
         """The keys of a sorted table where keep holds, which fill exactly
         the given buckets, with the given sizes; it shares mat and its row
         locator."""
-        out = KeyTable(self.monos, self.row[keep], self.label[keep], self.s[keep],
-                       self.t[keep], self.heads[buckets], sizes, self.mat)
+        out = KeyTable(self.mat, self.row[keep], self.label[keep], self.s[keep],
+                       self.t[keep], self.heads[buckets], sizes)
         out._finder = self._finder
         return out
 

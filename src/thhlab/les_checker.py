@@ -26,6 +26,7 @@ instead."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -43,7 +44,7 @@ from .graded_algebra import (
     polynomial,
     truncated,
 )
-from .key_arrays import RowFinder, basis_rows, csr_terms, mono_rows, nonzero_sums, term_arrays
+from .key_arrays import RowFinder, csr_terms, mono_rows, nonzero_sums, term_arrays
 from .presentation import make_theta
 
 JOINT_TAU_RHO = "im(tau) = ker(rho)"
@@ -93,23 +94,37 @@ class ExactnessReport:
 
 class _Graded:
     """Uniform view of an algebra spec, a presentation, or the zero module:
-    its basis by degree, and the same basis as one table, monos in degree and
-    basis order with their exponents as the rows of mat and their degrees."""
+    its basis as one table, the exponent rows of mat in degree and basis
+    order with their degrees, and the monomials of a degree as tuples,
+    decoded when read."""
 
     def __init__(self, obj, cap: int) -> None:
         self.obj = obj
         self.spec = None if obj is None else getattr(obj, "algebra", obj)
-        self.table = {} if obj is None else obj.basis_by_degree(cap)
-        width = 0 if self.spec is None else len(self.spec.generators)
-        self.monos, self.mat, self.degree = basis_rows(self.table, width)
+        if obj is None:
+            self.mat, self.degree = np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        else:
+            self.mat, self.degree = obj.basis_rows(cap)
+        self.sizes = np.bincount(self.degree, minlength=max(cap + 1, 0)).tolist()
+        self._ends = np.cumsum([0] + self.sizes).tolist()
         self._index: dict[int, dict[Mono, int]] = {}
         self._finder: Optional[RowFinder] = None
 
-    def at(self, n: int) -> list:
-        return self.table.get(n, [])
+    @cached_property
+    def monos(self) -> list[Mono]:
+        """Every monomial of the table, in table order."""
+        return list(map(tuple, self.mat.tolist()))
+
+    def mono(self, i: int) -> Mono:
+        return tuple(self.mat[i].tolist())
+
+    def at(self, n: int) -> list[Mono]:
+        if not 0 <= n < len(self.sizes):
+            return []
+        return list(map(tuple, self.mat[self._ends[n]:self._ends[n + 1]].tolist()))
 
     def dim(self, n: int) -> int:
-        return len(self.at(n))
+        return self.sizes[n] if 0 <= n < len(self.sizes) else 0
 
     def index(self, n: int) -> dict[Mono, int]:
         """The position of each monomial in at(n), built on first use."""
@@ -203,8 +218,8 @@ class _Image:
         """The degrees of src where then after this map is nonzero on some
         monomial, summed off the two tables.  Terms outside a table are left
         out: map_rank raises on their degree before its composites are read."""
-        p, width = self.field.p, max(len(then.dst.monos), 1)
-        pos, src = csr_terms(self.ptr, np.arange(len(self.src.monos)))
+        p, width = self.field.p, max(len(then.dst.mat), 1)
+        pos, src = csr_terms(self.ptr, np.arange(len(self.src.mat)))
         keep = self.col >= 0
         pos, src = pos[keep], src[keep]
         at, owner = csr_terms(then.ptr, self.col[pos])
@@ -223,7 +238,7 @@ class _Image:
         found off the tables."""
         S, T, p = self.src, self.dst, self.field.p
         src = np.flatnonzero(S.degree <= top)
-        width = max(len(T.monos), 1)
+        width = max(len(T.mat), 1)
         keys, values, off = [], [], []
         for m, c in left.items():  # each term of left times s, then its image terms
             coeff, prod = S.spec.mul_rows(np.tile(np.array(m, dtype=np.int64), (src.size, 1)),
@@ -255,12 +270,12 @@ class _Image:
         for i in np.flatnonzero(off_table).tolist():
             if i >= first:
                 break
-            s = S.monos[src.item(i)]
+            s = S.mono(src.item(i))
             if T.spec.linear(self.fn, S.spec.mul_dicts(left, {s: 1})) \
                     != finish(T.spec.mul_dicts(right, self.fn(s))):
                 first = i
                 break
-        return src.size, (S.monos[src.item(first)] if first < src.size else None)
+        return src.size, (S.mono(src.item(first)) if first < src.size else None)
 
 
 def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:

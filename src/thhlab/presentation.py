@@ -11,13 +11,14 @@ The normal-form basis is the set of irreducible monomials, those no rule
 lhs divides.  It is an order ideal: every divisor of an irreducible
 monomial is irreducible, since an lhs dividing the divisor divides the
 monomial too.  Basis enumeration relies on this to visit only irreducible
-monomials, never the whole ambient basis.
+monomials, never the whole ambient basis: the array walk of
+graded_algebra.walk_rows bounds each slot's exponent by the rule lhs that
+close there (graded_algebra.SlotBounds).
 
-Normal forms and basis enumeration share one rule index: the rules keyed by
-the last nonzero slot of their lhs, and under it by the first.  A rule can
-divide a monomial only if both slots are in the monomial's support, so a
-rewrite step or a step of the basis walk tests only the rules keyed by
-support slots.
+Normal forms use a rule index: the rules keyed by the last nonzero slot
+of their lhs, and under it by the first.  A rule can divide a monomial
+only if both slots are in the monomial's support, so a rewrite step tests
+only the rules keyed by support slots.
 
 The module also houses make_theta, the truncated two-family presentation
 used throughout, and check_derivation, which verifies that a declared
@@ -26,7 +27,7 @@ carrier algebra.
 
 Theta is built once per prime and extra generators: make_theta keeps the
 last presentation it built and hands the same object to every caller with
-that key.  A presentation keeps its basis table per cap and the text of
+that key.  A presentation keeps its basis rows per cap and the text of
 each rule, so the scenarios that share theta walk its basis and format its
 rules once.  Callers read these tables and must not mutate them.
 """
@@ -39,6 +40,8 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .fp_linalg import PrimeField
 from .graded_algebra import (
     AlgebraSpec,
@@ -46,15 +49,18 @@ from .graded_algebra import (
     Generator,
     GradedError,
     Mono,
+    SlotBounds,
     TermDict,
     UnsupportedKind,
-    _walk_monomials,
+    by_degree,
     exterior,
     leibniz,
     make_algebra,
     polynomial,
+    slot_bounds,
     truncated,
     truncation_residuals,
+    walk_rows,
 )
 
 
@@ -76,8 +82,9 @@ class RewriteRule:
         object.__setattr__(self, "_support", tuple((i, e) for i, e in enumerate(self.lhs) if e))
 
     def divides(self, mono: Sequence[int]) -> bool:
-        # a plain loop: the basis walk makes most calls, and with all() over
-        # a generator theta's walk at p = 37 took about a third longer
+        # a plain loop: normal forms make every call (_applicable), and with
+        # all() over a generator theta's old basis walk at p = 37 took about
+        # a third longer
         for i, e in self._support:  # type: ignore[attr-defined]
             if mono[i] < e:
                 return False
@@ -113,7 +120,7 @@ class Presentation:
             closing[support[-1][0]].setdefault(support[0][0], []).append((pos, rule))
         object.__setattr__(self, "_closing", tuple(
             tuple((j, tuple(group)) for j, group in by_first.items()) for by_first in closing))
-        object.__setattr__(self, "_bases", {})  # cap -> basis_by_degree(cap)
+        object.__setattr__(self, "_bases", {})  # cap -> basis_rows(cap)
 
     @cached_property
     def rule_texts(self) -> tuple[str, ...]:
@@ -174,32 +181,41 @@ class Presentation:
 
     # -- basis -----------------------------------------------------------------
 
-    def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
-        """All irreducible monomials of total degree <= cap, keyed by degree.
+    @cached_property
+    def _bounds(self) -> SlotBounds:
+        """The rule lhs as bounds of the basis walk (graded_algebra.slot_bounds)."""
+        return slot_bounds(len(self.algebra.generators), [rule.lhs for rule in self.rules])
 
-        Walks the ambient monomials of AlgebraSpec.basis_by_degree but visits
-        only irreducible monomials.  They form an order ideal: a rule lhs
-        that divides m divides every multiple of m.  Each rule is tested
-        where its lhs has its last nonzero slot, once that prefix of the
-        monomial is fixed, and only if the prefix is nonzero at its lhs's
-        first nonzero slot: the walk reads the same rule index as
-        normal_form_dict.  Lists come out in the ambient order, as if the
-        ambient table were filtered by irreducibility.  The table of each
-        cap is walked once and kept; callers must not mutate it.
+    def basis_rows(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """All irreducible monomials of total degree <= cap as exponent
+        rows, in degree and lexicographic order, and their degrees.
+
+        The walk of AlgebraSpec.basis_rows, with the exponent of each slot
+        bounded by the rules whose lhs has its last nonzero slot there
+        (graded_algebra.SlotBounds), so it visits only irreducible
+        monomials.  They form an
+        order ideal: a rule lhs that divides m divides every multiple of
+        m, so every prefix of an irreducible monomial is irreducible.  The
+        rows come out in the ambient order, as if the ambient basis were
+        filtered by irreducibility.  The rows of each cap are walked once
+        and kept; callers must not mutate them.
         """
         bases = self._bases  # type: ignore[attr-defined]
         if cap not in bases:
             gens = self.algebra.generators
-            bases[cap] = _walk_monomials([g.total_degree for g in gens],
-                                         [g.max_exponent(cap) for g in gens], cap,
-                                         self._closing)  # type: ignore[attr-defined]
+            bases[cap] = walk_rows([g.total_degree for g in gens],
+                                   [g.max_exponent(cap) for g in gens], cap, self._bounds)
         return bases[cap]
+
+    def basis_by_degree(self, cap: int) -> dict[int, list[Mono]]:
+        """All irreducible monomials of total degree <= cap, keyed by degree,
+        in the order of basis_rows."""
+        return by_degree(*self.basis_rows(cap), cap)
 
 
 def hilbert_pres(pres: Presentation, cap: int) -> list[int]:
     """Count of normal-form (irreducible) monomials per total degree."""
-    table = pres.basis_by_degree(cap)
-    return [len(table[n]) for n in range(cap + 1)]
+    return np.bincount(pres.basis_rows(cap)[1], minlength=max(cap + 1, 0)).tolist()
 
 
 def make_theta(

@@ -14,6 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .fp_linalg import PrimeField
 from .graded_algebra import (
     CoefficientFactor,
@@ -496,12 +498,14 @@ def _sec8_alternative_check(p: int, cap: int) -> Check:
     _, _, alt_page = _sec8_page(p, alt_cap, alternative=True)
     alt_out = run_differential(alt_page, _sec8_rules(alt_page, p, window=top))
     survivors = alt_out.total_dims(alt_cap)[top - 1]
-    survivor_keys = [alt_out.format_key(k)
-                     for s in range(top) for k in alt_out.keys_at(s, top - 1 - s)]
+    # both antidiagonals, total degrees top - 1 and top, in one read
+    below = range(top)
+    keys = alt_out.keys_on([*below, *range(3, top + 1)],
+                           [top - 1 - s for s in below] + [top - s for s in range(3, top + 1)])
+    survivor_keys = [alt_out.format_key(k) for ks in keys[:top] for k in ks]
     # only unit-coefficient classes can hit the survivors: a multiple
     # of l1 or dlogu maps to multiples of the same class
-    kill_sources = sum(1 for s in range(3, top + 1)
-                       for mono, _ in alt_out.keys_at(s, top - s) if mono[0] == mono[1] == 0)
+    kill_sources = sum(1 for ks in keys[top:] for mono, _ in ks if mono[0] == mono[1] == 0)
     abut_dim = hilbert(_ku_answer(p), top - 1)[top - 1]
     m = (p - 1) // 2
     ok = (survivors == m + 2 and kill_sources == m and abut_dim == 1
@@ -696,8 +700,8 @@ def _inputs(p: int, cap: int) -> list[Check]:
 
     window = min(cap, 6 * p)
     expected = hilbert(zero_part, window)
-    table = replete.basis_by_degree(window)
-    actual = [sum(1 for m in table.get(n, []) if m[0] == 0) for n in range(window + 1)]
+    mat, degree = replete.basis_rows(window)
+    actual = np.bincount(degree[mat[:, 0] == 0], minlength=window + 1).tolist()
     checks.append(_check("degree-zero-part", actual == expected, SOURCE_IDENTITY,
                          degrees=_total_diff(expected, actual, window)))
     return checks

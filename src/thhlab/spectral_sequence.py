@@ -13,8 +13,9 @@ is degreewise homology with monomial representatives, which
 fp_linalg.sparse_homology takes per connected component of the support of d.
 
 A page holds its keys in a key_arrays.KeyTable, as int64 arrays with one
-entry per key: the row of its monomial in one basis_by_degree walk, its
-label (-1 on a plain page), and its bidegree s, t, which one matrix
+entry per key: the row of its monomial among the exponent rows of one
+basis walk (AlgebraSpec.basis_rows), its label (-1 on a plain page), and
+its bidegree s, t, which one matrix
 product with the generators' degrees gives, plain pages and labeled ones
 alike.  The buckets, one per bidegree in the order the walk first reaches
 it, come from one stable argsort as arrays of bidegrees and sizes.
@@ -61,8 +62,8 @@ from .graded_algebra import (
     leibniz,
     truncation_residuals,
 )
-from .key_arrays import (KeyTable, PageKey, _lookup, basis_rows, csr_terms, key_rows, mono_rows,
-                         nonzero_sums, term_arrays)
+from .key_arrays import (KeyTable, PageKey, _lookup, csr_terms, key_rows, mono_rows, nonzero_sums,
+                         term_arrays)
 
 
 class NotADifferential(GradedError):
@@ -164,8 +165,15 @@ class Page:
 
     def keys_at(self, s: int, t: int) -> tuple[PageKey, ...]:
         """The keys at (s, t): the survivors once turned, else the raw keys."""
-        b = self._table().bucket_at(s, t)
-        return () if b is None else self._keys_of((s, t), b)
+        return self.keys_on([s], [t])[0]
+
+    def keys_on(self, s: Sequence[int], t: Sequence[int]) -> list[tuple[PageKey, ...]]:
+        """The keys at each bidegree (s[i], t[i]), as keys_at reads them,
+        with the buckets found by one KeyTable.bucket_of."""
+        s_arr, t_arr = np.array(s, dtype=np.int64), np.array(t, dtype=np.int64)
+        buckets = self._table().bucket_of(s_arr, t_arr).tolist()
+        return [() if b < 0 else self._keys_of(bd, b)
+                for bd, b in zip(zip(s_arr.tolist(), t_arr.tolist()), buckets)]
 
     def _keys_of(self, bd: tuple[int, int], b: int) -> tuple[PageKey, ...]:
         """The keys of bucket b, at bd, decoded once."""
@@ -773,13 +781,13 @@ def compare_abutment(
             "page has non-monomial classes in the window; bijection not certified"
         )
     spec = einfty.spec
-    monos, mat, degree = basis_rows(target.basis_by_degree(cap), len(target.generators))
+    mat, degree = target.basis_rows(cap)
     if representative is None:
         keys = None
         reps = default_representatives(einfty, abutment, extensions, mat)
-        labels = np.full(len(monos), -1, dtype=np.int64)
+        labels = np.full(len(mat), -1, dtype=np.int64)
     else:
-        keys = [representative(mono) for mono in monos]
+        keys = [representative(mono) for mono in map(tuple, mat.tolist())]
         reps, labels = key_rows(keys, len(spec.generators))
     shift = np.array([lab.shift for lab in einfty.labels or ()] + [0], dtype=np.int64)
     total = reps @ np.add(spec._filtrations, spec._inner) + shift[labels]  # type: ignore[attr-defined]
@@ -791,7 +799,7 @@ def compare_abutment(
     bad = np.flatnonzero((total != degree) | (at < 0) | shared)
     if bad.size:
         i = bad.item(0)
-        mono = monos[i]
+        mono = tuple(mat[i].tolist())
         key = keys[i] if keys is not None else (tuple(reps[i].tolist()), None)
         if total[i] != degree[i]:
             raise DimMismatch(

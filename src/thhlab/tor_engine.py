@@ -2,8 +2,8 @@
 
 The oracle resolves the unit module by an explicit complex of free modules
 (a Koszul two-term factor per polynomial generator, a divided-power tower per
-exterior generator), whose generator words come from the walk that
-enumerates every graded basis (graded_algebra._walk_monomials).  It
+exterior generator), whose generator words come, as int64 rows, from the
+walk that enumerates every graded basis (graded_algebra.walk_rows).  It
 verifies over F_p that the complex's only homology is F_p, then reads Tor
 off pairs of free and trivial module summands without eliminating again.
 The closed forms produce the same answers as algebra specs: an exterior
@@ -29,14 +29,14 @@ a single element of weight 0, the unit.  Summed over the slots they give
 dh + hd = 1 - pi, pi the projection onto the unit, a cycle that no term
 of d reaches; so every cycle is the unit's multiple plus a boundary, and
 the only homology is F_p at (0, 0).  The differential comes from index
-arithmetic, each term's generator and monomial found by one sorted search
-per slot.
+arithmetic on the word rows and the base's basis rows, each term's
+generator and monomial found by one sorted search per slot.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,14 +50,14 @@ from .graded_algebra import (
     Mono,
     UnsupportedKind,
     UnsupportedShape,
-    _walk_monomials,
     divided,
     exterior,
     hilbert,
     make_algebra,
     tensor,
+    walk_rows,
 )
-from .key_arrays import _lookup, basis_rows, mono_rows
+from .key_arrays import _lookup, mono_rows
 from .spectral_sequence import Page, PageLabel
 
 GradedDims = dict[tuple[int, int], int]
@@ -148,58 +148,91 @@ def _word_signs(poly: np.ndarray, words: np.ndarray) -> np.ndarray:
     return 1 - 2 * (odd % 2)
 
 
-@dataclass(eq=False)
 class ChainComplexOfFrees:
     """Free resolution of F_p, expanded over F_p.
 
     generators[s] lists the free-module generators in filtration s; the
     differential at (s, t) maps the degree-t slice of filtration s to the one
-    below it.  Internal degrees are capped, so every slice is finite."""
+    below it.  Internal degrees are capped, so every slice is finite.  The
+    generators are also held as arrays, one entry per generator in layer
+    order: words, the int64 rows of their words, and their layer and
+    internal degree.  A complex is given by its generators, or by the word
+    rows in layer order and their internal degrees (resolution does this),
+    whose layers are the rows' sums; generators is then built on first
+    read."""
 
-    algebra: AlgebraSpec
-    cap: int
-    generators: tuple[tuple[ResolutionGen, ...], ...]
+    def __init__(self, algebra: AlgebraSpec, cap: int,
+                 generators: Optional[tuple[tuple[ResolutionGen, ...], ...]] = None,
+                 rows: Optional[tuple[np.ndarray, np.ndarray]] = None) -> None:
+        self.algebra, self.cap = algebra, cap
+        self._generators = generators
+        if rows is None:
+            gens = [g for layer in generators or () for g in layer]
+            self.words = mono_rows([g.word for g in gens], len(algebra.generators))
+            self.degree = np.array([g.internal_degree for g in gens], dtype=np.int64)
+            self.layer = np.repeat(np.arange(len(generators or ())),
+                                   [len(layer) for layer in generators or ()])
+            self.layers = len(generators or ())
+        else:
+            self.words, self.degree = rows
+            self.layer = self.words.sum(axis=1)
+            self.layers = int(self.layer.max(initial=-1)) + 1
+
+    @property
+    def generators(self) -> tuple[tuple[ResolutionGen, ...], ...]:
+        if self._generators is None:
+            layers: list[list[ResolutionGen]] = [[] for _ in range(self.layers)]
+            for word, s, t in zip(self.words.tolist(), self.layer.tolist(), self.degree.tolist()):
+                layers[s].append(ResolutionGen(tuple(word), t))
+            self._generators = tuple(map(tuple, layers))
+        return self._generators
 
     @property
     def top_filtration(self) -> int:
-        return len(self.generators) - 1
+        return self.layers - 1
+
+    def _blocks(self, mono_degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Generator g owns the elements first[g] .. first[g] + count[g] - 1:
+        count[g] monomials, those of degree <= cap - |g|."""
+        up_to = np.cumsum(np.bincount(mono_degree, minlength=self.cap + 1))
+        room = self.cap - self.degree
+        count = np.where(room >= 0, up_to[room], 0)
+        return count, np.cumsum(count) - count
+
+    def _bidegree(self, e: int) -> tuple[int, int]:
+        """The (layer, internal degree) of element e of _differential."""
+        mono_degree = self.algebra.basis_rows(self.cap)[1]
+        count, first = self._blocks(mono_degree)
+        g = np.searchsorted(first + count, e, side="right")
+        return int(self.layer[g]), int(self.degree[g] + mono_degree[e - first[g]])
 
     def _differential(self) -> tuple[np.ndarray, ...]:
-        """The basis of the whole complex and its differential, as arrays.
+        """The differential of the whole complex, as arrays.
 
         Element e is (generator, base monomial): the generators in layer
         order, each with the monomials of degree <= cap - |g| in degree
-        order, so every (s, t) slice is a run of ascending indices.  Returns
-        layer[e], degree[e], lead[e] (the first slot of nonzero weight, n if
-        none), and target[e, i], value[e, i]: the slot-i term of d(e), value
-        0 if none.
+        order, so every (s, t) slice is a run of ascending indices
+        (_blocks; _bidegree reads one off).  Returns lead[e] (the first
+        slot of nonzero weight, n if none), and target[e, i], value[e, i]:
+        the slot-i term of d(e), value 0 if none.
 
         The slot-i term takes the generator with word - e_i, times the
         monomial m + e_i, which is zero over an exterior slot with m_i = 1.
         Its sign is _word_signs times the sign of that product, (-1)^(odd
         letters of m after i) over an exterior slot.
         """
-        alg, cap, n = self.algebra, self.cap, len(self.algebra.generators)
+        alg, n, words = self.algebra, len(self.algebra.generators), self.words
         poly = np.array([g.kind == "polynomial" for g in alg.generators], dtype=bool)
-        _, monos, mono_degree = basis_rows(alg.basis_by_degree(cap), n)
-        gens = [(s, g) for s, layer in enumerate(self.generators) for g in layer]
-        words = mono_rows([g.word for _, g in gens], n)
-        gen_degree = np.array([g.internal_degree for _, g in gens], dtype=np.int64)
-        gen_layer = np.array([s for s, _ in gens], dtype=np.int64)
-        # generator g owns the elements first[g] .. first[g] + count[g] - 1
-        up_to = np.cumsum(np.bincount(mono_degree, minlength=cap + 1))
-        room = cap - gen_degree
-        count = np.where(room >= 0, up_to[room], 0)
-        first = np.cumsum(count) - count
+        monos, mono_degree = alg.basis_rows(self.cap)
+        count, first = self._blocks(mono_degree)
 
         # words, monomials and weights in one mixed radix, with the layer as
         # the last digit: d keeps the weight and lowers the layer, so it
         # lowers the key by exactly one
         radix = words.max(axis=0, initial=0) + monos.max(axis=0, initial=0) + 1
-        layers = len(self.generators)
-        if math.prod(radix.tolist()) * layers >= 2**62:
+        if math.prod(radix.tolist()) * self.layers >= 2**62:
             raise UnsupportedShape("resolution window too large to index")
-        stride = np.array([math.prod(radix[i + 1:].tolist()) * layers for i in range(n)],
+        stride = np.array([math.prod(radix[i + 1:].tolist()) * self.layers for i in range(n)],
                           dtype=np.int64)
         gen_key, mono_key = words @ stride, monos @ stride
 
@@ -213,7 +246,7 @@ class ChainComplexOfFrees:
         mono_sign = np.where(poly, 1, 1 - 2 * (after % 2))
 
         # every element at once, one column per slot
-        eg = np.repeat(np.arange(len(gens)), count)
+        eg = np.repeat(np.arange(len(words)), count)
         em = np.arange(eg.size) - first[eg]
         below_e, up_e = below[eg], up[em]
         term = (words[eg] > 0) & (up_e != -1)
@@ -221,13 +254,13 @@ class ChainComplexOfFrees:
             raise AssertionError("the differential leaves the basis of the complex")
         target = (first[below_e] + up_e) * term
         value = _word_signs(poly, words)[eg] * mono_sign[em] * term
-        key = gen_key[eg] + gen_layer[eg] + mono_key[em]
+        key = gen_key[eg] + self.layer[eg] + mono_key[em]
         if (term & (key[target] != key[:, None] - 1)).any():
             raise AssertionError("the differential leaves a weight block")
         # the weights of slots 0 .. i - 1 are all zero iff key < stride[i - 1],
         # so the lead slot counts the strides above the key
         lead = n - np.searchsorted(stride[::-1], key, side="right")
-        return gen_layer[eg], gen_degree[eg] + mono_degree[em], lead, target, value
+        return lead, target, value
 
     def check_resolves_unit(self) -> None:
         """d composes to zero and the only homology is F_p in bidegree (0, 0).
@@ -241,7 +274,7 @@ class ChainComplexOfFrees:
         slots, dh + hd = 1 - pi, pi the projection onto the unit (see the
         module docstring).
         """
-        layer, degree, lead, target, value = self._differential()
+        lead, target, value = self._differential()
         p, n = self.algebra.field.p, value.shape[1]
         slots = [(target[:, j], value[:, j] % p) for j in range(n)]
         for i, (t, v) in enumerate(slots):
@@ -267,7 +300,7 @@ class ChainComplexOfFrees:
                 where = "its lead slot" if itself[e] else f"slot {j}"
                 raise AssertionError(
                     f"complex is not a resolution of F_p: d_j h + h d_j is not"
-                    f" {int(itself[e])} on {where} at bidegree ({layer[e]}, {degree[e]})"
+                    f" {int(itself[e])} on {where} at bidegree {self._bidegree(e)}"
                 )
 
 
@@ -316,22 +349,21 @@ def resolution(algebra: AlgebraSpec, cap: int) -> ChainComplexOfFrees:
     """Free resolution of F_p over a tensor of polynomial and exterior
     generators, exact in internal degrees <= cap (verified).
 
-    The generator words come from the walk that enumerates graded bases: a
-    polynomial slot takes one Koszul letter, an exterior slot any number of
-    tower stages.  The walk yields words in (internal degree, word) order,
-    so each layer, the words of one filtration sum(word), is in that order.
+    The generator words come from the walk that enumerates graded bases,
+    as int64 rows: a polynomial slot takes one Koszul letter, an exterior
+    slot any number of tower stages.  The walk yields words in (internal
+    degree, word) order, so a stable sort by filtration sum(word) puts
+    each layer in that order.
     """
     _require_monomial_base(algebra)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     gens = algebra.generators
-    degrees = [g.total_degree for g in gens]
-    limits = [1 if g.kind == "polynomial" else cap // g.total_degree for g in gens]
-    layers: defaultdict[int, list[ResolutionGen]] = defaultdict(list)
-    for t, words in _walk_monomials(degrees, limits, cap, [()] * len(gens)).items():
-        for word in words:
-            layers[sum(word)].append(ResolutionGen(word, t))
-    out = ChainComplexOfFrees(algebra, cap, tuple(tuple(layers[s]) for s in range(len(layers))))
+    words, degree = walk_rows([g.total_degree for g in gens],
+                              [1 if g.kind == "polynomial" else cap // g.total_degree
+                               for g in gens], cap)
+    order = words.sum(axis=1).argsort(kind="stable")
+    out = ChainComplexOfFrees(algebra, cap, rows=(words[order], degree[order]))
     out.check_resolves_unit()
     return out
 
@@ -364,10 +396,7 @@ def tor_oracle(
     (all filtrations land inside it)."""
     _check_same_base(algebra, left, right)
     res = resolution(algebra, cap)
-    trivial: defaultdict[tuple[int, int], int] = defaultdict(int)
-    for s, layer in enumerate(res.generators):
-        for g in layer:
-            trivial[(s, g.internal_degree)] += 1
+    trivial = Counter(zip(res.layer.tolist(), res.degree.tolist()))
     tables = {
         ("trivial", "trivial"): trivial,
         ("free", "trivial"): {(0, 0): 1},
@@ -390,8 +419,8 @@ def _summand_view(module: ModuleSpec, cap: int) -> list[tuple[int, str]]:
     if module.summands is not None:
         return [(shift, action) for shift, _, action in module.summands]
     if module.trivial_action_coefficients is not None:
-        table = module.trivial_action_coefficients.basis_by_degree(cap)
-        return [(t, "trivial") for t, monos in table.items() for _ in monos]
+        degree = module.trivial_action_coefficients.basis_rows(cap)[1]
+        return [(t, "trivial") for t in degree.tolist()]
     return [(0, "trivial")]
 
 

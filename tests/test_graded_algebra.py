@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thhlab.fp_linalg import map_rank
@@ -26,9 +26,11 @@ from thhlab.graded_algebra import (
     leibniz,
     make_algebra,
     polynomial,
+    slot_bounds,
     tensor,
     truncated,
     truncation_residuals,
+    walk_rows,
 )
 from thhlab.presentation import make_theta
 
@@ -175,6 +177,59 @@ def test_basis_by_degree_is_the_capped_product_in_lexicographic_order(cap):
         if n <= cap:
             expected[n].append(w)
     assert spec.basis_by_degree(cap) == expected
+
+
+@st.composite
+def walks(draw):
+    """Generators of every kind as (kind, degree, height), a cap, a slot
+    whose limit is forced to 0 (or None), and monomials to keep out, with
+    one, two or three letters."""
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["exterior", "polynomial", "truncated", "divided"]))
+        d = draw(st.integers(1, 3))
+        gens.append((kind, 2 * d - 1 if kind == "exterior" else 2 * d,
+                     draw(st.integers(2, 4)) if kind == "truncated" else None))
+    cap = draw(st.integers(-1, 14))
+    zero = draw(st.one_of(st.none(), st.integers(0, len(gens) - 1))) if gens else None
+    forbidden = []
+    for _ in range(draw(st.integers(0, 6)) if gens else 0):
+        slots = draw(st.sets(st.integers(0, len(gens) - 1), min_size=1,
+                             max_size=min(3, len(gens))))
+        forbidden.append(tuple(draw(st.integers(1, 3)) if i in slots else 0
+                               for i in range(len(gens))))
+    return gens, cap, zero, forbidden
+
+
+@given(walks())
+@example(([], -1, None, []))
+@example(([], 0, None, []))
+@example(([("polynomial", 2, None), ("exterior", 3, None), ("truncated", 2, 3),
+           ("divided", 4, None)], 0, None, []))
+@example(([("polynomial", 2, None), ("polynomial", 2, None), ("polynomial", 4, None)], 12, 1,
+          [(1, 1, 1), (0, 2, 1), (3, 0, 0)]))
+# a three-letter monomial met exactly; two on one slot pair, the weaker
+# last; and a slot-0 exponent (2) that only the running minimum bounds
+@example(([("polynomial", 2, None)] * 3, 12, None, [(1, 1, 1), (1, 0, 2), (1, 0, 3), (3, 0, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_walk_rows_equals_the_filtered_product(case):
+    # every word of the capped product, in lexicographic order, kept if no
+    # forbidden monomial divides it, then stably sorted by degree
+    gens, cap, zero, forbidden = case
+    spec = make_algebra(3, [Generator(f"g{i}", d, kind, h) for i, (kind, d, h) in enumerate(gens)])
+    degrees = [g.total_degree for g in spec.generators]
+    limits = [0 if i == zero else g.max_exponent(cap) for i, g in enumerate(spec.generators)]
+    words = [w for w in itertools.product(*(range(max(lim, 0) + 1) for lim in limits))
+             if sum(e * d for e, d in zip(w, degrees)) <= cap
+             and not any(all(a <= e for a, e in zip(f, w)) for f in forbidden)]
+    words.sort(key=lambda w: sum(e * d for e, d in zip(w, degrees)))
+    bounds = slot_bounds(len(gens), forbidden) if forbidden else None
+    mat, degree = walk_rows(degrees, limits, cap, bounds)
+    assert mat.dtype == degree.dtype == np.int64 and mat.shape == (len(words), len(gens))
+    assert mat.tolist() == [list(w) for w in words]
+    assert degree.tolist() == [sum(e * d for e, d in zip(w, degrees)) for w in words]
+    if zero is None and not forbidden:
+        assert [list(w) for ws in spec.basis_by_degree(cap).values() for w in ws] == mat.tolist()
 
 
 def test_negative_cap_gives_an_empty_basis_for_every_spec():

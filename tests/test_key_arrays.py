@@ -1,5 +1,6 @@
-"""The shared int64 encoding of key_arrays: monomial and basis rows, page
-keys, term dicts in CSR form and sums mod p, against loop references, and
+"""The shared int64 encoding of key_arrays: monomial rows (and basis rows
+from the walk), page keys, term dicts in CSR form and sums mod p, against
+loop references, and
 a mutation control showing that one sum routine carries both the page
 turns and the exactness check."""
 
@@ -11,7 +12,6 @@ import pytest
 from thhlab import les_checker, spectral_sequence
 from thhlab.graded_algebra import exterior, make_algebra, polynomial
 from thhlab.key_arrays import (
-    basis_rows,
     csr_terms,
     key_rows,
     mono_rows,
@@ -26,7 +26,8 @@ EMPTY = np.zeros(0, dtype=np.int64)
 
 def test_empty_inputs_keep_int64():
     ptr, keys, coeffs = term_arrays([])
-    arrays = [mono_rows([], 3), *basis_rows({}, 2)[1:], *key_rows([], 2), coeffs,
+    spec = make_algebra(3, [polynomial("x", 2), exterior("e", 5)])
+    arrays = [mono_rows([], 3), *spec.basis_rows(-1), *key_rows([], 2), coeffs,
               *csr_terms(ptr, EMPTY), *nonzero_sums(EMPTY, EMPTY, 5)]
     assert all(a.dtype == np.int64 and a.size == 0 for a in arrays)
     assert mono_rows([], 3).shape == (0, 3) and ptr.tolist() == [0] and keys == []
@@ -54,8 +55,8 @@ def test_width_zero_rows():
     # no generators
     zero = _Graded(None, 5)
     assert zero.monos == [] and zero.mat.shape == (0, 0) and zero.degree.size == 0
-    monos, mat, degree = basis_rows({0: [()]}, 0)
-    assert monos == [()] and mat.shape == (1, 0) and degree.tolist() == [0]
+    mat, degree = make_algebra(3, []).basis_rows(0)
+    assert mat.shape == (1, 0) and mat.dtype == np.int64 and degree.tolist() == [0]
     mat, labels = key_rows([((), None), ((), 1)], 0)
     assert mat.shape == (2, 0) and labels.tolist() == [-1, 1]
 
@@ -64,13 +65,12 @@ def test_basis_rows_of_a_table_with_empty_degrees():
     spec = make_algebra(3, [polynomial("x", 2), exterior("e", 5)])
     basis = spec.basis_by_degree(9)
     assert not basis[1] and not basis[3]
-    monos, mat, degree = basis_rows(basis, 2)
-    assert monos == [m for ms in basis.values() for m in ms]
-    assert mat.tolist() == [list(m) for m in monos]
+    mat, degree = spec.basis_rows(9)
+    assert mat.tolist() == [list(m) for ms in basis.values() for m in ms]
     assert degree.tolist() == [n for n, ms in basis.items() for _ in ms]
     assert spec.basis_by_degree(-1) == {}
-    monos, mat, degree = basis_rows({}, 2)
-    assert monos == [] and mat.shape == (0, 2) and degree.size == 0
+    mat, degree = spec.basis_rows(-1)
+    assert mat.shape == (0, 2) and degree.size == 0
 
 
 def test_csr_expansion_over_rows_with_no_terms():

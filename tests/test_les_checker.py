@@ -374,7 +374,7 @@ def reference_check_les(spec, cap):
             g_mono = tuple(1 if j == i else 0 for j in range(len(A.spec.generators)))
             g_deg = g.total_degree
             rho_g, nu_g = rho_of(g_mono), nu_imgs[g.name]
-            for n, monos in B.table.items():
+            for n, monos in ((n, B.at(n)) for n in range(cap + 1)):
                 if n + g_deg > cap:
                     continue
                 for b in monos:
@@ -384,7 +384,7 @@ def reference_check_les(spec, cap):
                         raise InexactAt(n + g_deg, "boundary module structure",
                                         f"over {g.name} at {B.spec.format_mono(b)}")
                     boundary_pairs += 1
-            for n, monos in C.table.items():
+            for n, monos in ((n, C.at(n)) for n in range(cap + 1)):
                 if n + g_deg > cap:
                     continue
                 for cmono in monos:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -350,20 +351,21 @@ def test_shared_theta_tables_survive_the_catalog(tmp_path):
     main(["run", "--all", "--prime", "5", "--format", "json", "--out", str(tmp_path / "r.json")])
     shared = make_theta(5, (exterior("l1", 9),))
     assert 70 in shared._bases  # the catalog walked it at the default cap 2p^2 + 4p
-    for cap, table in shared._bases.items():
-        assert table == Presentation(shared.algebra, shared.rules).basis_by_degree(cap)
+    for cap, (mat, degree) in shared._bases.items():
+        fresh, fresh_degree = Presentation(shared.algebra, shared.rules).basis_rows(cap)
+        assert np.array_equal(mat, fresh) and np.array_equal(degree, fresh_degree)
 
 
 def test_both_ku_sequences_walk_theta_once(monkeypatch):
     presentation._theta.cache_clear()
     caps = []
-    walk = presentation._walk_monomials
+    walk = presentation.walk_rows
 
-    def counted(degrees, limits, cap, closing):
+    def counted(degrees, limits, cap, bounds=None):
         caps.append(cap)
-        return walk(degrees, limits, cap, closing)
+        return walk(degrees, limits, cap, bounds)
 
-    monkeypatch.setattr(presentation, "_walk_monomials", counted)
+    monkeypatch.setattr(presentation, "walk_rows", counted)
     for ambiguity in (0, 1):
         check_les(ku_sequence(3, ambiguity), cap=40)
     assert caps == [40]

@@ -68,10 +68,25 @@ def coeff_core(p=3):
 # -- resolution ----------------------------------------------------------------------
 
 
+def element_bidegrees(res):
+    """The layer and internal degree of every element of the complex, in the
+    order of _differential: the generators in layer order, each with the
+    base monomials of degree <= cap - |g| in degree order."""
+    table = res.algebra.basis_by_degree(res.cap)
+    layer, degree = [], []
+    for s, gens in enumerate(res.generators):
+        for g in gens:
+            for n in range(res.cap - g.internal_degree + 1):
+                layer += [s] * len(table[n])
+                degree += [g.internal_degree + n] * len(table[n])
+    return np.array(layer, dtype=np.int64), np.array(degree, dtype=np.int64)
+
+
 def differential_matrices(res):
     """The differential (s, t) -> (s - 1, t) on the monomial bases, as a
     function of (s, t), cut from one read of the complex's arrays."""
-    layer, degree, _, target, value = res._differential()
+    _, target, value = res._differential()
+    layer, degree = element_bidegrees(res)
 
     def image(e):
         return {int(f): int(v) for f, v in zip(target[e], value[e]) if v}
@@ -300,9 +315,9 @@ def test_a_broken_homotopy_certificate_fails_the_check(monkeypatch, mutation):
     built = []
 
     def second_unit(self):
-        layer, degree, lead, target, value = differential(self)
+        lead, target, value = differential(self)
         lead[np.flatnonzero(lead < value.shape[1])[-1]] = value.shape[1]
-        return layer, degree, lead, target, value
+        return lead, target, value
 
     def doubled(p, *args):
         h_target, h_value = homotopy(p, *args)
