@@ -155,11 +155,10 @@ class ChainComplexOfFrees:
     differential at (s, t) maps the degree-t slice of filtration s to the one
     below it.  Internal degrees are capped, so every slice is finite.  The
     generators are also held as arrays, one entry per generator in layer
-    order: words, the int64 rows of their words, and their layer and
-    internal degree.  A complex is given by its generators, or by the word
-    rows in layer order and their internal degrees (resolution does this),
-    whose layers are the rows' sums; generators is then built on first
-    read."""
+    order: words (their words as int64 rows), layer and degree (internal).
+    A complex is given by its generators, or by the word rows in layer
+    order and their internal degrees (resolution does this), whose layers
+    are the rows' sums; generators is then built on first read."""
 
     def __init__(self, algebra: AlgebraSpec, cap: int,
                  generators: Optional[tuple[tuple[ResolutionGen, ...], ...]] = None,
@@ -167,12 +166,12 @@ class ChainComplexOfFrees:
         self.algebra, self.cap = algebra, cap
         self._generators = generators
         if rows is None:
-            gens = [g for layer in generators or () for g in layer]
+            layers = generators or ()
+            gens = [g for layer in layers for g in layer]
             self.words = mono_rows([g.word for g in gens], len(algebra.generators))
             self.degree = np.array([g.internal_degree for g in gens], dtype=np.int64)
-            self.layer = np.repeat(np.arange(len(generators or ())),
-                                   [len(layer) for layer in generators or ()])
-            self.layers = len(generators or ())
+            self.layer = np.repeat(np.arange(len(layers)), [len(layer) for layer in layers])
+            self.layers = len(layers)
         else:
             self.words, self.degree = rows
             self.layer = self.words.sum(axis=1)
