@@ -82,6 +82,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UnknownScenario, ParseError, OSError, ValueError) as exc:
         sys.stderr.write(f"thhlab: {exc}\n")
         return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError is one
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"thhlab: out of memory{detail}\n")
+        return 2
 
     payload = _assemble(reports, args.format)
     if args.out:

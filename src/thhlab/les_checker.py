@@ -17,17 +17,22 @@ equalities (composites that vanish, summed off the tables by
 key_arrays.nonzero_sums).  A degree whose images have at most one term
 each is ranked by counting the target rows it hits (fp_linalg.count_ranks);
 any other degree goes to fp_linalg.map_rank.  boundary and tau are checked
-to be module maps over A through a declared coefficient action, one
-A-generator at a time: each side of all its (generator, basis monomial)
-pairs is one AlgebraSpec.mul_rows and one sorted search of the products in
-a table.  A pair whose product leaves its table is checked on term dicts
-instead."""
+to be module maps over A through a declared coefficient action, on the
+(generator, basis monomial) pairs of whole A-generators stacked into
+blocks: each side of a block's pairs is one AlgebraSpec.mul_rows and one
+sorted search of the products in a table.  A pair whose product leaves its
+table is checked on term dicts instead.
+
+check_les_family checks sequences that share every field but the
+boundary, such as the two boundary ambiguities of a catalogued sequence,
+in one pass: everything but the boundary's image table, its composites,
+its degree loop and its module pairs is built and checked once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +56,12 @@ JOINT_TAU_RHO = "im(tau) = ker(rho)"
 JOINT_RHO_BOUNDARY = "im(rho) = ker(boundary)"
 JOINT_BOUNDARY_TAU = "im(boundary) = ker(tau)"
 JOINT_ALTERNATING = "alternating dimension identity"
+
+# the module checks stack whole A-generators into blocks that close once
+# they reach this many pairs, 2 MiB per int64 array of width 4: les-ku and
+# les-ell at p = 37 (224 072 boundary pairs) took 0.24-0.27 s in-process
+# for blocks of 2^13 to 2^17 pairs, and 0.33-0.36 s in one block
+_BLOCK_PAIRS = 1 << 16
 
 
 class InexactAt(GradedError):
@@ -228,54 +239,90 @@ class _Image:
                            self.val[pos[owner[keep]]] * then.val[at[keep]] % p, p)[0]
         return set(self.src.degree[bad // width].tolist())
 
-    def module_failure(self, left: TermDict, right: TermDict, top: int,
-                       finish: Callable[[TermDict], TermDict]) -> tuple[int, Optional[Mono]]:
-        """Over the monomials s of src of degree <= top, in table order: the
-        number of them, and the first s where fn(left * s) differs from
-        finish(right * fn(s)), or None.  Both sides are summed per (s, dst
-        row) off the tables.  An s with a nonzero product outside its table
-        is checked on term dicts instead, in order, up to the first failure
-        found off the tables."""
+    def module_failure(self, sides: Sequence[tuple[TermDict, TermDict, int]],
+                       finish: Callable[[TermDict], TermDict]) -> tuple[int, Optional[tuple[int, Mono]]]:
+        """For each (left, right, top) of sides, over the monomials s of src
+        of degree <= top, in table order: the number of all these pairs, and
+        the first (index in sides, s), side by side, where fn(left * s)
+        differs from finish(right * fn(s)), or None.  The sides go in blocks
+        of whole sides, in order, each closed once it reaches _BLOCK_PAIRS
+        pairs, and the first block with a failure ends the search."""
+        counts = np.searchsorted(self.src.degree, [top for _, _, top in sides], "right")
+        start = 0
+        while start < len(sides):
+            stop = start + 1 + np.searchsorted(np.cumsum(counts[start:]), _BLOCK_PAIRS).item()
+            bad = self._block_failure(sides[start:stop], counts[start:stop], finish)
+            if bad is not None:
+                return counts.sum().item(), (start + bad[0], bad[1])
+            start = stop
+        return counts.sum().item(), None
+
+    def _block_failure(self, sides, counts: np.ndarray,
+                       finish: Callable[[TermDict], TermDict]) -> Optional[tuple[int, Mono]]:
+        """module_failure on one block, whose pairs are stacked side by side.
+        Each side of the equation is one AlgebraSpec.mul_rows and one sorted
+        search of the products in a table, and both are summed per (pair,
+        dst row) off the tables.  A pair with a nonzero product outside its
+        table is checked on term dicts instead, in order, up to the first
+        failure found off the tables."""
         S, T, p = self.src, self.dst, self.field.p
-        src = np.flatnonzero(S.degree <= top)
+        first_pair = np.cumsum(counts) - counts
         width = max(len(T.mat), 1)
         keys, values, off = [], [], []
-        for m, c in left.items():  # each term of left times s, then its image terms
-            coeff, prod = S.spec.mul_rows(np.tile(np.array(m, dtype=np.int64), (src.size, 1)),
-                                          S.mat[src])
-            live = np.flatnonzero(coeff)
-            row = S.find(prod[live])
-            off.append(live[row < 0])
-            live, row = live[row >= 0], row[row >= 0]
-            at, owner = csr_terms(self.ptr, row)
-            keys.append(live[owner] * width + self.col[at])
-            values.append(c * coeff[live[owner]] % p * self.val[at] % p)
-        at, owner = csr_terms(self.ptr, src)  # each term of right times each term of fn(s)
-        for m, c in right.items() if at.size else ():
-            coeff, prod = T.spec.mul_rows(np.tile(np.array(m, dtype=np.int64), (at.size, 1)),
-                                          T.mat[self.col[at]])
-            live = np.flatnonzero(coeff)
-            row = T.find(prod[live])
-            off.append(owner[live[row < 0]])
-            live, row = live[row >= 0], row[row >= 0]
-            keys.append(owner[live] * width + row)
-            values.append(p - c * coeff[live] % p * self.val[at[live]] % p)
-        if not keys:  # both sides vanish on every s
-            return src.size, None
+        # each term of left times s, then its image terms
+        rows, coeff, side, s = _spread([left for left, _, _ in sides], counts, S.mat.shape[1])
+        c, prod = S.spec.mul_rows(rows, S.mat[s])
+        live = np.flatnonzero(c)
+        row = S.find(prod[live])
+        pair = first_pair[side[live]] + s[live]
+        off.append(pair[row < 0])
+        at, owner = csr_terms(self.ptr, row[row >= 0])
+        live, pair = live[row >= 0][owner], pair[row >= 0][owner]
+        keys.append(pair * width + self.col[at])
+        values.append(coeff[live] * c[live] % p * self.val[at] % p)
+        # each term of right times each term of fn(s): the pairs of a side
+        # are the rows 0..count - 1, whose image terms are 0..ptr[count] - 1
+        rows, coeff, side, at = _spread([right for _, right, _ in sides], self.ptr[counts],
+                                        T.mat.shape[1])
+        c, prod = T.spec.mul_rows(rows, T.mat[self.col[at]])
+        live = np.flatnonzero(c)
+        row = T.find(prod[live])
+        pair = first_pair[side[live]] + np.searchsorted(self.ptr, at[live], "right") - 1
+        off.append(pair[row < 0])
+        live = live[row >= 0]
+        keys.append(pair[row >= 0] * width + row[row >= 0])
+        values.append(p - coeff[live] * c[live] % p * self.val[at[live]] % p)
+
+        total = counts.sum().item()
         bad = nonzero_sums(np.concatenate(keys), np.concatenate(values), p)[0] // width
-        off_table = np.zeros(src.size, dtype=bool)
+        off_table = np.zeros(total, dtype=bool)
         off_table[np.concatenate(off)] = True
         bad = bad[~off_table[bad]]
-        first = bad.item(0) if bad.size else src.size
-        for i in np.flatnonzero(off_table).tolist():
-            if i >= first:
-                break
-            s = S.mono(src.item(i))
+        first = bad.item(0) if bad.size else total
+        for q in np.flatnonzero(off_table[:first]).tolist():
+            g = np.searchsorted(first_pair, q, "right").item() - 1
+            left, right, _ = sides[g]
+            s = S.mono(q - first_pair.item(g))
             if T.spec.linear(self.fn, S.spec.mul_dicts(left, {s: 1})) \
                     != finish(T.spec.mul_dicts(right, self.fn(s))):
-                first = i
+                first = q
                 break
-        return src.size, (S.mono(src.item(first)) if first < src.size else None)
+        if first == total:
+            return None
+        g = np.searchsorted(first_pair, first, "right").item() - 1
+        return g, S.mono(first - first_pair.item(g))
+
+
+def _spread(dicts: Sequence[TermDict], sizes: np.ndarray, width: int):
+    """Each term (m, c) of dicts[g], once for every i in 0..sizes[g] - 1,
+    for every g in turn: m's exponent row, c, g and i, as arrays."""
+    terms = [(g, m, c) for g, d in enumerate(dicts) for m, c in d.items()]
+    n = np.array([sizes[g] for g, _, _ in terms], dtype=np.int64)
+    which = np.repeat(np.arange(n.size), n)
+    return (mono_rows([m for _, m, _ in terms], width)[which],
+            np.array([c for _, _, c in terms], dtype=np.int64)[which],
+            np.array([g for g, _, _ in terms], dtype=np.int64)[which],
+            np.arange(which.size) - np.repeat(np.cumsum(n) - n, n))
 
 
 def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
@@ -287,12 +334,30 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     and basis order.  rho, tau and the boundary are read into image tables
     before the degree loop, so a boundary or tau image of the wrong degree
     raises DegreeMismatch before any InexactAt."""
+    (result,) = check_les_family([spec], cap)
+    if isinstance(result, InexactAt):
+        raise result
+    return result
+
+
+def check_les_family(members: Sequence[LongExactSpec],
+                     cap: int) -> list[ExactnessReport | InexactAt]:
+    """check_les on sequences that share every field but the boundary, as
+    the same objects: per member, its report or the InexactAt it raises.
+    What they share is built and checked once, and an error there is raised
+    once, as check_les raises it: rho's relations, the coefficient action's,
+    tau's images, then each member's boundary images.  tau's module pairs
+    are checked once, when a member first reaches them."""
+    spec = members[0]
+    if any(getattr(m, f.name) is not getattr(spec, f.name)
+           for m in members for f in fields(LongExactSpec) if f.name != "boundary"):
+        raise ValueError("family members may differ in their boundary only")
     A = _Graded(spec.A, cap)
     B = _Graded(spec.B, cap)
     C = _Graded(spec.C, cap)
     sides = [s for s in (A, B, C) if s.spec is not None]
     if not sides:
-        return ExactnessReport(cap, (), 0, 0)
+        return [ExactnessReport(cap, (), 0, 0) for _ in members]
     field = sides[0].spec.field
     for s in sides:
         if s.spec.field != field:
@@ -307,14 +372,50 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
     if spec.coefficient_action is not None and A.spec is not None and C.spec is not None:
         _require_algebra_map(spec.A, C, spec.coefficient_action, "the coefficient action")
 
-    bdy_img = _checked(spec.boundary, B, C, 1, "boundary") if B.spec is not None else None
     tau_img = _checked(spec.tau, C, A, 0, "tau") if C.spec is not None else None
     rho = _Image(rho_of, A, B, 0, field, cap, monomial)
     tau = _Image(tau_img, C, A, 0, field, cap)
-    bdy = _Image(bdy_img, B, C, 1, field, cap)
-    # the degrees where a composite of two maps does not vanish
-    tau_rho, rho_bdy, bdy_tau = tau.then_nonzero(rho), rho.then_nonzero(bdy), bdy.then_nonzero(tau)
+    bdys = [_Image(_checked(m.boundary, B, C, 1, "boundary") if B.spec is not None else None,
+                   B, C, 1, field, cap) for m in members]
+    tau_rho = tau.then_nonzero(rho)  # the degrees where tau then rho does not vanish
+    # the module pairs: over no generator without a coefficient action
+    gens = A.spec.generators if spec.coefficient_action is not None and all(
+        s.spec is not None for s in (A, B, C)) else ()
+    units = [A.spec.unit[:i] + (1,) + A.spec.unit[i + 1:] for i in range(len(gens))]
+    nu = [C.normalize(spec.coefficient_action[g.name]) for g in gens]  # type: ignore[index]
+    tops = [cap - g.total_degree for g in gens]
+    boundary_sides = list(zip(map(rho_of, units), nu, tops))
+    tau_found = []  # tau's pair count and first failure, found when a member first needs them
+    out: list[ExactnessReport | InexactAt] = []
+    for bdy in bdys:
+        try:
+            rows = _exact_rows(A, B, C, rho, tau, bdy, tau_rho, cap)
+            boundary_pairs, bad = bdy.module_failure(boundary_sides, lambda d: d)
+            if not tau_found:
+                tau_found.append(tau.module_failure(
+                    [(n, {u: 1}, top) for n, u, top in zip(nu, units, tops)], A.normalize))
+            tau_pairs, tau_bad = tau_found[0]
+            # the first failing pair goes by generator, boundary before tau
+            if bad is not None and (tau_bad is None or bad[0] <= tau_bad[0]):
+                raise _module_failed(gens[bad[0]], bad[1], B, "boundary")
+            if tau_bad is not None:
+                raise _module_failed(gens[tau_bad[0]], tau_bad[1], C, "tau")
+            out.append(ExactnessReport(cap, rows, boundary_pairs, tau_pairs))
+        except InexactAt as exc:
+            out.append(exc)
+    return out
 
+
+def _module_failed(g, mono: Mono, side: _Graded, name: str) -> InexactAt:
+    return InexactAt(side.spec.total_degree_of(mono) + g.total_degree, f"{name} module structure",
+                     f"over {g.name} at {side.spec.format_mono(mono)}")
+
+
+def _exact_rows(A: _Graded, B: _Graded, C: _Graded, rho: _Image, tau: _Image, bdy: _Image,
+                tau_rho: set[int], cap: int) -> tuple[tuple[int, ...], ...]:
+    """The report rows of check_les, degree by degree, raising InexactAt on
+    the first failure."""
+    rho_bdy, bdy_tau = rho.then_nonzero(bdy), bdy.then_nonzero(tau)
     rows = []
     alternating = 0
     r_next = bdy.rank(0)
@@ -344,29 +445,7 @@ def check_les(spec: LongExactSpec, cap: int) -> ExactnessReport:
         if n + 1 in bdy_tau:
             raise InexactAt(n, JOINT_BOUNDARY_TAU, "subspaces differ")
         rows.append((n, a_n, b_n, c_prev, r_rho, r_bdy, r_tau))
-
-    boundary_pairs = tau_pairs = 0
-    if spec.coefficient_action is not None and all(s.spec is not None for s in (A, B, C)):
-        nu_imgs = {g.name: C.normalize(spec.coefficient_action[g.name])
-                   for g in A.spec.generators}
-        unit = A.spec.unit
-        for i, g in enumerate(A.spec.generators):
-            g_mono = unit[:i] + (1,) + unit[i + 1:]
-            top = cap - g.total_degree
-            pairs, bad = bdy.module_failure(rho_of(g_mono), nu_imgs[g.name], top, lambda d: d)
-            if bad is not None:
-                raise InexactAt(B.spec.total_degree_of(bad) + g.total_degree,
-                                "boundary module structure",
-                                f"over {g.name} at {B.spec.format_mono(bad)}")
-            boundary_pairs += pairs
-            pairs, bad = tau.module_failure(nu_imgs[g.name], {g_mono: 1}, top, A.normalize)
-            if bad is not None:
-                raise InexactAt(C.spec.total_degree_of(bad) + g.total_degree,
-                                "tau module structure",
-                                f"over {g.name} at {C.spec.format_mono(bad)}")
-            tau_pairs += pairs
-
-    return ExactnessReport(cap, tuple(rows), boundary_pairs, tau_pairs)
+    return tuple(rows)
 
 
 # -- the catalogued algebras, shared with the scenarios -------------------------------

@@ -9,6 +9,7 @@ derives independently (oracle crosschecks, rank tables)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .les_checker import (
     _ku_answer,
     _log_answer,
     _tower_answer,
-    check_les,
+    check_les_family,
     ell_sequence,
     ku_sequence,
 )
@@ -389,18 +390,18 @@ def _sec8_page(p: int, cap: int, alternative: bool = False):
     return base, module, tor_exterior_module(du, module, _sec8_coefficients(p), cap)
 
 
-def _sec8_rules(page: Page, p: int, window: Optional[int] = None):
-    rules = []
+def _sec8_rules(page: Page, p: int, window: Optional[int] = None) -> list[RuleFamily]:
+    """d2(gamma_k {u^(p-3) b_(j-1)}) = gamma_(k-2) {a_j}, one family per j,
+    over the k from 2 whose source fits the page, and lies below window if
+    one is given."""
+    families = []
+    top = page.work_cap if window is None else min(page.work_cap, window - 1)
     for j in range(1, p):
-        src, tgt, delta = _ub_name(p - 3, j - 1), f"a{j}", 2 * p * j - 4
-        k = 2
-        while 4 * k + delta <= page.work_cap:
-            if window is None or 4 * k + delta < window:
-                rules.append(DifferentialRule(
-                    2, ({"[du]": k}, src), [(1, {"[du]": k - 2}, tgt)]
-                ))
-            k += 1
-    return rules
+        ks = range(2, (top - (2 * p * j - 4)) // 4 + 1)
+        if ks:
+            families.append(RuleFamily("[du]", 2, ks, source_label=_ub_name(p - 3, j - 1),
+                                        target_label=f"a{j}", page=2))
+    return families
 
 
 def _bj_label(p: int, j: int) -> str:
@@ -465,13 +466,7 @@ def _sec8_main_checks(p: int, cap: int) -> list[Check]:
         degrees=_total_diff(expected, actual, cap),
     ))
 
-    capo = min(cap, 2 * p * p + 2)
-    bare = tor_exterior_module(exterior("du", 3), module, make_algebra(p, []), capo)
-    oracle = tor_oracle(base, module, fp_module(base), capo)
-    want = {bd: d for bd, d in oracle.items() if sum(bd) <= capo}
-    ok, wit, lines = _bidegree_compare(want, dict(bare.bigraded_dims(capo)), capo)
-    checks.append(_check("e2-oracle-crosscheck", ok, SOURCE_COMPUTED,
-                         degrees=lines, **wit))
+    checks.append(_sec8_oracle_check(base, module, p, cap))
 
     rules = _sec8_rules(page, p)
     out = run_differential(page, rules)
@@ -488,6 +483,17 @@ def _sec8_main_checks(p: int, cap: int) -> list[Check]:
         representative=_sec8_representative(out, p), page_index=out.page_index,
     ))
     return checks
+
+
+def _sec8_oracle_check(base, module: ModuleSpec, p: int, cap: int) -> Check:
+    """The bare page against the oracle, whose tables are released before
+    the main turn."""
+    capo = min(cap, 2 * p * p + 2)
+    bare = tor_exterior_module(exterior("du", 3), module, make_algebra(p, []), capo)
+    oracle = tor_oracle(base, module, fp_module(base), capo)
+    want = {bd: d for bd, d in oracle.items() if sum(bd) <= capo}
+    ok, wit, lines = _bidegree_compare(want, dict(bare.bigraded_dims(capo)), capo)
+    return _check("e2-oracle-crosscheck", ok, SOURCE_COMPUTED, degrees=lines, **wit)
 
 
 def _sec8_alternative_check(p: int, cap: int) -> Check:
@@ -565,20 +571,21 @@ def _ausoni(p: int, cap: int) -> list[Check]:
 
 
 def _les(builder: Callable, p: int, cap: int) -> list[Check]:
+    """Both boundary ambiguities of one sequence, checked as one family."""
+    seq = builder(p)
+    members = [seq, dataclasses.replace(seq, boundary=builder(p, 1).boundary)]
     checks = []
-    for ambiguity in (0, 1):
+    for ambiguity, result in enumerate(check_les_family(members, cap)):
         name = f"exactness-ambiguity-{ambiguity}"
-        try:
-            report = check_les(builder(p, ambiguity), cap)
-        except InexactAt as exc:
+        if isinstance(result, InexactAt):
             checks.append(_check(name, False, SOURCE_COMPUTED,
-                                 degree=exc.degree, joint=exc.joint))
+                                 degree=result.degree, joint=result.joint))
             continue
-        tau_active = any(row[6] for row in report.rows)
+        tau_active = any(row[6] for row in result.rows)
         checks.append(_check(
             name, True, SOURCE_COMPUTED, conditional=not tau_active,
-            max_degree=report.max_degree(),
-            boundary_pairs=report.boundary_pairs, tau_pairs=report.tau_pairs,
+            max_degree=result.max_degree(),
+            boundary_pairs=result.boundary_pairs, tau_pairs=result.tau_pairs,
         ))
     return checks
 

@@ -28,11 +28,13 @@ only when raw_buckets, survivors or keys_at is read.
 A turn evaluates d on exponent arrays in key_arrays' encoding, one row per
 term: on a plain page per factor x_i^e of a key and term of d(x_i^e), on
 a labeled page per key whose gamma part and label are a rule source
-(KeyTable.matching) and term of that rule's target.  AlgebraSpec.mul_rows
-takes every product at once, one sorted search over the key table codes
-every target, and key_arrays.nonzero_sums sums the terms of one source on
-one target mod p; each sum must stay in its lane.  When d
-is a partial matching, as every catalogued turn is, the rank out of each
+(KeyTable.matching) and term of that rule's target.  A RuleFamily stays
+whole: it is checked once, a table indexed by label and gamma exponent
+finds its members' sources, and their targets are array arithmetic.
+AlgebraSpec.mul_rows takes every product at once, one sorted search over
+the key table codes every target, and key_arrays.nonzero_sums sums the
+terms of one source on one target mod p; each sum must stay in its lane.
+When d is a partial matching, as every catalogued turn is, the rank out of each
 bucket and the keys that die are read off the arrays; any other d goes to
 sparse_homology on key positions graded by bucket.  The next page keeps
 its survivors as a mask of the arrays.
@@ -277,14 +279,65 @@ class DifferentialRule:
     scalar: int = 1
 
 
-class _Differential:
-    """Leibniz extension of generator-level rules on one page."""
+@dataclass(eq=False)
+class RuleFamily:
+    """d(gamma_k . source_label) = scalar . cofactor . gamma_{k-step} . target_label
+    for each k in ks.  verify_rule_family reads it as a pattern and reports
+    the scalars.  run_differential takes it as one rule per k, on page:
+    both labels given, no cofactor, and every k at least step."""
 
-    def __init__(self, page: Page, rules: Sequence[DifferentialRule]):
+    gamma_gen: str
+    step: int
+    ks: Sequence[int]
+    cofactor: object = None  # element input over the page spec; None = unit
+    source_label: Optional[str] = None
+    target_label: Optional[str] = None
+    page: Optional[int] = None
+    scalar: int = 1
+
+
+class _Family:
+    """A RuleFamily read on a labeled page: its member at k sends gamma_k
+    at slot with label source to scalar times gamma_{k - step} with label
+    target."""
+
+    def __init__(self, page: Page, family: RuleFamily) -> None:
+        if family.source_label is None or family.target_label is None or family.cofactor is not None:
+            raise ValueError("rule families run with a source and a target label and no cofactor")
+        self.width = len(page.spec.generators)
+        self.slot = page.spec.index_of(family.gamma_gen)
+        self.source = page.label_index(family.source_label)
+        self.target = page.label_index(family.target_label)
+        self.ks, self.step = np.array(family.ks, dtype=np.int64), family.step
+        self.scalar = family.scalar % page.spec.field.p
+        if self.ks.min() < self.step:
+            raise ValueError(f"rule family member k={self.ks.min()} lies below its step {self.step}")
+
+    def member(self, k: int) -> tuple[PageKey, dict[PageKey, int]]:
+        """The source and target of the member at k."""
+        def gamma(e):
+            return tuple(e if i == self.slot else 0 for i in range(self.width))
+        return (gamma(k), self.source), {(gamma(k - self.step), self.target): self.scalar}
+
+    def holds(self, key: PageKey) -> bool:
+        """Whether key is a member's source."""
+        mono, li = key
+        return (li == self.source and sum(mono) == mono[self.slot]
+                and bool((self.ks == mono[self.slot]).any()))
+
+
+class _Differential:
+    """Leibniz extension of generator-level rules on one page.  A rule
+    family stays whole: its sources are found and its targets made on
+    arrays (_family_terms)."""
+
+    def __init__(self, page: Page, rules: Sequence[DifferentialRule | RuleFamily]):
         self.page = page
         spec = page.spec
         self.p = spec.field.p
         pages = {r.page for r in rules}
+        if None in pages:
+            raise ValueError("a rule family needs its page index")
         if len(pages) > 1:
             raise ValueError(f"rules span several page indices: {sorted(pages)}")
         self.r = pages.pop() if pages else page.page_index
@@ -293,25 +346,24 @@ class _Differential:
                 f"rules at page {self.r} cannot run on page {page.page_index}"
             )
         self.rule_map: dict[PageKey, dict[PageKey, int]] = {}
+        self.families: list[_Family] = []
         gamma = set(page._gamma)
         self.gamma_mask = tuple(int(i in gamma) for i in range(len(spec.generators)))
         for rule in rules:
             if rule.scalar % self.p == 0:
                 raise ValueError("rule scalar must be a unit")
+            if isinstance(rule, RuleFamily):
+                if len(rule.ks):
+                    self._add_family(_Family(page, rule), gamma)
+                continue
             src = page.key_from_input(rule.source)
             tgt = page.element_from_input(rule.target)
             tgt = {k: (c * rule.scalar) % self.p for k, c in tgt.items()}
             tgt = {k: c for k, c in tgt.items() if c}
             self._check_source_shape(src, gamma)
-            sb = page.key_bidegree(src)
-            want = (sb[0] - self.r, sb[1] + self.r - 1)
-            for key in tgt:
-                if page.key_bidegree(key) != want:
-                    raise BidegreeViolation(
-                        f"d{self.r}({page.format_key(src)}) target "
-                        f"{page.format_key(key)} not at {want}"
-                    )
-            if src in self.rule_map and self.rule_map[src] != tgt:
+            self._check_lane(src, tgt)
+            if ((src in self.rule_map and self.rule_map[src] != tgt)
+                    or any(f.holds(src) for f in self.families)):
                 raise LeibnizConflict(
                     f"source {page.format_key(src)} received two values"
                 )
@@ -321,6 +373,40 @@ class _Differential:
             mono: {m: c for (m, _), c in tgt.items()}
             for (mono, li), tgt in self.rule_map.items() if li is None
         })
+
+    def _add_family(self, family: _Family, gamma: set) -> None:
+        """Check a family once: the shape and lane of its first member (the
+        lane of every member, whose bidegree shift does not depend on k),
+        and that no member repeats an earlier rule's source, the first such
+        member in ks order raising."""
+        src, tgt = family.member(family.ks.item(0))
+        self._check_source_shape(src, gamma)
+        self._check_lane(src, tgt)
+        ks = family.ks
+        order = np.argsort(ks, kind="stable")
+        taken = np.zeros(ks.size, dtype=bool)
+        taken[order[1:][ks[order[1:]] == ks[order[:-1]]]] = True
+        for f in self.families:
+            if (f.slot, f.source) == (family.slot, family.source):
+                taken |= _lookup(f.ks, ks, -1) >= 0
+        for key in self.rule_map:
+            if family.holds(key):
+                taken |= ks == key[0][family.slot]
+        if taken.any():
+            src = family.member(ks.item(np.argmax(taken)))[0]
+            raise LeibnizConflict(f"source {self.page.format_key(src)} received two values")
+        self.families.append(family)
+
+    def _check_lane(self, src: PageKey, tgt: dict[PageKey, int]) -> None:
+        page = self.page
+        sb = page.key_bidegree(src)
+        want = (sb[0] - self.r, sb[1] + self.r - 1)
+        for key in tgt:
+            if page.key_bidegree(key) != want:
+                raise BidegreeViolation(
+                    f"d{self.r}({page.format_key(src)}) target "
+                    f"{page.format_key(key)} not at {want}"
+                )
 
     def _check_source_shape(self, src: PageKey, gamma: set) -> None:
         mono, li = src
@@ -352,7 +438,8 @@ class _Differential:
         if li is None:
             return {(m, None): c for m, c in self.of_mono(mono).items()}
         gpart = tuple(map(operator.mul, mono, self.gamma_mask))
-        rule = self.rule_map.get((gpart, li))
+        rule = self.rule_map.get((gpart, li)) or next(
+            (f.member(gpart[f.slot])[1] for f in self.families if f.holds((gpart, li))), None)
         if not rule:
             return {}
         cpart = tuple(map(operator.sub, mono, gpart))
@@ -396,6 +483,8 @@ class _Differential:
         t, and c is negated when the rest is odd."""
         spec, gamma = self.page.spec, list(self.page._gamma)
         rules = [(key, tgt) for key, tgt in self.rule_map.items() if tgt]
+        if not rules:
+            return []
         at, which = table.matching(gamma, [key for key, _ in rules])
         ptr, terms, scalar = term_arrays([tgt for _, tgt in rules])
         right, label = key_rows(terms, len(spec.generators))
@@ -406,6 +495,43 @@ class _Differential:
         odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
         return [(src, left, right[term], np.where(odd, -scalar[term], scalar[term]), label[term])]
 
+    def _family_terms(self, table: KeyTable):
+        """The terms of the rule families, one part per gamma slot as in
+        _labeled_terms.  A key is a member's source when its gamma part sits
+        at the slot alone, read once per monomial, and a table indexed by
+        its label and its exponent there holds the member; the member's
+        target row is gamma_{k - step} at the slot."""
+        spec, gamma = self.page.spec, list(self.page._gamma)
+        degrees = np.array([g.total_degree for g in spec.generators], dtype=np.int64)
+        parts = []
+        for slot in dict.fromkeys(f.slot for f in self.families):
+            fams = [f for f in self.families if f.slot == slot]
+            fam = np.repeat(np.arange(len(fams)), [f.ks.size for f in fams])
+            ks = np.concatenate([f.ks for f in fams])
+            exp = np.where(table.mat[:, [i for i in gamma if i != slot]].any(axis=1), -1,
+                           table.mat[:, slot])
+            # member[row[label], k], -1 for none: the labels that are no
+            # source, and the exponent -1, read a last row and column of -1
+            sources = list(dict.fromkeys(f.source for f in fams))
+            row = np.full(len(self.page.labels) + 1, len(sources))
+            row[sources] = np.arange(len(sources))
+            top = exp.max(initial=0)
+            member = np.full((len(sources) + 1, top + 2), -1)
+            fit = np.flatnonzero(ks <= top)
+            member[row[[f.source for f in fams]][fam[fit]], ks[fit]] = fit
+            hit = member[row[table.label], exp[table.row]]
+            src = np.flatnonzero(hit >= 0)
+            hit = hit[src]
+            right = np.zeros((src.size, len(spec.generators)), dtype=np.int64)
+            right[:, slot] = ks[hit] - np.array([f.step for f in fams])[fam[hit]]
+            scalar = np.array([f.scalar for f in fams], dtype=np.int64)[fam[hit]]
+            left = table.mat[table.row[src]]
+            left[:, gamma] = 0
+            odd = left @ degrees % 2
+            parts.append((src, left, right, np.where(odd, -scalar, scalar),
+                          np.array([f.target for f in fams], dtype=np.int64)[fam[hit]]))
+        return parts
+
     def entries(self) -> tuple[np.ndarray, np.ndarray, Optional[dict[int, dict[int, int]]]]:
         """The nonzero entries of d over key positions of the page's table,
         as source and target arrays sorted by source: the terms of one
@@ -415,7 +541,8 @@ class _Differential:
         and must square to zero term by term; a matching does so trivially."""
         page, r, p = self.page, self.r, self.p
         table = page._table()
-        parts = (self._labeled_terms if page.labels is not None else self._plain_terms)(table)
+        parts = (self._labeled_terms(table) + self._family_terms(table) if page.labels is not None
+                 else self._plain_terms(table))
         if not parts:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, None
@@ -449,7 +576,7 @@ class _Differential:
         return a, b, d
 
 
-def run_differential(page: Page, rules: Sequence[DifferentialRule]) -> Page:
+def run_differential(page: Page, rules: Sequence[DifferentialRule | RuleFamily]) -> Page:
     """Extend rules by Leibniz, verify a derivation with d.d = 0, and turn the page.
 
     With no rules the next page has the same groups.  Rules may sit at a
@@ -546,18 +673,6 @@ def possible_differentials(
 
 
 # -- rule families ----------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class RuleFamily:
-    """d(gamma_k . source_label) = scalar . cofactor . gamma_{k-step} . target_label."""
-
-    gamma_gen: str
-    step: int
-    ks: Sequence[int]
-    cofactor: object = None  # element input over the page spec; None = unit
-    source_label: Optional[str] = None
-    target_label: Optional[str] = None
 
 
 @dataclass(frozen=True)

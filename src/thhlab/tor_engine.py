@@ -36,7 +36,7 @@ generator and monomial found by one sorted search per slot.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -392,25 +392,43 @@ def tor_oracle(
     homotopy.  Two free
     summands give the algebra itself in filtration 0, and a free with a
     trivial one gives F_p at (0, 0).  The window is internal degree <= cap
-    (all filtrations land inside it)."""
+    (all filtrations land inside it).  The shifted tables of all summand
+    pairs of one kind are one outer add of the pairs' shifts to the table's
+    internal degrees, coded by (s, t), and one sort of the codes sums
+    them."""
     _check_same_base(algebra, left, right)
     res = resolution(algebra, cap)
-    trivial = Counter(zip(res.layer.tolist(), res.degree.tolist()))
     tables = {
-        ("trivial", "trivial"): trivial,
+        ("trivial", "trivial"): Counter(zip(res.layer.tolist(), res.degree.tolist())),
         ("free", "trivial"): {(0, 0): 1},
         ("trivial", "free"): {(0, 0): 1},
     }
-    out: defaultdict[tuple[int, int], int] = defaultdict(int)
-    rights = _summand_view(right, cap)
-    for a, x in _summand_view(left, cap):
-        for b, y in rights:
-            if (x, y) not in tables:  # free with free: the algebra, built on first use
-                tables[x, y] = {(0, n): d for n, d in enumerate(hilbert(algebra, cap)) if d}
-            for (s, t), d in tables[x, y].items():
-                if a + b + t <= cap:
-                    out[(s, a + b + t)] += d
-    return dict(out)
+
+    def table(x: str, y: str) -> dict[tuple[int, int], int]:
+        if (x, y) not in tables:  # free with free: the algebra, built on first use
+            tables[x, y] = {(0, n): d for n, d in enumerate(hilbert(algebra, cap)) if d}
+        return tables[x, y]
+
+    lefts, rights = _summand_view(left, cap), _summand_view(right, cap)
+    if len(lefts) == len(rights) == 1:  # one pair, as in a Tor grid: its table, shifted
+        (a, x), (b, y) = lefts[0], rights[0]
+        return {(s, a + b + t): d for (s, t), d in table(x, y).items() if a + b + t <= cap}
+    width = cap + 1
+    codes, dims = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for x, y in dict.fromkeys((x, y) for _, x in lefts for _, y in rights):
+        bd = np.array(list(table(x, y)), dtype=np.int64).reshape(-1, 2)
+        t = np.add.outer(np.add.outer([a for a, kind in lefts if kind == x],
+                                      [b for b, kind in rights if kind == y]).ravel(), bd[:, 1])
+        keep = t <= cap
+        codes.append((bd[:, 0] * width + t)[keep])
+        dims.append(np.broadcast_to(np.fromiter(table(x, y).values(), np.int64), t.shape)[keep])
+    code = np.concatenate(codes)
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    start = np.flatnonzero(np.diff(code, prepend=-1))
+    s, t = np.divmod(code[start], width)
+    dim = np.add.reduceat(np.concatenate(dims)[order], start)
+    return dict(zip(zip(s.tolist(), t.tolist()), dim.tolist()))
 
 
 def _summand_view(module: ModuleSpec, cap: int) -> list[tuple[int, str]]:

@@ -106,6 +106,23 @@ def test_unreadable_scenario_file_and_unwritable_out_exit_2(tmp_path, capsys):
     assert all(str(tmp_path) in line for line in err)
 
 
+def test_running_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    # numpy's _ArrayMemoryError is a MemoryError with a message like the
+    # first; a bare MemoryError has none
+    from thhlab import cli
+
+    numpy_like = MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                             "(2000000000000,) and data type int64")
+    for error, line in ((numpy_like, f"thhlab: out of memory: {numpy_like}"),
+                        (MemoryError(), "thhlab: out of memory")):
+        def exhausted(name, p, cap, error=error):
+            raise error
+        monkeypatch.setattr(cli, "run_scenario", exhausted)
+        assert main(["run", "thhz", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [line]
+
+
 def test_prime_past_the_int64_bound_is_a_usage_error(capsys):
     assert main(["run", "thhz", "--prime", "1099511627791"]) == 2
     assert "2^31" in capsys.readouterr().err

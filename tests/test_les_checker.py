@@ -2,6 +2,7 @@
 sabotage cases that must be refused, and a term-dict reference that the
 table-based checker must agree with."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -29,6 +30,7 @@ from thhlab.les_checker import (
     _Graded,
     _require_algebra_map,
     check_les,
+    check_les_family,
     ell_sequence,
     ku_sequence,
 )
@@ -478,6 +480,92 @@ def test_tables_agree_with_the_reference_under_single_mutations(builder, p, cap,
     assert "InexactAt" in kinds and "DegreeMismatch" in kinds, kinds
 
 
+# -- families: both boundary ambiguities in one pass --------------------------------
+
+
+def family_of(seq, boundary):
+    """seq and a second member that shares every field but the boundary."""
+    return [seq, dataclasses.replace(seq, boundary=boundary)]
+
+
+def family_outcome(members, cap):
+    """outcome() per member of check_les_family, or the error it raises."""
+    try:
+        results = check_les_family(members, cap)
+    except (DegreeMismatch, ValueError, KeyError) as exc:
+        return (type(exc).__name__, str(exc))
+    return [r if isinstance(r, ExactnessReport) else ("InexactAt", r.degree, r.joint, str(r))
+            for r in results]
+
+
+def members_outcome(members, cap):
+    """outcome() of check_les per member, or the first error other than InexactAt."""
+    out = []
+    for member in members:
+        got = outcome(check_les, member, cap)
+        if isinstance(got, tuple) and got[0] != "InexactAt":
+            return got
+        out.append(got)
+    return out
+
+
+def _mutated_family(builder, p, member, which, key, kind, wrong):
+    """builder(p)'s two ambiguities as a family, with one mutation of
+    _mutations: to the boundary of one member only, or to a shared field."""
+    members = family_of(builder(p, 0), builder(p, 1).boundary)
+    mutated = _apply(builder, p, member, which, key, kind, wrong)
+    if which == "boundary":
+        members[member] = dataclasses.replace(members[member], boundary=mutated.boundary)
+        return members
+    field = {"tau": "tau", "rho": "rho", "nu": "coefficient_action"}[which]
+    shared = getattr(mutated, field)
+    return [dataclasses.replace(m, **{field: shared}) for m in members]
+
+
+@pytest.mark.parametrize("builder, p, cap", [
+    (ell_sequence, 3, 40), (ku_sequence, 3, 40), (ell_sequence, 5, 60), (ku_sequence, 5, 60),
+])
+@pytest.mark.parametrize("member", [0, 1])
+def test_a_family_agrees_with_its_members_under_single_mutations(builder, p, cap, member):
+    members = family_of(builder(p, 0), builder(p, 1).boundary)
+    assert family_outcome(members, cap) == members_outcome(members, cap)
+    rng = random.Random(1000 * p + 10 * member + (builder is ku_sequence))
+    kinds = set()
+    for mutation in _mutations(builder(p, member), p, cap, rng, 12):
+        args = (builder, p, member, *mutation)
+        got = family_outcome(_mutated_family(*args), cap)
+        assert got == members_outcome(_mutated_family(*args), cap), args
+        kinds.update(r[0] if isinstance(r, tuple) else "report"
+                     for r in (got if isinstance(got, list) else [got]))
+    assert "InexactAt" in kinds and "DegreeMismatch" in kinds, kinds
+
+
+def test_family_members_share_all_but_the_boundary():
+    seq = ell_sequence(3)
+    with pytest.raises(ValueError, match="differ in their boundary only"):
+        check_les_family([seq, dataclasses.replace(seq, tau=ell_sequence(3).tau)], 10)
+
+
+def test_a_family_checks_tau_module_pairs_once_and_only_when_reached(monkeypatch):
+    calls = []
+    checked = les_checker._Image.module_failure
+
+    def counted(self, sides, finish):
+        calls.append(self.src.mat.shape[1])
+        return checked(self, sides, finish)
+
+    monkeypatch.setattr(les_checker._Image, "module_failure", counted)
+    reports = check_les_family(family_of(ku_sequence(3), ku_sequence(3, 1).boundary), 40)
+    assert all(isinstance(r, ExactnessReport) for r in reports)
+    assert calls == [4, 3, 4]  # the two boundaries on B, tau on C once
+    calls.clear()
+    broken = _mutated(ku_sequence(3), "boundary", ku_sequence(3).B, {"dlogu": 1, "k1": 1},
+                      _scaled(0))
+    results = check_les_family(family_of(broken, broken.boundary), 40)
+    assert [(r.degree, r.joint) for r in results] == [(6, JOINT_BOUNDARY_TAU)] * 2
+    assert calls == []
+
+
 def test_first_module_failure_follows_the_reference_order():
     # ku_sequence(3) with tau at e1*m1^2 doubled and either the boundary at
     # dlogu*k1^4 or nu(m2) doubled: every rank survives, but the module
@@ -503,6 +591,46 @@ def test_first_module_failure_follows_the_reference_order():
     seq = broken("nu")
     seq.tau = ku_sequence(3).tau
     assert outcome(check_les, seq, 40)[1:3] == (19, "boundary module structure")
+    # as families, beside a member with the other boundary, which fails at tau
+    for second in ("boundary", "nu"):
+        members = family_of(broken(second), ku_sequence(3, 1).boundary)
+        assert family_outcome(members, 40) == [outcome(reference_check_les, m, 40)
+                                               for m in members]
+    assert [r[1:3] for r in family_outcome(family_of(broken("boundary"),
+                                                     ku_sequence(3, 1).boundary), 40)] == [
+        (30, "boundary module structure"), (22, "tau module structure")]
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_blocks_of_any_budget_give_the_same_results(monkeypatch, budget):
+    # the tau pairs of ku_sequence(3) include products outside theta's basis,
+    # checked on term dicts; a budget of 1 puts each generator in a block of
+    # its own, and 40 stacks a few
+    def families():
+        broken_tau = _mutated(ku_sequence(3), "tau", ku_sequence(3).C, {"e1": 1, "m1": 2},
+                              _scaled(2))
+        broken_boundary = _mutated(ku_sequence(3), "boundary", ku_sequence(3).B,
+                                   {"dlogu": 1, "k1": 4}, _scaled(2))
+        return [family_of(ku_sequence(3), ku_sequence(3, 1).boundary),
+                family_of(ell_sequence(3), ell_sequence(3, 1).boundary),
+                family_of(ku_sequence(5), ku_sequence(5, 1).boundary),
+                family_of(broken_tau, ku_sequence(3, 1).boundary),
+                family_of(broken_boundary, ku_sequence(3, 1).boundary)]
+
+    whole = [family_outcome(members, 40) for members in families()]
+    blocks = []
+    split = les_checker._Image._block_failure
+
+    def counted(self, sides, counts, finish):
+        blocks.append(int((counts > 0).sum()))  # the generators with pairs
+        return split(self, sides, counts, finish)
+
+    monkeypatch.setattr(les_checker, "_BLOCK_PAIRS", budget)
+    monkeypatch.setattr(les_checker._Image, "_block_failure", counted)
+    assert [family_outcome(members, 40) for members in families()] == whole
+    assert max(blocks) > 1 if budget == 40 else max(blocks) == 1
+    presented = _presented_sequence({})
+    assert family_outcome([presented], 12) == [outcome(reference_check_les, presented, 12)]
 
 
 def _presented_sequence(boundary_of_x1_d):

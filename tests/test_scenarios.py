@@ -208,7 +208,11 @@ def test_negative_control_tower_targets():
 
 
 def test_negative_control_module_page_targets():
-    """Dropping any declared d^2 on the module page breaks the comparison."""
+    """Dropping any declared d^2 on the module page breaks the comparison:
+    each member of each family goes once, through its family without that
+    k."""
+    import dataclasses
+
     from thhlab import scenarios as sc
     from thhlab.graded_algebra import hilbert
     from thhlab.spectral_sequence import (
@@ -218,13 +222,16 @@ def test_negative_control_module_page_targets():
     p, cap = 3, 30
     abut = AbutmentSpec(sc._ku_answer(p), {"u": 0, "l1": 0, "dlogu": 0, "k1": 1})
     page = sc._sec8_page(p, cap)[2]
-    rules = sc._sec8_rules(page, p)
-    assert len(rules) >= 3
-    baseline = list(run_differential(page, rules).total_dims(cap))
+    families = sc._sec8_rules(page, p)
+    assert len(families) == p - 1
+    baseline = list(run_differential(page, families).total_dims(cap))
     assert baseline[: cap + 1] == hilbert(abut.target, cap)
-    for i in range(len(rules)):
+    dropped = [families[:i] + [dataclasses.replace(fam, ks=[j for j in fam.ks if j != k])]
+               + families[i + 1:] for i, fam in enumerate(families) for k in fam.ks]
+    assert len(dropped) >= 3
+    for rules in dropped:
         fresh = sc._sec8_page(p, cap)[2]
-        out = run_differential(fresh, rules[:i] + rules[i + 1:])
+        out = run_differential(fresh, rules)
         with pytest.raises(DimMismatch):
             compare_abutment(out, abut, [], cap,
                              representative=sc._sec8_representative(out, p))

@@ -1,5 +1,6 @@
 """Pages, Leibniz-extended differentials, page turns, abutment comparison."""
 
+import dataclasses
 import os
 import pathlib
 import random
@@ -413,6 +414,108 @@ def test_absent_labeled_target_is_caught_under_python_O():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env)
     assert done.returncode == 0
+
+# -- rule families: run whole, they turn a page as their members do -------------
+
+
+def expand(families):
+    """The explicit rules of rule families with unit cofactors, member by member."""
+    return [DifferentialRule(f.page, ({f.gamma_gen: k}, f.source_label),
+                             [(f.scalar, {f.gamma_gen: k - f.step}, f.target_label)])
+            for f in families for k in f.ks]
+
+
+def sec8_rules_one_by_one(page, p, window):
+    """The Sec. 8 d2 as explicit rules, written the way they once were."""
+    rules = []
+    for j in range(1, p):
+        src, tgt, delta = scenarios._ub_name(p - 3, j - 1), f"a{j}", 2 * p * j - 4
+        k = 2
+        while 4 * k + delta <= page.work_cap:
+            if window is None or 4 * k + delta < window:
+                rules.append(DifferentialRule(2, ({"[du]": k}, src), [(1, {"[du]": k - 2}, tgt)]))
+            k += 1
+    return rules
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("alternative", [False, True])
+def test_sec8_families_turn_the_page_as_their_members(p, alternative):
+    # the main page, and the alternative page with its window, as the catalog runs them
+    window = 2 * p * p if alternative else None
+    cap = max(scenarios.default_cap(p), 2 * p * p + 1) if alternative else scenarios.default_cap(p)
+
+    def page():
+        return scenarios._sec8_page(p, cap, alternative=alternative)[2]
+
+    families = scenarios._sec8_rules(page(), p, window=window)
+    assert [(r.source, r.target) for r in expand(families)] == [
+        (r.source, r.target) for r in sec8_rules_one_by_one(page(), p, window)]
+    fam_src, fam_tgt, fam_d = _Differential(page(), families).entries()
+    mem_src, mem_tgt, mem_d = _Differential(page(), expand(families)).entries()
+    assert fam_src.tolist() == mem_src.tolist() and fam_tgt.tolist() == mem_tgt.tolist()
+    assert fam_d == mem_d
+    by_family = run_differential(page(), families)
+    by_member = run_differential(page(), expand(families))
+    assert list(by_family.survivors.items()) == list(by_member.survivors.items())
+    assert by_family.extra_classes == by_member.extra_classes
+    assert by_family.total_dims() == by_member.total_dims()
+
+
+def test_of_key_reads_family_members():
+    # the second family has a scalar and its ks out of order
+    page = module_page(cap=30)
+    families = [RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2),
+                RuleFamily("[du]", 2, [4, 2, 3], source_label="b1", target_label="a2", page=2,
+                           scalar=5)]
+    rules = [DifferentialRule(2, ({"[du]": k}, "b1"), [(2, {"[du]": k - 2}, "a2")])
+             for k in (4, 2, 3)]
+    by_family, by_member = _Differential(page, families), _Differential(page, expand(families[:1]) + rules)
+    assert by_family.of_key(((0, 0, 0, 3), page.label_index("b1"))) == {
+        ((0, 0, 0, 1), page.label_index("a2")): 2}
+    assert of_key_entries(page, by_family) == of_key_entries(page, by_member)
+    src, tgt, d = by_family.entries()
+    assert (src.tolist(), tgt.tolist(), d) == tuple(
+        a.tolist() if isinstance(a, np.ndarray) else a for a in by_member.entries())
+
+
+def test_a_family_member_that_repeats_a_source_conflicts():
+    page = module_page(cap=30)
+    fam = RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2)
+    twice = DifferentialRule(2, ({"[du]": 4}, "u"), [(2, {"[du]": 2}, "a1")])
+    later = dataclasses.replace(fam, ks=range(5, 9), scalar=2)
+    for rules, member in (([fam, twice], 4), ([twice, fam], 4), ([fam, later], 5),
+                          ([dataclasses.replace(fam, ks=[2, 3, 3])], 3)):
+        with pytest.raises(LeibnizConflict) as exc:
+            run_differential(page, rules)
+        assert str(exc.value) == f"source g{member}([du])*{{u}} received two values"
+    with pytest.raises(LeibnizConflict) as exc:  # the members one by one raise the same
+        run_differential(page, expand([fam, later]))
+    assert str(exc.value) == "source g5([du])*{u} received two values"
+
+
+def test_a_family_whose_target_leaves_its_lane_names_its_first_member():
+    page = module_page(cap=30)
+    fam = RuleFamily("[du]", 2, range(3, 8), source_label="u", target_label="b1", page=2)
+    message = r"^d2\(g3\(\[du\]\)\*\{u\}\) target \[du\]\*\{b1\} not at \(1, 12\)$"
+    for rules in ([fam], expand([fam])):
+        with pytest.raises(BidegreeViolation, match=message):
+            run_differential(page, rules)
+
+
+def test_family_shape_errors():
+    page = module_page(cap=30)
+    fam = RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2)
+    for bad, message in ((dataclasses.replace(fam, page=None), "needs its page index"),
+                         (dataclasses.replace(fam, target_label=None), "target label"),
+                         (dataclasses.replace(fam, cofactor=[(1, {"l1": 1})]), "no cofactor"),
+                         (dataclasses.replace(fam, ks=range(1, 8)), "k=1 lies below its step 2"),
+                         (dataclasses.replace(fam, scalar=3), "unit"),
+                         (dataclasses.replace(fam, gamma_gen="m2"), "divided powers times the label")):
+        with pytest.raises(ValueError, match=message):
+            run_differential(page, [bad])
+    assert run_differential(page, [dataclasses.replace(fam, ks=[])]).page_index == 3
+
 
 def test_leibniz_conflict_on_duplicate_sources():
     page = tower_page(3, 24)
