@@ -392,10 +392,10 @@ def tor_oracle(
     homotopy.  Two free
     summands give the algebra itself in filtration 0, and a free with a
     trivial one gives F_p at (0, 0).  The window is internal degree <= cap
-    (all filtrations land inside it).  The shifted tables of all summand
-    pairs of one kind are one outer add of the pairs' shifts to the table's
-    internal degrees, coded by (s, t), and one sort of the codes sums
-    them."""
+    (all filtrations land inside it).  One pair's table is shifted as it
+    stands.  Otherwise the shifted tables of all summand pairs of one kind
+    are one outer add of the pairs' shifts to the table's internal degrees,
+    coded by (s, t), and one sort of the codes sums them."""
     _check_same_base(algebra, left, right)
     res = resolution(algebra, cap)
     tables = {
