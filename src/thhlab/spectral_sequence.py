@@ -283,8 +283,8 @@ class DifferentialRule:
 class RuleFamily:
     """d(gamma_k . source_label) = scalar . cofactor . gamma_{k-step} . target_label
     for each k in ks.  verify_rule_family reads it as a pattern and reports
-    the scalars.  run_differential takes it as one rule per k, on page:
-    both labels given, no cofactor, and every k at least step."""
+    the scalars.  run_differential takes it as one rule per k with scalar 1,
+    on page: both labels given, no cofactor, and every k at least step."""
 
     gamma_gen: str
     step: int
@@ -293,13 +293,11 @@ class RuleFamily:
     source_label: Optional[str] = None
     target_label: Optional[str] = None
     page: Optional[int] = None
-    scalar: int = 1
 
 
 class _Family:
     """A RuleFamily read on a labeled page: its member at k sends gamma_k
-    at slot with label source to scalar times gamma_{k - step} with label
-    target."""
+    at slot with label source to gamma_{k - step} with label target."""
 
     def __init__(self, page: Page, family: RuleFamily) -> None:
         if family.source_label is None or family.target_label is None or family.cofactor is not None:
@@ -309,7 +307,6 @@ class _Family:
         self.source = page.label_index(family.source_label)
         self.target = page.label_index(family.target_label)
         self.ks, self.step = np.array(family.ks, dtype=np.int64), family.step
-        self.scalar = family.scalar % page.spec.field.p
         if self.ks.min() < self.step:
             raise ValueError(f"rule family member k={self.ks.min()} lies below its step {self.step}")
 
@@ -317,7 +314,7 @@ class _Family:
         """The source and target of the member at k."""
         def gamma(e):
             return tuple(e if i == self.slot else 0 for i in range(self.width))
-        return (gamma(k), self.source), {(gamma(k - self.step), self.target): self.scalar}
+        return (gamma(k), self.source), {(gamma(k - self.step), self.target): 1}
 
     def holds(self, key: PageKey) -> bool:
         """Whether key is a member's source."""
@@ -350,12 +347,12 @@ class _Differential:
         gamma = set(page._gamma)
         self.gamma_mask = tuple(int(i in gamma) for i in range(len(spec.generators)))
         for rule in rules:
-            if rule.scalar % self.p == 0:
-                raise ValueError("rule scalar must be a unit")
             if isinstance(rule, RuleFamily):
                 if len(rule.ks):
                     self._add_family(_Family(page, rule), gamma)
                 continue
+            if rule.scalar % self.p == 0:
+                raise ValueError("rule scalar must be a unit")
             src = page.key_from_input(rule.source)
             tgt = page.element_from_input(rule.target)
             tgt = {k: (c * rule.scalar) % self.p for k, c in tgt.items()}
@@ -377,17 +374,20 @@ class _Differential:
     def _add_family(self, family: _Family, gamma: set) -> None:
         """Check a family once: the shape and lane of its first member (the
         lane of every member, whose bidegree shift does not depend on k),
-        and that no member repeats an earlier rule's source, the first such
-        member in ks order raising."""
+        that it shares the earlier families' gamma slot, and that no member
+        repeats an earlier rule's source, the first such member in ks order
+        raising."""
         src, tgt = family.member(family.ks.item(0))
         self._check_source_shape(src, gamma)
         self._check_lane(src, tgt)
+        if self.families and family.slot != self.families[0].slot:
+            raise ValueError("rule families in one turn share their divided-power generator")
         ks = family.ks
         order = np.argsort(ks, kind="stable")
         taken = np.zeros(ks.size, dtype=bool)
         taken[order[1:][ks[order[1:]] == ks[order[:-1]]]] = True
         for f in self.families:
-            if (f.slot, f.source) == (family.slot, family.source):
+            if f.source == family.source:
                 taken |= _lookup(f.ks, ks, -1) >= 0
         for key in self.rule_map:
             if family.holds(key):
@@ -438,8 +438,7 @@ class _Differential:
         if li is None:
             return {(m, None): c for m, c in self.of_mono(mono).items()}
         gpart = tuple(map(operator.mul, mono, self.gamma_mask))
-        rule = self.rule_map.get((gpart, li)) or next(
-            (f.member(gpart[f.slot])[1] for f in self.families if f.holds((gpart, li))), None)
+        rule = self.rule_map.get((gpart, li))
         if not rule:
             return {}
         cpart = tuple(map(operator.sub, mono, gpart))
@@ -496,41 +495,38 @@ class _Differential:
         return [(src, left, right[term], np.where(odd, -scalar[term], scalar[term]), label[term])]
 
     def _family_terms(self, table: KeyTable):
-        """The terms of the rule families, one part per gamma slot as in
-        _labeled_terms.  A key is a member's source when its gamma part sits
-        at the slot alone, read once per monomial, and a table indexed by
-        its label and its exponent there holds the member; the member's
-        target row is gamma_{k - step} at the slot."""
-        spec, gamma = self.page.spec, list(self.page._gamma)
-        degrees = np.array([g.total_degree for g in spec.generators], dtype=np.int64)
-        parts = []
-        for slot in dict.fromkeys(f.slot for f in self.families):
-            fams = [f for f in self.families if f.slot == slot]
-            fam = np.repeat(np.arange(len(fams)), [f.ks.size for f in fams])
-            ks = np.concatenate([f.ks for f in fams])
-            exp = np.where(table.mat[:, [i for i in gamma if i != slot]].any(axis=1), -1,
-                           table.mat[:, slot])
-            # member[row[label], k], -1 for none: the labels that are no
-            # source, and the exponent -1, read a last row and column of -1
-            sources = list(dict.fromkeys(f.source for f in fams))
-            row = np.full(len(self.page.labels) + 1, len(sources))
-            row[sources] = np.arange(len(sources))
-            top = exp.max(initial=0)
-            member = np.full((len(sources) + 1, top + 2), -1)
-            fit = np.flatnonzero(ks <= top)
-            member[row[[f.source for f in fams]][fam[fit]], ks[fit]] = fit
-            hit = member[row[table.label], exp[table.row]]
-            src = np.flatnonzero(hit >= 0)
-            hit = hit[src]
-            right = np.zeros((src.size, len(spec.generators)), dtype=np.int64)
-            right[:, slot] = ks[hit] - np.array([f.step for f in fams])[fam[hit]]
-            scalar = np.array([f.scalar for f in fams], dtype=np.int64)[fam[hit]]
-            left = table.mat[table.row[src]]
-            left[:, gamma] = 0
-            odd = left @ degrees % 2
-            parts.append((src, left, right, np.where(odd, -scalar, scalar),
-                          np.array([f.target for f in fams], dtype=np.int64)[fam[hit]]))
-        return parts
+        """The terms of the rule families, one part as in _labeled_terms.  A
+        key is a member's source when its gamma part sits at the families'
+        slot alone, read once per monomial, and a table indexed by its label
+        and its exponent there holds the member; the member's target row is
+        gamma_{k - step} at the slot, with scalar 1."""
+        if not self.families:
+            return []
+        spec, gamma, fams = self.page.spec, list(self.page._gamma), self.families
+        slot = fams[0].slot
+        fam = np.repeat(np.arange(len(fams)), [f.ks.size for f in fams])
+        ks = np.concatenate([f.ks for f in fams])
+        exp = np.where(table.mat[:, [i for i in gamma if i != slot]].any(axis=1), -1,
+                       table.mat[:, slot])
+        # member[row[label], k], -1 for none: the labels that are no
+        # source, and the exponent -1, read a last row and column of -1
+        sources = list(dict.fromkeys(f.source for f in fams))
+        row = np.full(len(self.page.labels) + 1, len(sources))
+        row[sources] = np.arange(len(sources))
+        top = exp.max(initial=0)
+        member = np.full((len(sources) + 1, top + 2), -1)
+        fit = np.flatnonzero(ks <= top)
+        member[row[[f.source for f in fams]][fam[fit]], ks[fit]] = fit
+        hit = member[row[table.label], exp[table.row]]
+        src = np.flatnonzero(hit >= 0)
+        hit = hit[src]
+        right = np.zeros((src.size, len(spec.generators)), dtype=np.int64)
+        right[:, slot] = ks[hit] - np.array([f.step for f in fams])[fam[hit]]
+        left = table.mat[table.row[src]]
+        left[:, gamma] = 0
+        odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
+        return [(src, left, right, np.where(odd, -1, 1),
+                 np.array([f.target for f in fams], dtype=np.int64)[fam[hit]])]
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, Optional[dict[int, dict[int, int]]]]:
         """The nonzero entries of d over key positions of the page's table,

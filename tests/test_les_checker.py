@@ -540,6 +540,25 @@ def test_a_family_agrees_with_its_members_under_single_mutations(builder, p, cap
     assert "InexactAt" in kinds and "DegreeMismatch" in kinds, kinds
 
 
+def test_tau_images_are_read_before_the_boundary_images():
+    # a boundary and a tau image of the wrong degree raise tau's
+    # DegreeMismatch, in check_les and in a family, whichever member's
+    # boundary is wrong
+    p, cap = 3, 40
+    mutations = _mutations(ku_sequence(p), p, cap, random.Random(7), 200)
+    bdy = next(m for m in mutations if m[0] == "boundary" and m[2] == "degree")
+    tau = next(m for m in mutations if m[0] == "tau" and m[2] == "degree")
+    seq = _apply(ku_sequence, p, 0, *bdy)
+    seq.tau = _apply(ku_sequence, p, 0, *tau).tau
+    other = dataclasses.replace(seq, boundary=ku_sequence(p, 1).boundary)
+    for check, arg in ((check_les, seq), (check_les_family, [seq, other]),
+                       (check_les_family, [other, seq])):
+        with pytest.raises(DegreeMismatch, match="^tau image of degree 22 monomial has degree"):
+            check(arg, cap)
+    with pytest.raises(DegreeMismatch, match="^boundary image of degree 20 monomial"):
+        check_les_family(family_of(ku_sequence(p), seq.boundary), cap)
+
+
 def test_family_members_share_all_but_the_boundary():
     seq = ell_sequence(3)
     with pytest.raises(ValueError, match="differ in their boundary only"):

@@ -421,7 +421,7 @@ def test_absent_labeled_target_is_caught_under_python_O():
 def expand(families):
     """The explicit rules of rule families with unit cofactors, member by member."""
     return [DifferentialRule(f.page, ({f.gamma_gen: k}, f.source_label),
-                             [(f.scalar, {f.gamma_gen: k - f.step}, f.target_label)])
+                             [(1, {f.gamma_gen: k - f.step}, f.target_label)])
             for f in families for k in f.ks]
 
 
@@ -462,18 +462,12 @@ def test_sec8_families_turn_the_page_as_their_members(p, alternative):
     assert by_family.total_dims() == by_member.total_dims()
 
 
-def test_of_key_reads_family_members():
-    # the second family has a scalar and its ks out of order
+def test_family_entries_match_their_members():
+    # the second family has its ks out of order
     page = module_page(cap=30)
     families = [RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2),
-                RuleFamily("[du]", 2, [4, 2, 3], source_label="b1", target_label="a2", page=2,
-                           scalar=5)]
-    rules = [DifferentialRule(2, ({"[du]": k}, "b1"), [(2, {"[du]": k - 2}, "a2")])
-             for k in (4, 2, 3)]
-    by_family, by_member = _Differential(page, families), _Differential(page, expand(families[:1]) + rules)
-    assert by_family.of_key(((0, 0, 0, 3), page.label_index("b1"))) == {
-        ((0, 0, 0, 1), page.label_index("a2")): 2}
-    assert of_key_entries(page, by_family) == of_key_entries(page, by_member)
+                RuleFamily("[du]", 2, [4, 2, 3], source_label="b1", target_label="a2", page=2)]
+    by_family, by_member = _Differential(page, families), _Differential(page, expand(families))
     src, tgt, d = by_family.entries()
     assert (src.tolist(), tgt.tolist(), d) == tuple(
         a.tolist() if isinstance(a, np.ndarray) else a for a in by_member.entries())
@@ -483,14 +477,14 @@ def test_a_family_member_that_repeats_a_source_conflicts():
     page = module_page(cap=30)
     fam = RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2)
     twice = DifferentialRule(2, ({"[du]": 4}, "u"), [(2, {"[du]": 2}, "a1")])
-    later = dataclasses.replace(fam, ks=range(5, 9), scalar=2)
+    later = dataclasses.replace(fam, ks=range(5, 9))
     for rules, member in (([fam, twice], 4), ([twice, fam], 4), ([fam, later], 5),
                           ([dataclasses.replace(fam, ks=[2, 3, 3])], 3)):
         with pytest.raises(LeibnizConflict) as exc:
             run_differential(page, rules)
         assert str(exc.value) == f"source g{member}([du])*{{u}} received two values"
-    with pytest.raises(LeibnizConflict) as exc:  # the members one by one raise the same
-        run_differential(page, expand([fam, later]))
+    with pytest.raises(LeibnizConflict) as exc:  # members one by one, with another scalar, raise the same
+        run_differential(page, expand([fam]) + [dataclasses.replace(r, scalar=2) for r in expand([later])])
     assert str(exc.value) == "source g5([du])*{u} received two values"
 
 
@@ -510,11 +504,19 @@ def test_family_shape_errors():
                          (dataclasses.replace(fam, target_label=None), "target label"),
                          (dataclasses.replace(fam, cofactor=[(1, {"l1": 1})]), "no cofactor"),
                          (dataclasses.replace(fam, ks=range(1, 8)), "k=1 lies below its step 2"),
-                         (dataclasses.replace(fam, scalar=3), "unit"),
                          (dataclasses.replace(fam, gamma_gen="m2"), "divided powers times the label")):
         with pytest.raises(ValueError, match=message):
             run_differential(page, [bad])
     assert run_differential(page, [dataclasses.replace(fam, ks=[])]).page_index == 3
+    # families on two divided-power generators in one turn
+    spec = make_algebra(3, [divided("[du]", 3, filtration=1), divided("[dv]", 5, filtration=1)])
+    page = Page(spec, page_index=2, cap=30, labels=tuple(
+        PageLabel(name, shift, allows_gamma=True) for name, shift in (("u", 0), ("a", 7), ("b", 11))))
+    two = [RuleFamily("[du]", 2, [2], source_label="u", target_label="a", page=2),
+           RuleFamily("[dv]", 2, [2], source_label="u", target_label="b", page=2)]
+    run_differential(page, two[1:])
+    with pytest.raises(ValueError, match="share their divided-power generator"):
+        run_differential(page, two)
 
 
 def test_leibniz_conflict_on_duplicate_sources():
