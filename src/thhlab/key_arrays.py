@@ -293,21 +293,26 @@ class KeyTable:
             codes[out] = self.row.size + lex_ids(np.column_stack((mat[out], labels[out])))
         return codes, at
 
-    def matching(self, cols: list[int], keys: Sequence[PageKey]) -> tuple[np.ndarray, np.ndarray]:
+    def matching(self, cols: list[int], mat: np.ndarray,
+                 labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The positions, ascending, of the keys of a sorted walked table
-        that agree with one of keys in label and in the exponents on cols,
-        and the index in keys of the one each agrees with.  The row locator
-        finds the part on cols of each walked monomial, which is walked too,
-        and of each of keys among the monomials."""
+        that agree in label and in the exponents on cols with one of the
+        distinct keys given as exponent rows mat and labels, and the row of
+        mat of the one each agrees with.  The row locator finds the part on
+        cols of each walked monomial, which is walked too, and of each row
+        of mat among the monomials; one sorted search matches the codes of
+        (part, label)."""
         n = len(self.mat)
-        mat, labels = key_rows(keys, self.mat.shape[1])
         parts = np.concatenate((self.mat, mat))
         other = np.ones(parts.shape[1], dtype=bool)
         other[cols] = False
         parts[:, other] = 0
         found = self._rows().find(parts)
-        theirs = RowFinder(np.column_stack((np.where(found[n:] < 0, n, found[n:]), labels + 1)))
-        at = theirs.find(np.column_stack((found[self.row], self.label + 1)))
+        # a key is coded by its part's row and its label, a key of mat whose
+        # monomial is absent by the row n, which no walked key's part has
+        width = max(self.label.max(initial=-1), labels.max(initial=-1)) + 2
+        at = _lookup(np.where(found[n:] < 0, n, found[n:]) * width + labels + 1,
+                     found[self.row] * width + self.label + 1, -1)
         mine = np.flatnonzero(at >= 0)
         return mine, at[mine]
 

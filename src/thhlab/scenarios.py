@@ -139,9 +139,10 @@ def _total_diff(expected: Sequence[int], actual: Sequence[int], cap: int, limit:
 
 
 def _bidegree_compare(want: dict, got: dict, cap: int):
-    """ok flag, witnesses, and total-degree mismatch lines for two dim tables."""
-    want = {bd: d for bd, d in want.items() if d}
-    got = {bd: d for bd, d in got.items() if d}
+    """ok flag, witnesses, and total-degree mismatch lines for two dim
+    tables, each read up to total degree cap."""
+    want = {bd: d for bd, d in want.items() if d and sum(bd) <= cap}
+    got = {bd: d for bd, d in got.items() if d and sum(bd) <= cap}
     if want == got:
         return True, {"lanes": len(got)}, ()
     bad = sorted(
@@ -157,8 +158,7 @@ def _bidegree_compare(want: dict, got: dict, cap: int):
     def totals(table):
         out = [0] * (cap + 1)
         for (s, t), d in table.items():
-            if s + t <= cap:
-                out[s + t] += d
+            out[s + t] += d
         return out
     return False, w, _total_diff(totals(want), totals(got), cap)
 
@@ -213,9 +213,7 @@ def _thhz(p: int, cap: int) -> list[Check]:
     base, left = _tower_base(p)
     page = tor_closed_form(base, left, fp_module(base), cap)
     oracle = tor_oracle(base, left, fp_module(base), cap)
-    want = {bd: d for bd, d in oracle.items() if sum(bd) <= cap}
-    got = dict(page.bigraded_dims(cap))
-    ok, wit, lines = _bidegree_compare(want, got, cap)
+    ok, wit, lines = _bidegree_compare(oracle, page.bigraded_dims(cap), cap)
     checks.append(_check("e2-closed-form-vs-oracle", ok, SOURCE_COMPUTED,
                          degrees=lines, **wit))
 
@@ -409,12 +407,17 @@ def _bj_label(p: int, j: int) -> str:
 
 
 def _sec8_representative(page: Page, p: int):
+    """The page key of each abutment monomial; the generator slots and label
+    indices are looked up once."""
     spec = page.spec
+    l1, dlogu, m2, du = (spec.index_of(name) for name in ("l1", "dlogu", "m2", "[du]"))
+    index = {lab.name: i for i, lab in enumerate(page.labels)}
 
     def rep(mono):
         a, e, f, big_k = mono  # abutment letters: u, l1, dlogu, k1
         q, j = divmod(big_k, p)
-        powers = {"l1": e, "dlogu": f, "m2": q}
+        powers = [0] * len(spec.generators)
+        powers[l1], powers[dlogu], powers[m2] = e, f, q
         if j == 0:
             if a == 0:
                 label = "1"
@@ -423,7 +426,7 @@ def _sec8_representative(page: Page, p: int):
             else:
                 label = _ub_name(p - 3, 0)  # u^{p-2} rides gamma_0 of its tower
         elif a == 0:
-            powers["[du]"] = 1  # gamma_1 represents k1^j
+            powers[du] = 1  # gamma_1 represents k1^j
             label = _ub_name(p - 3, j - 1)
         else:
             i = a - 1
@@ -433,7 +436,7 @@ def _sec8_representative(page: Page, p: int):
                 label = "z"
             else:
                 label = _ub_name(p - 3, j)
-        return (spec.mono_from_names(powers), page.label_index(label))
+        return (tuple(powers), index[label])
 
     return rep
 
@@ -491,8 +494,7 @@ def _sec8_oracle_check(base, module: ModuleSpec, p: int, cap: int) -> Check:
     capo = min(cap, 2 * p * p + 2)
     bare = tor_exterior_module(exterior("du", 3), module, make_algebra(p, []), capo)
     oracle = tor_oracle(base, module, fp_module(base), capo)
-    want = {bd: d for bd, d in oracle.items() if sum(bd) <= capo}
-    ok, wit, lines = _bidegree_compare(want, dict(bare.bigraded_dims(capo)), capo)
+    ok, wit, lines = _bidegree_compare(oracle, bare.bigraded_dims(capo), capo)
     return _check("e2-oracle-crosscheck", ok, SOURCE_COMPUTED, degrees=lines, **wit)
 
 
@@ -656,9 +658,7 @@ def _tor_oracle_sweep(p: int, cap: int) -> list[Check]:
         alg = make_algebra(p, gens)
         page = tor_closed_form(alg, fp_module(alg), fp_module(alg), capg)
         oracle = tor_oracle(alg, fp_module(alg), fp_module(alg), capg)
-        want = {bd: d for bd, d in oracle.items() if sum(bd) <= capg}
-        got = dict(page.bigraded_dims(capg))
-        ok, _, _ = _bidegree_compare(want, got, capg)
+        ok, _, _ = _bidegree_compare(oracle, page.bigraded_dims(capg), capg)
         if not ok:
             failures.append("*".join(g.name for g in gens))
     return [_check(

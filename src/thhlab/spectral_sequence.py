@@ -25,15 +25,18 @@ puts the keys in bucket order, each bucket in the order of its (monomial,
 label) tuples, and those tuples of PageKey are built bucket by bucket,
 only when raw_buckets, survivors or keys_at is read.
 
-A turn evaluates d on exponent arrays in key_arrays' encoding, one row per
-term: on a plain page per factor x_i^e of a key and term of d(x_i^e), on
-a labeled page per key whose gamma part and label are a rule source
-(KeyTable.matching) and term of that rule's target.  A RuleFamily stays
-whole: it is checked once, a table indexed by label and gamma exponent
-finds its members' sources, and their targets are array arithmetic.
-AlgebraSpec.mul_rows takes every product at once, one sorted search over
-the key table codes every target, and key_arrays.nonzero_sums sums the
-terms of one source on one target mod p; each sum must stay in its lane.
+A turn first puts every rule in one table of arrays, in declaration
+order: explicit rules from their parsed keys and term dicts, a RuleFamily
+one row per member by array arithmetic, with no per-member objects.  One
+pass over the table checks the lane of every target term and one finds a
+source declared twice.  d is then evaluated on exponent arrays in
+key_arrays' encoding, one row per term: on a plain page per factor x_i^e
+of a key and term of d(x_i^e), on a labeled page per key whose gamma part
+and label are a source of the table (KeyTable.matching) and term of that
+rule's target.  AlgebraSpec.mul_rows takes every product at once, one
+sorted search over the key table codes every target, and
+key_arrays.nonzero_sums sums the terms of one source on one target mod p;
+each sum must stay in its lane.
 When d is a partial matching, as every catalogued turn is, the rank out of each
 bucket and the keys that die are read off the arrays; any other d goes to
 sparse_homology on key positions graded by bucket.  The next page keeps
@@ -64,8 +67,8 @@ from .graded_algebra import (
     leibniz,
     truncation_residuals,
 )
-from .key_arrays import (KeyTable, PageKey, _lookup, csr_terms, key_rows, mono_rows, nonzero_sums,
-                         term_arrays)
+from .key_arrays import (KeyTable, PageKey, _lookup, csr_terms, key_rows, lex_ids, mono_rows,
+                         nonzero_sums, term_arrays)
 
 
 class NotADifferential(GradedError):
@@ -283,8 +286,9 @@ class DifferentialRule:
 class RuleFamily:
     """d(gamma_k . source_label) = scalar . cofactor . gamma_{k-step} . target_label
     for each k in ks.  verify_rule_family reads it as a pattern and reports
-    the scalars.  run_differential takes it as one rule per k with scalar 1,
-    on page: both labels given, no cofactor, and every k at least step."""
+    the scalars.  run_differential reads member k as the rule sending
+    gamma_k to gamma_{k-step} with coefficient 1, on page: both labels
+    given, no cofactor, and every k at least step."""
 
     gamma_gen: str
     step: int
@@ -295,38 +299,19 @@ class RuleFamily:
     page: Optional[int] = None
 
 
-class _Family:
-    """A RuleFamily read on a labeled page: its member at k sends gamma_k
-    at slot with label source to gamma_{k - step} with label target."""
-
-    def __init__(self, page: Page, family: RuleFamily) -> None:
-        if family.source_label is None or family.target_label is None or family.cofactor is not None:
-            raise ValueError("rule families run with a source and a target label and no cofactor")
-        self.width = len(page.spec.generators)
-        self.slot = page.spec.index_of(family.gamma_gen)
-        self.source = page.label_index(family.source_label)
-        self.target = page.label_index(family.target_label)
-        self.ks, self.step = np.array(family.ks, dtype=np.int64), family.step
-        if self.ks.min() < self.step:
-            raise ValueError(f"rule family member k={self.ks.min()} lies below its step {self.step}")
-
-    def member(self, k: int) -> tuple[PageKey, dict[PageKey, int]]:
-        """The source and target of the member at k."""
-        def gamma(e):
-            return tuple(e if i == self.slot else 0 for i in range(self.width))
-        return (gamma(k), self.source), {(gamma(k - self.step), self.target): 1}
-
-    def holds(self, key: PageKey) -> bool:
-        """Whether key is a member's source."""
-        mono, li = key
-        return (li == self.source and sum(mono) == mono[self.slot]
-                and bool((self.ks == mono[self.slot]).any()))
+def _row_key(rows: np.ndarray, labels: np.ndarray, i: int) -> PageKey:
+    li = labels.item(i)
+    return (tuple(rows[i].tolist()), None if li < 0 else li)
 
 
 class _Differential:
-    """Leibniz extension of generator-level rules on one page.  A rule
-    family stays whole: its sources are found and its targets made on
-    arrays (_family_terms)."""
+    """Leibniz extension of generator-level rules on one page.  Every rule
+    is also a row of one table, in declaration order: its source as an
+    exponent row and label, its target in CSR form (ptr) as rows, labels
+    and coefficients.  Explicit rules enter it as parsed (a rule repeated
+    with its own target once), a RuleFamily by array arithmetic, one row per
+    member.  One pass over the table checks every lane, then one finds a
+    repeated source, and _labeled_terms reads it."""
 
     def __init__(self, page: Page, rules: Sequence[DifferentialRule | RuleFamily]):
         self.page = page
@@ -343,13 +328,14 @@ class _Differential:
                 f"rules at page {self.r} cannot run on page {page.page_index}"
             )
         self.rule_map: dict[PageKey, dict[PageKey, int]] = {}
-        self.families: list[_Family] = []
+        explicit: list[tuple[PageKey, dict[PageKey, int], int]] = []
+        families: list[tuple] = []  # (index in the rules, *_family(rule))
         gamma = set(page._gamma)
         self.gamma_mask = tuple(int(i in gamma) for i in range(len(spec.generators)))
-        for rule in rules:
+        for at, rule in enumerate(rules):
             if isinstance(rule, RuleFamily):
                 if len(rule.ks):
-                    self._add_family(_Family(page, rule), gamma)
+                    families.append((at, *self._family(rule, gamma)))
                 continue
             if rule.scalar % self.p == 0:
                 raise ValueError("rule scalar must be a unit")
@@ -358,55 +344,86 @@ class _Differential:
             tgt = {k: (c * rule.scalar) % self.p for k, c in tgt.items()}
             tgt = {k: c for k, c in tgt.items() if c}
             self._check_source_shape(src, gamma)
-            self._check_lane(src, tgt)
-            if ((src in self.rule_map and self.rule_map[src] != tgt)
-                    or any(f.holds(src) for f in self.families)):
-                raise LeibnizConflict(
-                    f"source {page.format_key(src)} received two values"
-                )
-            self.rule_map[src] = tgt
+            if self.rule_map.get(src) == tgt:
+                continue  # a rule repeated with its own target is one rule
+            self.rule_map.setdefault(src, tgt)
+            explicit.append((src, tgt, at))
+        self._build_table(explicit, families)
         # the differential of a plain monomial, as a dict over the spec
         self.of_mono = leibniz(spec, {
             mono: {m: c for (m, _), c in tgt.items()}
             for (mono, li), tgt in self.rule_map.items() if li is None
         })
 
-    def _add_family(self, family: _Family, gamma: set) -> None:
-        """Check a family once: the shape and lane of its first member (the
-        lane of every member, whose bidegree shift does not depend on k),
-        that it shares the earlier families' gamma slot, and that no member
-        repeats an earlier rule's source, the first such member in ks order
-        raising."""
-        src, tgt = family.member(family.ks.item(0))
-        self._check_source_shape(src, gamma)
-        self._check_lane(src, tgt)
-        if self.families and family.slot != self.families[0].slot:
-            raise ValueError("rule families in one turn share their divided-power generator")
-        ks = family.ks
-        order = np.argsort(ks, kind="stable")
-        taken = np.zeros(ks.size, dtype=bool)
-        taken[order[1:][ks[order[1:]] == ks[order[:-1]]]] = True
-        for f in self.families:
-            if f.source == family.source:
-                taken |= _lookup(f.ks, ks, -1) >= 0
-        for key in self.rule_map:
-            if family.holds(key):
-                taken |= ks == key[0][family.slot]
-        if taken.any():
-            src = family.member(ks.item(np.argmax(taken)))[0]
-            raise LeibnizConflict(f"source {self.page.format_key(src)} received two values")
-        self.families.append(family)
-
-    def _check_lane(self, src: PageKey, tgt: dict[PageKey, int]) -> None:
+    def _family(self, family: RuleFamily, gamma: set) -> tuple:
+        """A family's slot, source and target labels, step and ks array,
+        once its shape is checked on its first member."""
         page = self.page
-        sb = page.key_bidegree(src)
-        want = (sb[0] - self.r, sb[1] + self.r - 1)
-        for key in tgt:
-            if page.key_bidegree(key) != want:
-                raise BidegreeViolation(
-                    f"d{self.r}({page.format_key(src)}) target "
-                    f"{page.format_key(key)} not at {want}"
-                )
+        if family.source_label is None or family.target_label is None or family.cofactor is not None:
+            raise ValueError("rule families run with a source and a target label and no cofactor")
+        slot = page.spec.index_of(family.gamma_gen)
+        source, target = page.label_index(family.source_label), page.label_index(family.target_label)
+        ks = np.array(family.ks, dtype=np.int64)
+        if ks.min() < family.step:
+            raise ValueError(f"rule family member k={ks.min()} lies below its step {family.step}")
+        mono = [0] * len(page.spec.generators)
+        mono[slot] = ks.item(0)
+        self._check_source_shape((tuple(mono), source), gamma)
+        return slot, source, target, family.step, ks
+
+    def _build_table(self, explicit: list, families: list) -> None:
+        """The rule table from the explicit rules, as (source, target,
+        index in the rules), and the families, as (index, slot, source
+        label, target label, step, ks).  A target term out of its lane
+        raises BidegreeViolation, and then a source met twice
+        LeibnizConflict, each for the first in declaration order."""
+        page, r = self.page, self.r
+        width = len(page.spec.generators)
+        ptr, terms, coeff = term_arrays([tgt for _, tgt, _ in explicit])
+        src, label = key_rows([key for key, _, _ in explicit], width)
+        tgt, tgt_label = key_rows(terms, width)
+        # member k of a family: gamma_k at its slot, with its source label,
+        # to gamma_{k - step} there, with its target label and coefficient 1
+        ks = np.concatenate([f[-1] for f in families] + [np.zeros(0, dtype=np.int64)])
+        at, slot, source, target, step = np.repeat(
+            np.array([f[:-1] for f in families], dtype=np.int64).reshape(-1, 5),
+            [f[-1].size for f in families], axis=0).T
+        member = np.zeros((2, ks.size, width), dtype=np.int64)
+        member[:, np.arange(ks.size), slot] = ks, ks - step
+        one = np.ones(ks.size, dtype=np.int64)
+        # the explicit rules, then the members, put in declaration order
+        rank = np.concatenate((np.array([i for _, _, i in explicit], dtype=np.int64), at))
+        order = np.argsort(rank, kind="stable")
+        size = np.concatenate((np.diff(ptr), one))
+        term, owner = csr_terms(np.concatenate(([0], np.cumsum(size))), order)
+        self.src = np.concatenate((src, member[0]))[order]
+        self.src_label = np.concatenate((label, source))[order]
+        self.tgt = np.concatenate((tgt, member[1]))[term]
+        self.tgt_label = np.concatenate((tgt_label, target))[term]
+        self.coeff = np.concatenate((coeff, one))[term]
+        self.ptr = np.concatenate(([0], np.cumsum(size[order])))
+        # bidegrees: one product with the generators' (s, t), plus label shifts
+        spec = page.spec
+        degrees = np.array([spec._filtrations, spec._inner], dtype=np.int64).T  # type: ignore[attr-defined]
+        shift = np.array([lab.shift for lab in page.labels or ()] + [0], dtype=np.int64)
+        want, got = self.src @ degrees, self.tgt @ degrees
+        want[:, 1] += shift[self.src_label] + r - 1
+        want[:, 0] -= r
+        got[:, 1] += shift[self.tgt_label]
+        bad = np.flatnonzero((got != want[owner]).any(axis=1))
+        if bad.size:
+            i = bad.item(0)
+            raise BidegreeViolation(
+                f"d{r}({page.format_key(_row_key(self.src, self.src_label, owner.item(i)))}) target "
+                f"{page.format_key(_row_key(self.tgt, self.tgt_label, i))} not at "
+                f"{tuple(want[owner.item(i)].tolist())}"
+            )
+        ids = lex_ids(np.column_stack((self.src, self.src_label)))
+        by_id = np.argsort(ids, kind="stable")
+        again = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]
+        if again.size:
+            src_key = _row_key(self.src, self.src_label, again.min())
+            raise LeibnizConflict(f"source {page.format_key(src_key)} received two values")
 
     def _check_source_shape(self, src: PageKey, gamma: set) -> None:
         mono, li = src
@@ -478,55 +495,19 @@ class _Differential:
     def _labeled_terms(self, table: KeyTable):
         """The terms of d on a labeled page, one part as in _plain_terms: for
         each key whose gamma part and label are a rule source and term c * t
-        of the rule's target, left is the rest of the key's monomial, right
+        of that rule's target, left is the rest of the key's monomial, right
         t, and c is negated when the rest is odd."""
-        spec, gamma = self.page.spec, list(self.page._gamma)
-        rules = [(key, tgt) for key, tgt in self.rule_map.items() if tgt]
-        if not rules:
+        if not self.coeff.size:
             return []
-        at, which = table.matching(gamma, [key for key, _ in rules])
-        ptr, terms, scalar = term_arrays([tgt for _, tgt in rules])
-        right, label = key_rows(terms, len(spec.generators))
-        term, src = csr_terms(ptr, which)
+        spec, gamma = self.page.spec, list(self.page._gamma)
+        at, which = table.matching(gamma, self.src, self.src_label)
+        term, src = csr_terms(self.ptr, which)
         src = at[src]
         left = table.mat[table.row[src]]
         left[:, gamma] = 0
         odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
-        return [(src, left, right[term], np.where(odd, -scalar[term], scalar[term]), label[term])]
-
-    def _family_terms(self, table: KeyTable):
-        """The terms of the rule families, one part as in _labeled_terms.  A
-        key is a member's source when its gamma part sits at the families'
-        slot alone, read once per monomial, and a table indexed by its label
-        and its exponent there holds the member; the member's target row is
-        gamma_{k - step} at the slot, with scalar 1."""
-        if not self.families:
-            return []
-        spec, gamma, fams = self.page.spec, list(self.page._gamma), self.families
-        slot = fams[0].slot
-        fam = np.repeat(np.arange(len(fams)), [f.ks.size for f in fams])
-        ks = np.concatenate([f.ks for f in fams])
-        exp = np.where(table.mat[:, [i for i in gamma if i != slot]].any(axis=1), -1,
-                       table.mat[:, slot])
-        # member[row[label], k], -1 for none: the labels that are no
-        # source, and the exponent -1, read a last row and column of -1
-        sources = list(dict.fromkeys(f.source for f in fams))
-        row = np.full(len(self.page.labels) + 1, len(sources))
-        row[sources] = np.arange(len(sources))
-        top = exp.max(initial=0)
-        member = np.full((len(sources) + 1, top + 2), -1)
-        fit = np.flatnonzero(ks <= top)
-        member[row[[f.source for f in fams]][fam[fit]], ks[fit]] = fit
-        hit = member[row[table.label], exp[table.row]]
-        src = np.flatnonzero(hit >= 0)
-        hit = hit[src]
-        right = np.zeros((src.size, len(spec.generators)), dtype=np.int64)
-        right[:, slot] = ks[hit] - np.array([f.step for f in fams])[fam[hit]]
-        left = table.mat[table.row[src]]
-        left[:, gamma] = 0
-        odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
-        return [(src, left, right, np.where(odd, -1, 1),
-                 np.array([f.target for f in fams], dtype=np.int64)[fam[hit]])]
+        coeff = self.coeff[term]
+        return [(src, left, self.tgt[term], np.where(odd, -coeff, coeff), self.tgt_label[term])]
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, Optional[dict[int, dict[int, int]]]]:
         """The nonzero entries of d over key positions of the page's table,
@@ -537,8 +518,7 @@ class _Differential:
         and must square to zero term by term; a matching does so trivially."""
         page, r, p = self.page, self.r, self.p
         table = page._table()
-        parts = (self._labeled_terms(table) + self._family_terms(table) if page.labels is not None
-                 else self._plain_terms(table))
+        parts = self._labeled_terms(table) if page.labels is not None else self._plain_terms(table)
         if not parts:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, None

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -463,23 +464,39 @@ def test_sec8_families_turn_the_page_as_their_members(p, alternative):
 
 
 def test_family_entries_match_their_members():
-    # the second family has its ks out of order
+    # the second family has its ks out of order; the second input declares
+    # explicit rules among the families, one with a two-term target on two
+    # labels and one with coefficient 2
     page = module_page(cap=30)
-    families = [RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2),
-                RuleFamily("[du]", 2, [4, 2, 3], source_label="b1", target_label="a2", page=2)]
-    by_family, by_member = _Differential(page, families), _Differential(page, expand(families))
-    src, tgt, d = by_family.entries()
-    assert (src.tolist(), tgt.tolist(), d) == tuple(
-        a.tolist() if isinstance(a, np.ndarray) else a for a in by_member.entries())
+    u_fam = RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2)
+    b_fam = RuleFamily("[du]", 2, [4, 2, 3], source_label="b1", target_label="a2", page=2)
+    mixed = [DifferentialRule(2, ({"[du]": 2}, "u"), [(1, {}, "a1"), (1, {"dlogu": 1}, "b1")]),
+             dataclasses.replace(u_fam, ks=range(4, 8)),
+             DifferentialRule(2, ({"[du]": 3}, "u"), [(1, {"[du]": 1}, "a1")]),
+             b_fam,
+             DifferentialRule(2, ({"[du]": 5}, "b1"), [(2, {"[du]": 3}, "a2")])]
+    for rules in ([u_fam, b_fam], mixed):
+        explicit = [r for rule in rules
+                    for r in (expand([rule]) if isinstance(rule, RuleFamily) else [rule])]
+        by_family, by_member = _Differential(page, rules), _Differential(page, explicit)
+        src, tgt, d = by_family.entries()
+        assert (src.tolist(), tgt.tolist(), d) == tuple(
+            a.tolist() if isinstance(a, np.ndarray) else a for a in by_member.entries())
 
 
 def test_a_family_member_that_repeats_a_source_conflicts():
     page = module_page(cap=30)
     fam = RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2)
     twice = DifferentialRule(2, ({"[du]": 4}, "u"), [(2, {"[du]": 2}, "a1")])
+    member_4 = dataclasses.replace(twice, target=[(1, {"[du]": 2}, "a1")])
     later = dataclasses.replace(fam, ks=range(5, 9))
-    for rules, member in (([fam, twice], 4), ([twice, fam], 4), ([fam, later], 5),
-                          ([dataclasses.replace(fam, ks=[2, 3, 3])], 3)):
+    # an explicit rule repeated with its target is one rule
+    assert (run_differential(page, [member_4, member_4]).total_dims()
+            == run_differential(page, [member_4]).total_dims())
+    # with another target it conflicts, and as a family member even with its own
+    for rules, member in (([member_4, twice], 4), ([twice, member_4], 4), ([fam, twice], 4),
+                          ([twice, fam], 4), ([fam, member_4], 4), ([member_4, fam], 4),
+                          ([fam, later], 5), ([dataclasses.replace(fam, ks=[2, 3, 3])], 3)):
         with pytest.raises(LeibnizConflict) as exc:
             run_differential(page, rules)
         assert str(exc.value) == f"source g{member}([du])*{{u}} received two values"
@@ -497,6 +514,28 @@ def test_a_family_whose_target_leaves_its_lane_names_its_first_member():
             run_differential(page, rules)
 
 
+def test_the_first_fault_in_declaration_order_is_named():
+    page = module_page(cap=30)
+    off_lane = RuleFamily("[du]", 2, range(3, 8), source_label="u", target_label="b1", page=2)
+    rule = DifferentialRule(2, ({"[du]": 2}, "b1"), [(1, {}, "a1")])
+    for rules, message in (([off_lane, rule], r"^d2\(g3\(\[du\]\)\*\{u\}\) target "),
+                           ([rule, off_lane], r"^d2\(g2\(\[du\]\)\*\{b1\}\) target a1 not at \(0, 15\)$")):
+        with pytest.raises(BidegreeViolation, match=message):
+            run_differential(page, rules)
+    fam = RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2)
+    twice = dataclasses.replace(fam, source_label="b1", target_label="a2", ks=[2, 3, 3])
+    again = DifferentialRule(2, ({"[du]": 4}, "u"), [(1, {"[du]": 2}, "a1")])
+    for rules, member in (([fam, again, twice], "g4([du])*{u}"), ([twice, fam, again], "g3([du])*{b1}")):
+        with pytest.raises(LeibnizConflict, match=re.escape(f"source {member} received")):
+            run_differential(page, rules)
+    # every lane is checked before any source is found twice, also when
+    # two explicit rules give one source two values
+    other = dataclasses.replace(again, target=[(2, {"[du]": 2}, "a1")])
+    for rules in ([fam, again, off_lane], [again, other, off_lane]):
+        with pytest.raises(BidegreeViolation):
+            run_differential(page, rules)
+
+
 def test_family_shape_errors():
     page = module_page(cap=30)
     fam = RuleFamily("[du]", 2, range(2, 8), source_label="u", target_label="a1", page=2)
@@ -508,15 +547,23 @@ def test_family_shape_errors():
         with pytest.raises(ValueError, match=message):
             run_differential(page, [bad])
     assert run_differential(page, [dataclasses.replace(fam, ks=[])]).page_index == 3
-    # families on two divided-power generators in one turn
+
+
+def test_families_on_two_divided_power_generators_turn_as_their_members():
     spec = make_algebra(3, [divided("[du]", 3, filtration=1), divided("[dv]", 5, filtration=1)])
-    page = Page(spec, page_index=2, cap=30, labels=tuple(
-        PageLabel(name, shift, allows_gamma=True) for name, shift in (("u", 0), ("a", 7), ("b", 11))))
-    two = [RuleFamily("[du]", 2, [2], source_label="u", target_label="a", page=2),
-           RuleFamily("[dv]", 2, [2], source_label="u", target_label="b", page=2)]
-    run_differential(page, two[1:])
-    with pytest.raises(ValueError, match="share their divided-power generator"):
-        run_differential(page, two)
+
+    def page():
+        return Page(spec, page_index=2, cap=30, labels=tuple(
+            PageLabel(name, shift, allows_gamma=True) for name, shift in (("u", 0), ("a", 7), ("b", 11))))
+    two = [RuleFamily("[du]", 2, range(2, 6), source_label="u", target_label="a", page=2),
+           RuleFamily("[dv]", 2, [3, 2], source_label="u", target_label="b", page=2)]
+    fam_src, fam_tgt, fam_d = _Differential(page(), two).entries()
+    mem_src, mem_tgt, mem_d = _Differential(page(), expand(two)).entries()
+    assert fam_src.size == 6 and fam_d is None and mem_d is None
+    assert fam_src.tolist() == mem_src.tolist() and fam_tgt.tolist() == mem_tgt.tolist()
+    by_family, by_member = run_differential(page(), two), run_differential(page(), expand(two))
+    assert list(by_family.survivors.items()) == list(by_member.survivors.items())
+    assert by_family.extra_classes == by_member.extra_classes
 
 
 def test_leibniz_conflict_on_duplicate_sources():
