@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .fp_linalg import PrimeField, count_ranks, map_rank
-from .key_arrays import lex_ids
+from .key_arrays import csr_terms, lex_ids, mono_rows, term_arrays, term_dicts
 
 Mono = tuple[int, ...]
 TermDict = dict[Mono, int]
@@ -608,28 +608,38 @@ def _p_power_part(k: int, p: int) -> tuple[int, int]:
     return power, k
 
 
-def leibniz(spec: AlgebraSpec, atoms: Mapping[Mono, TermDict]) -> Callable[[Mono], TermDict]:
+Terms = tuple[np.ndarray, np.ndarray, np.ndarray]  # (owner row, exponent rows, coeff mod p)
+
+
+def leibniz(spec: AlgebraSpec, atoms: Mapping[Mono, TermDict]) -> Callable[[np.ndarray], Terms]:
     """An odd derivation given on atoms (the single generators and, on a
     divided slot, the gamma_{p^i}; a missing atom maps to zero), extended to
-    every monomial by the graded Leibniz rule, one slot at a time.
+    every monomial by the graded Leibniz rule, one slot at a time: the one
+    place where d of a monomial is formed from the d(x_i^e).
 
+    Returns an evaluator on an int64 exponent matrix, one monomial a row.
+    It gives the unsummed terms of d on every row as arrays: the row each
+    term belongs to, its exponent row and its coefficient mod p, nonzero.
     For m = f_1 ... f_n, f_i = x_i^(e_i), d(m) sums over the slots with
     d(f_i) != 0 the terms (-1)^|f_1 ... f_(i-1)| f_1 ... f_(i-1) d(f_i) f_(i+1) ... f_n;
     by graded commutativity a term t of d(f_i) is one product,
-    (-1)^(|f_1 ... f_(i-1)| (1 + |t|)) t m_i, m_i being m with slot i cleared.
+    (-1)^(|f_1 ... f_(i-1)| (1 + |t|)) t m_i, m_i being m with slot i cleared,
+    and one mul_rows takes every product, over every row, ruled slot and
+    term of d(f_i); the products that vanish are dropped.
     d(f) is memoised by (slot, exponent) and peeled: a * (f - a) = beta * f
     for the lowest atom a, beta a unit by Lucas, and
     d(f) = (d(a) (f - a) + (-1)^|a| a d(f - a)) / beta.  The sum regroups the
     peel of the whole monomial from its first slot: by associativity and
     a * (f - a) = beta * f alone, peeling f_1 off m = f_1 R atom by atom gives
     d(f_1) R + (-1)^|f_1| f_1 d(R), so values agree even where a nonzero
-    truncation residual makes d no derivation.  Each call returns a fresh dict.
+    truncation residual makes d no derivation.
     """
     p = spec.field.p
     gens = spec.generators
     unit = spec.unit
-    mono_mul = spec.mono_mul
     factors: list[dict[int, TermDict]] = [{} for _ in gens]
+    ruled = sorted({next(i for i, e in enumerate(m) if e) for m, v in atoms.items() if v})
+    degrees = np.array(spec._degrees, dtype=np.int64)  # type: ignore[attr-defined]
 
     def factor(i: int, e: int) -> TermDict:
         """d(x_i^e): peel atoms down to a memoised or atomic exponent, then
@@ -656,36 +666,34 @@ def leibniz(spec: AlgebraSpec, atoms: Mapping[Mono, TermDict]) -> Callable[[Mono
             val = memo[e] = spec.scale_dict(pow(beta, -1, p), val)
         return val
 
-    def of_mono(mono: Mono) -> TermDict:
-        out: TermDict = {}
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            df = factors[i].get(e)
-            if df is None:
-                df = factor(i, e)
-            if not df:
-                continue
-            rest, odd = mono[:i] + (0,) + mono[i + 1:], spec.total_degree_of(mono[:i]) % 2
-            for t, c in df.items():
-                prod = mono_mul(t, rest)
-                if prod is None:
-                    continue
-                if odd and not spec.total_degree_of(t) % 2:
-                    c = -c
-                m = prod[1]
-                v = (out.get(m, 0) + c * prod[0]) % p
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return out
+    def evaluate(mat: np.ndarray) -> Terms:
+        parts = []
+        for i in ruled:
+            col = mat[:, i]
+            top = col.max(initial=0)
+            if not top:
+                continue  # d(x_i^0) = d(1) = 0
+            ptr, terms, scalar = term_arrays([factor(i, e) if e else {} for e in range(top + 1)])
+            left = mono_rows(terms, len(gens))
+            term, src = csr_terms(ptr, col)
+            right = mat[src]
+            odd = (right[:, :i] @ degrees[:i] % 2 == 1) & (left @ degrees % 2 == 0)[term]
+            right[:, i] = 0
+            parts.append((src, left[term], right, np.where(odd, -scalar[term], scalar[term])))
+        if not parts:  # no row holds a ruled slot
+            return np.zeros(0, dtype=np.int64), mat[:0], np.zeros(0, dtype=np.int64)
+        src, left, right, scalar = (np.concatenate(a) for a in zip(*parts))
+        coeff, exps = spec.mul_rows(left, right)
+        coeff = coeff * scalar % p
+        live = np.flatnonzero(coeff)
+        return src[live], exps[live], coeff[live]
 
-    return of_mono
+    return evaluate
 
 
-def truncation_residuals(spec: AlgebraSpec, d: Callable[[Mono], TermDict]) -> dict[int, TermDict]:
-    """h g^(h-1) d(g) for every truncated generator g of height h, by slot.
+def truncation_residuals(spec: AlgebraSpec, d: Callable[[np.ndarray], Terms]) -> dict[int, TermDict]:
+    """h g^(h-1) d(g) for every truncated generator g of height h, by slot,
+    from one call of d, a leibniz evaluator, on the generators' rows.
 
     spec is a tensor product of one-generator factors.  An exterior square
     gives d(g)g - g d(g) = 0, and a divided factor is a tensor product of
@@ -693,13 +701,16 @@ def truncation_residuals(spec: AlgebraSpec, d: Callable[[Mono], TermDict]) -> di
     h prime to p constrains d: the Leibniz extension of d is a derivation
     exactly when every element returned here vanishes.
     """
-    out: dict[int, TermDict] = {}
-    for i, g in enumerate(spec.generators):
-        if g.kind == "truncated":
-            h = g.height or 0
-            top, dg = spec.mono_from_names({g.name: h - 1}), d(spec.mono_from_names({g.name: 1}))
-            out[i] = spec.scale_dict(h, spec.mul_dicts({top: 1}, dg))
-    return out
+    slots = [i for i, g in enumerate(spec.generators) if g.kind == "truncated"]
+    if not slots:
+        return {}
+    h = np.array([spec.generators[i].height for i in slots], dtype=np.int64)
+    rows = np.eye(len(spec.generators), dtype=np.int64)[slots]
+    owner, exps, coeff = d(rows)
+    c, exps = spec.mul_rows(rows[owner] * (h[owner, None] - 1), exps)
+    p = spec.field.p
+    coeff = c * coeff % p * (h[owner] % p) % p
+    return dict(zip(slots, term_dicts(len(slots), owner, exps, coeff, p)))
 
 
 # -- morphism checking --------------------------------------------------------

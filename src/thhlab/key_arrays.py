@@ -4,7 +4,8 @@ mono_rows and key_rows (with labels, -1 for none) give monomials as
 exponent rows (a basis comes as rows from graded_algebra.walk_rows, with
 no tuples); term_arrays gives
 term dicts as CSR arrays, csr_terms lists their terms and nonzero_sums
-sums values by key mod p.  _lookup finds integer keys by one sorted
+sums values by key mod p; term_dicts sums terms given as rows back into
+term dicts, one per owner, in Python dicts.  _lookup finds integer keys by one sorted
 search; the Tor check looks up its packed resolution words with it.
 lex_ids numbers the distinct rows of an integer matrix, packed into
 mixed-radix codes (_runs); graded_algebra takes distinct binomials and
@@ -83,6 +84,18 @@ def nonzero_sums(key: np.ndarray, value: np.ndarray, p: int) -> tuple[np.ndarray
     start = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))  # each key's first place
     total = np.add.reduceat(value[order], start) % p
     return key[start[total != 0]], total[total != 0]
+
+
+def term_dicts(n: int, owner: np.ndarray, exps: np.ndarray, coeff: np.ndarray,
+               p: int) -> list[dict[Mono, int]]:
+    """Terms, each an owner in 0..n-1, an exponent row and a coefficient,
+    summed mod p into one term dict per owner, zero sums dropped.  One pass
+    over the terms as Python ints: a dict sum costs less than lex_ids on
+    the rows, which a wide spec packs into many runs."""
+    out: list[dict[Mono, int]] = [{} for _ in range(n)]
+    for i, m, c in zip(owner.tolist(), map(tuple, exps.tolist()), coeff.tolist()):
+        out[i][m] = (out[i].get(m, 0) + c) % p
+    return [{m: c for m, c in d.items() if c} for d in out]
 
 
 def _runs(radices: list[int]) -> list[tuple[slice, np.ndarray]]:

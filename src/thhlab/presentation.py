@@ -23,7 +23,10 @@ only the rules keyed by support slots.
 The module also houses make_theta, the truncated two-family presentation
 used throughout, and check_derivation, which verifies that a declared
 degree +1 derivation is compatible with every relation and truncation of a
-carrier algebra.
+carrier algebra.  A derivation given on generators is evaluated by the
+graded_algebra.leibniz evaluator on exponent rows, one call per batch of
+elements: leibniz_extension maps a sequence of elements to their images,
+and check_derivation derives every rule's lhs - rhs in one call.
 
 Theta is built once per prime and extra generators: make_theta keeps the
 last presentation it built and hands the same object to every caller with
@@ -51,6 +54,7 @@ from .graded_algebra import (
     Mono,
     SlotBounds,
     TermDict,
+    Terms,
     UnsupportedKind,
     by_degree,
     exterior,
@@ -62,6 +66,7 @@ from .graded_algebra import (
     truncation_residuals,
     walk_rows,
 )
+from .key_arrays import mono_rows, term_arrays, term_dicts
 
 
 class NonTermination(GradedError):
@@ -318,10 +323,8 @@ class DerivationReport:
         return [f"{desc}: residual {res}" for desc, ok, res in self.checks if not ok]
 
 
-def leibniz_extension(alg: AlgebraSpec, d: DerivationSpec) -> Callable[[TermDict], TermDict]:
-    """The derivation d, given on generators, extended to all of alg by the
-    graded Leibniz rule (graded_algebra.leibniz) and linearly, as a map on
-    term dicts.  Images are not reduced by any rewrite rules."""
+def _evaluator(alg: AlgebraSpec, d: DerivationSpec) -> Callable[[np.ndarray], Terms]:
+    """The leibniz evaluator of d, given on generators, on rows of alg."""
     if any(g.kind == "divided" for g in alg.generators):
         raise UnsupportedKind("derivations on divided generators are not modeled")
 
@@ -334,22 +337,45 @@ def leibniz_extension(alg: AlgebraSpec, d: DerivationSpec) -> Callable[[TermDict
                 f"sigma({g.name}) has total degree {deg}, expected {g.total_degree + 1}"
             )
         atoms[tuple(int(j == i) for j in range(len(alg.generators)))] = terms
+    return leibniz(alg, atoms)
 
-    of_mono = leibniz(alg, atoms)
-    return lambda elt: alg.linear(of_mono, elt)
+
+def _images(alg: AlgebraSpec, evaluate: Callable[[np.ndarray], Terms],
+            elts: Sequence[TermDict]) -> list[TermDict]:
+    """The image of each element: one call of evaluate over all their
+    monomials, the terms summed per element (key_arrays.term_dicts)."""
+    if not elts:
+        return []
+    ptr, monos, coeff = term_arrays(elts)
+    owner, exps, c = evaluate(mono_rows(monos, len(alg.generators)))
+    p = alg.field.p
+    elt = np.repeat(np.arange(len(elts)), np.diff(ptr))[owner]
+    return term_dicts(len(elts), elt, exps, c * coeff[owner] % p, p)
+
+
+def leibniz_extension(alg: AlgebraSpec,
+                      d: DerivationSpec) -> Callable[[Sequence[TermDict]], list[TermDict]]:
+    """The derivation d, given on generators, extended to all of alg by the
+    graded Leibniz rule (the graded_algebra.leibniz evaluator) and linearly,
+    as a map from a sequence of term dicts to the list of their images:
+    one evaluator call over all their monomials, summed per element.
+    Images are not reduced by any rewrite rules."""
+    evaluate = _evaluator(alg, d)
+    return lambda elts: _images(alg, evaluate, elts)
 
 
 def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
     """Verify a declared derivation against every relation of the carrier.
 
     carrier is an AlgebraSpec or a Presentation.  The derivation extends by
-    leibniz_extension.  Checks: for every truncated generator g of height h,
-    sigma(g^h) = h g^{h-1} sigma(g), read off
+    the graded_algebra.leibniz evaluator.  Checks: for every truncated
+    generator g of height h, sigma(g^h) = h g^{h-1} sigma(g), read off
     graded_algebra.truncation_residuals, reduces to zero; for every rewrite
-    rule, sigma(lhs) - sigma(rhs) reduces to zero.
+    rule, sigma(lhs) - sigma(rhs), all rules in one evaluator call, reduces
+    to zero.
     """
     alg: AlgebraSpec = getattr(carrier, "algebra", carrier)
-    sigma = leibniz_extension(alg, d)
+    evaluate = _evaluator(alg, d)
 
     if hasattr(carrier, "normal_form_dict"):
         reduce = carrier.normal_form_dict
@@ -357,13 +383,16 @@ def check_derivation(carrier, d: DerivationSpec) -> DerivationReport:
         reduce = lambda x: x  # noqa: E731 - plain algebras are already normal
 
     checks: list[tuple[str, bool, str]] = []
-    for i, elt in truncation_residuals(alg, lambda m: sigma({m: 1})).items():
+    for i, elt in truncation_residuals(alg, evaluate).items():
         g = alg.generators[i]
         residual = reduce(elt)
         checks.append(
             (f"sigma({g.name}^{g.height}) -> 0", not residual, alg.format_dict(residual))
         )
-    for rule, text in zip(carrier.rules, carrier.rule_texts) if hasattr(carrier, "rules") else ():
-        residual = reduce(sigma(alg.add_dicts({rule.lhs: 1}, alg.scale_dict(-1, rule.rhs))))
+    rules = getattr(carrier, "rules", ())
+    images = _images(alg, evaluate, [alg.add_dicts({rule.lhs: 1}, alg.scale_dict(-1, rule.rhs))
+                                     for rule in rules])
+    for image, text in zip(images, carrier.rule_texts if rules else ()):
+        residual = reduce(image)
         checks.append((f"sigma compatible with {text}", not residual, alg.format_dict(residual)))
     return DerivationReport(tuple(checks))

@@ -339,12 +339,10 @@ def _commutes_with_sigma(source, target, images: dict, source_d: DerivationSpec,
     """f(sigma g) = sigma(f g) on every generator g of source, f the
     multiplicative extension of images and sigma each side's derivation."""
     f, _ = algebra_map(source, target, images)
-    sigma_source = leibniz_extension(source, source_d)
-    sigma_target = leibniz_extension(target, target_d)
-    return all(
-        target.linear(f, sigma_source({g: 1})) == sigma_target(f(g))
-        for g in (source.mono_from_names({gen.name: 1}) for gen in source.generators)
-    )
+    gens = [source.mono_from_names({gen.name: 1}) for gen in source.generators]
+    sigma_source = leibniz_extension(source, source_d)([{g: 1} for g in gens])
+    sigma_target = leibniz_extension(target, target_d)([f(g) for g in gens])
+    return all(target.linear(f, a) == b for a, b in zip(sigma_source, sigma_target))
 
 
 # -- scenario: the relative page over one exterior class -----------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .fp_linalg import PrimeField
-from .graded_algebra import Generator, make_algebra
+from .graded_algebra import Generator, ParityViolation, make_algebra
 from .scenarios import Check, Report, _abutment_check, _check
 from .spectral_sequence import (
     AbutmentSpec,
@@ -127,7 +127,7 @@ def _parse_generator(line: str, abutment: bool, err: Callable[[str], ParseError]
         raise ParseError(f"truncated generator {name!r} needs height=")
     try:
         gen = Generator(name, degree, kind, height, 0 if abutment else filtration)
-    except ValueError as exc:
+    except (ValueError, ParityViolation) as exc:
         raise ParseError(f"bad generator {name!r}: {exc}") from None
     return gen, filtration
 

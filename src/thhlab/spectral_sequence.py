@@ -5,8 +5,9 @@ t), optionally extended by labeled module summands (PageLabel) that carry a
 degree shift and may or may not admit divided powers of the spec's divided
 generators.  Differentials are declared on generators (for divided factors:
 on the gamma_{p^i} indecomposables) or on labeled basis elements, extended
-to every plain monomial by graded_algebra.leibniz, the one graded Leibniz
-rule the library has, and checked for d.d = 0 term by term.  On a plain
+to every plain monomial by the graded_algebra.leibniz evaluator, the one
+graded Leibniz rule the library has, which gives d of every row of an
+exponent matrix in one call, and checked for d.d = 0 term by term.  On a plain
 page the extension must also be a derivation as far as the window sees,
 which graded_algebra.truncation_residuals decides exactly.  The next page
 is degreewise homology with monomial representatives, which
@@ -30,13 +31,15 @@ order: explicit rules from their parsed keys and term dicts, a RuleFamily
 one row per member by array arithmetic, with no per-member objects.  One
 pass over the table checks the lane of every target term and one finds a
 source declared twice.  d is then evaluated on exponent arrays in
-key_arrays' encoding, one row per term: on a plain page per factor x_i^e
-of a key and term of d(x_i^e), on a labeled page per key whose gamma part
-and label are a source of the table (KeyTable.matching) and term of that
-rule's target.  AlgebraSpec.mul_rows takes every product at once, one
-sorted search over the key table codes every target, and
+key_arrays' encoding, one row per term: on a plain page by one call of
+the Leibniz evaluator on every key's row, on a labeled page per key whose
+gamma part and label are a source of the table (KeyTable.matching) and
+term of that rule's target, every product by one AlgebraSpec.mul_rows.
+One sorted search over the key table codes every target, and
 key_arrays.nonzero_sums sums the terms of one source on one target mod p;
-each sum must stay in its lane.
+each sum must stay in its lane.  verify_rule_family reads d of a family's
+members the same way: one evaluator call on a plain page, the rule table,
+families among the rules included, on a labeled one.
 When d is a partial matching, as every catalogued turn is, the rank out of each
 bucket and the keys that die are read off the arrays; any other d goes to
 sparse_homology on key positions graded by bucket.  The next page keeps
@@ -49,7 +52,6 @@ graded under the filtration assignment, bidegree by bidegree.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -67,8 +69,8 @@ from .graded_algebra import (
     leibniz,
     truncation_residuals,
 )
-from .key_arrays import (KeyTable, PageKey, _lookup, csr_terms, key_rows, lex_ids, mono_rows,
-                         nonzero_sums, term_arrays)
+from .key_arrays import (KeyTable, PageKey, RowFinder, _lookup, csr_terms, key_rows, lex_ids,
+                         mono_rows, nonzero_sums, term_arrays, term_dicts)
 
 
 class NotADifferential(GradedError):
@@ -311,7 +313,9 @@ class _Differential:
     and coefficients.  Explicit rules enter it as parsed (a rule repeated
     with its own target once), a RuleFamily by array arithmetic, one row per
     member.  One pass over the table checks every lane, then one finds a
-    repeated source, and _labeled_terms reads it."""
+    repeated source, and _labeled_terms and verify_rule_family read it.
+    evaluate, the graded_algebra.leibniz evaluator of the plain rules,
+    gives d on plain monomials."""
 
     def __init__(self, page: Page, rules: Sequence[DifferentialRule | RuleFamily]):
         self.page = page
@@ -327,11 +331,10 @@ class _Differential:
             raise ValueError(
                 f"rules at page {self.r} cannot run on page {page.page_index}"
             )
-        self.rule_map: dict[PageKey, dict[PageKey, int]] = {}
+        rule_map: dict[PageKey, dict[PageKey, int]] = {}
         explicit: list[tuple[PageKey, dict[PageKey, int], int]] = []
         families: list[tuple] = []  # (index in the rules, *_family(rule))
         gamma = set(page._gamma)
-        self.gamma_mask = tuple(int(i in gamma) for i in range(len(spec.generators)))
         for at, rule in enumerate(rules):
             if isinstance(rule, RuleFamily):
                 if len(rule.ks):
@@ -344,15 +347,15 @@ class _Differential:
             tgt = {k: (c * rule.scalar) % self.p for k, c in tgt.items()}
             tgt = {k: c for k, c in tgt.items() if c}
             self._check_source_shape(src, gamma)
-            if self.rule_map.get(src) == tgt:
+            if rule_map.get(src) == tgt:
                 continue  # a rule repeated with its own target is one rule
-            self.rule_map.setdefault(src, tgt)
+            rule_map.setdefault(src, tgt)
             explicit.append((src, tgt, at))
         self._build_table(explicit, families)
-        # the differential of a plain monomial, as a dict over the spec
-        self.of_mono = leibniz(spec, {
+        # d of plain monomials, given as exponent rows
+        self.evaluate = leibniz(spec, {
             mono: {m: c for (m, _), c in tgt.items()}
-            for (mono, li), tgt in self.rule_map.items() if li is None
+            for (mono, li), tgt in rule_map.items() if li is None
         })
 
     def _family(self, family: RuleFamily, gamma: set) -> tuple:
@@ -447,67 +450,24 @@ class _Differential:
         elif e != 1:
             raise ValueError("plain rule sources must be single generators")
 
-    # -- extension ---------------------------------------------------------------
-
-    def of_key(self, key: PageKey) -> dict[PageKey, int]:
-        mono, li = key
-        spec = self.page.spec
-        if li is None:
-            return {(m, None): c for m, c in self.of_mono(mono).items()}
-        gpart = tuple(map(operator.mul, mono, self.gamma_mask))
-        rule = self.rule_map.get((gpart, li))
-        if not rule:
-            return {}
-        cpart = tuple(map(operator.sub, mono, gpart))
-        sign = -1 if spec.total_degree_of(cpart) % 2 else 1
-        out: dict[PageKey, int] = {}
-        for (tm, tli), c in rule.items():
-            prod = spec.mono_mul(cpart, tm)
-            if prod is not None:
-                key = (prod[1], tli)
-                out[key] = (out.get(key, 0) + sign * c * prod[0]) % self.p
-        return {k: v for k, v in out.items() if v}
-
     # -- entries -----------------------------------------------------------------
 
-    def _plain_terms(self, table: KeyTable):
-        """The terms of d on a plain page, one part per ruled slot i: for
-        each key's factor x_i^e and term c * t of d(x_i^e), the arrays
-        (source, left t, right the monomial without x_i, scalar c, label);
-        c is negated when the slots before i are odd and t is even."""
-        spec = self.page.spec
-        degrees = np.array([g.total_degree for g in spec.generators], dtype=np.int64)
-        sources = [key for key, tgt in self.rule_map.items() if tgt]
-        parts = []
-        for i in sorted({next(i for i, e in enumerate(m) if e) for m, _ in sources}):
-            exps = table.mat[table.row, i]
-            ptr, terms, scalar = term_arrays([self.of_mono(spec.unit[:i] + (e,) + spec.unit[i + 1:])
-                                              for e in range(exps.max(initial=0) + 1)])
-            left = mono_rows(terms, degrees.size)
-            term, src = csr_terms(ptr, exps)  # d(x_i^0) = d(1) = 0 has no terms
-            right = table.mat[table.row[src]]
-            odd = (right[:, :i] @ degrees[:i] % 2 == 1) & (left @ degrees % 2 == 0)[term]
-            right[:, i] = 0
-            parts.append((src, left[term], right, np.where(odd, -scalar[term], scalar[term]),
-                          np.full(src.size, -1, dtype=np.int64)))
-        return parts
-
     def _labeled_terms(self, table: KeyTable):
-        """The terms of d on a labeled page, one part as in _plain_terms: for
-        each key whose gamma part and label are a rule source and term c * t
-        of that rule's target, left is the rest of the key's monomial, right
-        t, and c is negated when the rest is odd."""
-        if not self.coeff.size:
-            return []
+        """The unsummed terms of d on a labeled page, as key positions,
+        exponent rows, coefficients and labels: for each key whose gamma
+        part and label are a rule source and term c * t of that rule's
+        target, the product of the rest of the key's monomial with t, by one
+        mul_rows, c negated when the rest is odd; zero products are dropped."""
         spec, gamma = self.page.spec, list(self.page._gamma)
         at, which = table.matching(gamma, self.src, self.src_label)
         term, src = csr_terms(self.ptr, which)
-        src = at[src]
-        left = table.mat[table.row[src]]
+        left = table.mat[table.row[at[src]]]
         left[:, gamma] = 0
-        odd = left @ np.array([g.total_degree for g in spec.generators], dtype=np.int64) % 2
-        coeff = self.coeff[term]
-        return [(src, left, self.tgt[term], np.where(odd, -coeff, coeff), self.tgt_label[term])]
+        odd = left @ np.array(spec._degrees, dtype=np.int64) % 2  # type: ignore[attr-defined]
+        coeff, exps = spec.mul_rows(left, self.tgt[term])
+        coeff = np.where(odd, -coeff, coeff) * self.coeff[term] % self.p
+        live = np.flatnonzero(coeff)
+        return at[src][live], exps[live], coeff[live], self.tgt_label[term][live]
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, Optional[dict[int, dict[int, int]]]]:
         """The nonzero entries of d over key positions of the page's table,
@@ -518,18 +478,20 @@ class _Differential:
         and must square to zero term by term; a matching does so trivially."""
         page, r, p = self.page, self.r, self.p
         table = page._table()
-        parts = self._labeled_terms(table) if page.labels is not None else self._plain_terms(table)
-        if not parts:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, None
-        src, left, right, scalar, label = (np.concatenate(a) for a in zip(*parts))
-        coeff, exps = page.spec.mul_rows(left, right)
-        live = np.flatnonzero(coeff)
-        src, coeff, exps, label = src[live], coeff[live] * scalar[live] % p, exps[live], label[live]
+        if page.labels is None:  # a raw plain page's keys order all of mat's rows
+            src, exps, coeff = self.evaluate(table.mat)
+            at = np.empty_like(table.row)
+            at[table.row] = np.arange(table.row.size)
+            src = at[src]
+            label = np.full(src.size, -1, dtype=np.int64)
+        else:
+            src, exps, coeff, label = self._labeled_terms(table)
+        if not src.size:
+            return src, src, None
         # one sorted search codes every target by its position in the table,
         # or past the table where it is absent, and then it has no lane
         code = table.find(exps, label)[0]
-        del left, right, exps
+        del exps
         width = code.max(initial=0) + 1
         key, c = nonzero_sums(src * width + code, coeff, p)
         a, code = np.divmod(key, width)
@@ -561,7 +523,9 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule | RuleFamily])
     monomial representatives; classes with no monomial cycle representative
     are counted in extra_classes.
 
-    d is evaluated on exponent arrays (_Differential.entries).  When it is a
+    d is evaluated on exponent arrays (_Differential.entries), and the
+    truncation residuals take d(g) from one more evaluator call on the
+    truncated generators' rows.  When it is a
     partial matching, each entry a -> b has rank 1 out of a's bucket and
     kills a as a non-cycle and b as a boundary, read straight off the
     arrays.  Any other d goes to fp_linalg.sparse_homology, which map_rank
@@ -584,7 +548,7 @@ def run_differential(page: Page, rules: Sequence[DifferentialRule | RuleFamily])
     # residual survives, and a pair g^a * g^b that fails has a + b = h, so
     # the window sees a failure once g^ceil(h/2) fits
     spec = page.spec
-    residuals = truncation_residuals(spec, diff.of_mono) if page.labels is None else {}
+    residuals = truncation_residuals(spec, diff.evaluate) if page.labels is None else {}
     for i, residual in residuals.items():
         g = spec.generators[i]
         h = g.height or 0
@@ -663,7 +627,10 @@ def verify_rule_family(
     page: Page, rules: Sequence[DifferentialRule], family: RuleFamily
 ) -> FamilyReport:
     """Confirm every k in family.ks maps by a NONZERO scalar onto the stated
-    target (scalar 0 for k below the step); report the scalars."""
+    target (scalar 0 for k below the step); report the scalars.  d of every
+    member gamma_k comes at once: on a plain page from one call of the
+    Leibniz evaluator on the member rows, on a labeled page from the rule
+    table, which holds the members of rule families among rules too."""
     spec = page.spec
     p = spec.field.p
     diff = _Differential(page, rules)
@@ -675,11 +642,21 @@ def verify_rule_family(
         cof = spec.dict_from_input(family.cofactor)  # type: ignore[arg-type]
     sli = page.label_index(family.source_label) if family.source_label else None
     tli = page.label_index(family.target_label) if family.target_label else None
+    rows = np.zeros((len(family.ks), n), dtype=np.int64)
+    rows[:, slot] = family.ks
+    if page.labels is None:
+        vals = [{(m, None): c for m, c in img.items()}
+                for img in term_dicts(len(rows), *diff.evaluate(rows), p)]
+    else:  # a gamma-pure source takes its rule's target as it stands
+        label = np.full(len(rows), 0 if sli is None else sli + 1, dtype=np.int64)
+        at = RowFinder(np.column_stack((diff.src, diff.src_label + 1))).find(
+            np.column_stack((rows, label)))
+        vals = [{_row_key(diff.tgt, diff.tgt_label, j): diff.coeff.item(j)
+                 for j in range(diff.ptr.item(i), diff.ptr.item(i + 1))} if i >= 0 else {}
+                for i in at.tolist()]
 
     scalars: list[tuple[int, int]] = []
-    for k in family.ks:
-        src = (tuple(k if j == slot else 0 for j in range(n)), sli)
-        val = diff.of_key(src)
+    for k, val in zip(family.ks, vals):
         if k < family.step:
             if val:
                 raise FamilyViolation(

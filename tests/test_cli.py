@@ -181,3 +181,14 @@ def test_bad_prime_header_is_a_parse_error_naming_its_line(tmp_path, capsys, pri
     path.write_text(text)
     assert main(["run", "--scenario-file", str(path)]) == 2
     assert capsys.readouterr().err == f"thhlab: {message}\n"
+
+
+def test_generator_kind_against_its_parity_is_a_parse_error(tmp_path, capsys):
+    # l1 has odd degree 5; as exterior of degree 4 it clashes with its kind
+    path = tmp_path / "parity.scenario"
+    path.write_text((DOCS / "thhz.scenario").read_text().replace("l1 exterior 5\n",
+                                                                  "l1 exterior 4\n"))
+    assert main(["run", "--scenario-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("thhlab: bad generator 'l1': ") and "odd total degree" in err
+    assert err.count("\n") == 1

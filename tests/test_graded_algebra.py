@@ -32,7 +32,7 @@ from thhlab.graded_algebra import (
     truncation_residuals,
     walk_rows,
 )
-from thhlab.presentation import make_theta
+from thhlab.presentation import DerivationSpec, leibniz_extension, make_theta
 
 
 def E_P_page(p):
@@ -530,25 +530,46 @@ def algebra_with_derivation(draw):
     return alg, sigma
 
 
+def _evaluated(spec, evaluate, monos):
+    """The terms that a leibniz evaluator gives on the rows of monos, summed
+    per monomial in plain dicts; every term it gives must be nonzero."""
+    p = spec.field.p
+    mat = np.array(monos, dtype=np.int64).reshape(len(monos), len(spec.generators))
+    owner, exps, coeff = evaluate(mat)
+    assert coeff.min(initial=1) > 0 and coeff.max(initial=0) < p
+    out = [{} for _ in monos]
+    for i, m, c in zip(owner.tolist(), map(tuple, exps.tolist()), coeff.tolist()):
+        out[i][m] = (out[i].get(m, 0) + c) % p
+    return [{m: c for m, c in img.items() if c} for img in out]
+
+
 @given(algebra_with_derivation(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_leibniz_matches_per_slot_formula_and_linear_matches_fold(alg_sigma, data):
     alg, sigma = alg_sigma
     n = len(alg.generators)
     atoms = {tuple(int(j == i) for j in range(n)): img for i, img in enumerate(sigma)}
-    of_mono = leibniz(alg, atoms)
     table = alg.basis_by_degree(8)
     basis = [m for n in range(9) for m in table[n]]
-    for mono in basis:
-        assert of_mono(mono) == _per_slot_derivation(alg, sigma, mono), alg.format_mono(mono)
+    for mono, img in zip(basis, _evaluated(alg, leibniz(alg, atoms), basis)):
+        assert img == _per_slot_derivation(alg, sigma, mono), alg.format_mono(mono)
 
+    # linear against the fold of the per-slot formula over an element's
+    # terms, and leibniz_extension on several elements at once against the
+    # same folds; coefficients are drawn unreduced, negative ones included
     p = alg.field.p
-    elt = {m: data.draw(st.integers(-p, 2 * p)) for m in data.draw(
-        st.lists(st.sampled_from(basis), max_size=6, unique=True))}
-    fold = {}
-    for m, c in elt.items():
-        fold = alg.add_dicts(fold, alg.scale_dict(c, of_mono(m)))
-    assert alg.linear(of_mono, elt) == fold
+    elts = [{m: data.draw(st.integers(-p, 2 * p)) for m in data.draw(
+        st.lists(st.sampled_from(basis), max_size=6, unique=True))} for _ in range(3)]
+    folds = []
+    for elt in elts:
+        fold = {}
+        for m, c in elt.items():
+            fold = alg.add_dicts(fold, alg.scale_dict(c, _per_slot_derivation(alg, sigma, m)))
+        assert alg.linear(lambda m: _per_slot_derivation(alg, sigma, m), elt) == fold
+        folds.append(fold)
+    sigma_ext = leibniz_extension(alg, DerivationSpec(
+        {g.name: img for g, img in zip(alg.generators, sigma)}))
+    assert sigma_ext(elts) == folds
 
 
 # -- the Koszul sign of mono_mul against the per-slot formula -------------------------
@@ -745,10 +766,11 @@ def atoms_on_mixed_slots(draw):
 @settings(max_examples=80, deadline=None)
 def test_factorwise_leibniz_equals_the_whole_monomial_peel(case):
     spec, atoms, cap = case
-    of_mono, reference = leibniz(spec, atoms), _peel_leibniz(spec, atoms)
+    reference = _peel_leibniz(spec, atoms)
     table = spec.basis_by_degree(cap)
-    for mono in (m for n in range(cap + 1) for m in table[n]):
-        assert of_mono(mono) == reference(mono), spec.format_mono(mono)
+    monos = [m for n in range(cap + 1) for m in table[n]]
+    for mono, img in zip(monos, _evaluated(spec, leibniz(spec, atoms), monos)):
+        assert img == reference(mono), spec.format_mono(mono)
 
 
 def test_factorwise_leibniz_equals_the_peel_where_a_truncation_breaks_it():
@@ -758,12 +780,12 @@ def test_factorwise_leibniz_equals_the_peel_where_a_truncation_breaks_it():
     atoms = {(0, 1, 0): {(1, 0, 0): 1}, (0, 0, 1): {(1, 0, 0): 2},
              (0, 0, 5): {(1, 0, 4): 1}}
     assert truncation_residuals(spec, leibniz(spec, atoms)) == {1: {(1, 2, 0): 3}}
-    of_mono, reference = leibniz(spec, atoms), _peel_leibniz(spec, atoms)
+    reference = _peel_leibniz(spec, atoms)
     table = spec.basis_by_degree(16)
     monos = [m for n in range(17) for m in table[n]]
     assert any(m[2] >= 5 for m in monos)
-    for mono in monos:
-        assert of_mono(mono) == reference(mono), spec.format_mono(mono)
+    for mono, img in zip(monos, _evaluated(spec, leibniz(spec, atoms), monos)):
+        assert img == reference(mono), spec.format_mono(mono)
 
 
 # -- check_morphism on monomial maps against the per-degree map_rank --------------------

@@ -317,11 +317,11 @@ def test_repletion_map_commutes_with_the_derivations(p):
     sigma_r = leibniz_extension(replete, DerivationSpec({"x": [(1, {"x": 1, "dlogx": 1})]}))
     x, dx = (cyclic.mono_from_names({name: 1}) for name in ("x", "dx"))
     x_dlogx = replete.mono_from_names({"x": 1, "dlogx": 1})
-    # f(sigma x) = f(dx) = x dlogx = sigma(x) = sigma(f x)
-    assert sigma_c({x: 1}) == {dx: 1}
-    assert f(dx) == {x_dlogx: 1} == sigma_r(f(x))
+    # f(sigma x) = f(dx) = x dlogx = sigma(x) = sigma(f x), and
     # f(sigma dx) = 0 = sigma(x dlogx), by dlogx^2 = 0
-    assert sigma_c({dx: 1}) == {} and sigma_r(f(dx)) == {}
+    assert sigma_c([{x: 1}, {dx: 1}]) == [{dx: 1}, {}]
+    assert f(dx) == {x_dlogx: 1}
+    assert sigma_r([f(x), f(dx)]) == [{x_dlogx: 1}, {}]
 
 
 def test_repletion_check_fails_when_dx_maps_to_twice_its_image(monkeypatch):

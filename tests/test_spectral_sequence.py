@@ -47,6 +47,8 @@ from thhlab.spectral_sequence import (
 )
 from thhlab.tor_engine import fp_module, tor_closed_form
 
+from test_graded_algebra import _peel_leibniz
+
 # -- the divided-power tower page: E(l1,l2) x P(m2) x E([v]) x Gamma([dv]) --------
 
 
@@ -807,6 +809,21 @@ def test_module_rule_family_verification():
     assert report.scalar_map() == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1}
 
 
+def test_rule_family_among_the_rules_reports_the_written_out_scalars():
+    # the u -> a1 towers of module_rules as one family, and the same members
+    # written out rule by rule: both report the family's scalars
+    page = module_page(cap=30)
+    ks = [k for k in range(2, 8) if 4 * k + 2 <= page.work_cap]
+    family = RuleFamily(gamma_gen="[du]", step=2, ks=ks, source_label="u",
+                        target_label="a1", page=2)
+    members = [DifferentialRule(2, ({"[du]": k}, "u"), [(1, {"[du]": k - 2}, "a1")])
+               for k in ks]
+    query = dataclasses.replace(family, ks=[0, 1, *ks])
+    by_family = verify_rule_family(page, [family], query).scalar_map()
+    assert by_family == verify_rule_family(page, members, query).scalar_map()
+    assert by_family == {0: 0, 1: 0, **{k: 1 for k in ks}}
+
+
 def test_labeled_rule_sources_must_be_gamma_pure():
     page = module_page(cap=30)
     bad = DifferentialRule(2, ({"dlogu": 1, "[du]": 2}, "u"), [(1, {"dlogu": 1}, "a1")])
@@ -1041,15 +1058,59 @@ def test_dropping_a_family_member_still_runs_consistently():
     assert out.total_dims()[0] == 1
 
 
+def rule_map(page, rules):
+    """The explicit rules as {source key: {target key: c}}, scalars applied."""
+    p = page.spec.field.p
+    out = {}
+    for rule in rules:
+        tgt = {k: c * rule.scalar % p for k, c in page.element_from_input(rule.target).items()}
+        out[page.key_from_input(rule.source)] = {k: c for k, c in tgt.items() if c}
+    return out
+
+
+def plain_reference(page, rules):
+    """d of a plain monomial by the whole-monomial peel of the test
+    reference _peel_leibniz, from the plain rules alone."""
+    return _peel_leibniz(page.spec, {m: {t: c for (t, _), c in tgt.items()}
+                                     for (m, li), tgt in rule_map(page, rules).items()
+                                     if li is None})
+
+
+def reference_of_key(page, rules):
+    """d of a page key from the rules alone: a plain key by plain_reference,
+    a labeled key as its rule's target (the rule at its gamma part and
+    label) times the rest of its monomial, negated when the rest is odd."""
+    spec, p = page.spec, page.spec.field.p
+    rules_at, plain = rule_map(page, rules), plain_reference(page, rules)
+    gamma = [g.kind == "divided" for g in spec.generators]
+
+    def of_key(key):
+        mono, li = key
+        if li is None:
+            return {(m, None): c for m, c in plain(mono).items()}
+        gpart = tuple(e if g else 0 for e, g in zip(mono, gamma))
+        rest = tuple(e - f for e, f in zip(mono, gpart))
+        sign = -1 if spec.total_degree_of(rest) % 2 else 1
+        out = {}
+        for (tm, tli), c in rules_at.get((gpart, li), {}).items():
+            prod = spec.mono_mul(rest, tm)
+            if prod is not None:
+                out[(prod[1], tli)] = (out.get((prod[1], tli), 0) + sign * c * prod[0]) % p
+        return {k: v for k, v in out.items() if v}
+
+    return of_key
+
+
 def dense_turn(page, rules):
-    """Reference page turn: one dense matrix of d out of every bucket, and a
-    monomial cycle survives when it is outside the span of the boundaries
-    and of the cycles before it (rref of [boundaries | unit columns])."""
-    diff = _Differential(page, rules)
-    field, r, buckets = page.spec.field, diff.r, page.raw_buckets()
+    """Reference page turn: one dense matrix of d (reference_of_key) out of
+    every bucket, and a monomial cycle survives when it is outside the span
+    of the boundaries and of the cycles before it (rref of [boundaries |
+    unit columns])."""
+    of_key = reference_of_key(page, rules)
+    field, r, buckets = page.spec.field, _Differential(page, rules).r, page.raw_buckets()
     index = {bd: {k: i for i, k in enumerate(ks)} for bd, ks in buckets.items()}
     mats = {
-        (s, t): map_matrix(field, keys, index.get((s - r, t + r - 1), {}), diff.of_key)
+        (s, t): map_matrix(field, keys, index.get((s - r, t + r - 1), {}), of_key)
         for (s, t), keys in buckets.items()
     }
     dims, survivors, extra = {}, {}, {}
@@ -1148,14 +1209,14 @@ def test_component_turn_matches_dense_reference(page_rules):
         assert out.survivors is None
 
 
-def of_key_entries(page, diff):
-    """d as {source position: {target position: c}} from of_key on every
-    raw key of the page's table."""
-    table = page._table()
+def of_key_entries(page, rules):
+    """d as {source position: {target position: c}} from reference_of_key
+    on every raw key of the page's table."""
+    table, of_key = page._table(), reference_of_key(page, rules)
     position = {table.key(i): i for i in range(table.row.size)}
     out = {}
     for i in range(table.row.size):
-        img = diff.of_key(table.key(i))
+        img = of_key(table.key(i))
         if img:
             out[i] = {position[k]: c for k, c in img.items()}
     return out
@@ -1164,12 +1225,12 @@ def of_key_entries(page, diff):
 @given(st.one_of(leibniz_pages(), labeled_pages()))
 @settings(max_examples=60, deadline=None)
 def test_entries_match_of_key_on_every_raw_key(page_rules):
-    # the array evaluation of d gives the support of of_key on every key,
+    # the array evaluation of d gives the support of reference_of_key on every key,
     # and the whole of d, coefficients too, when d is not a matching
     page, rules = page_rules
     diff = _Differential(page, rules)
     src, tgt, d = diff.entries()
-    ref = of_key_entries(page, diff)
+    ref = of_key_entries(page, rules)
     assert sorted(zip(src.tolist(), tgt.tolist())) == sorted(
         (i, j) for i, img in ref.items() for j in img)
     assert src.tolist() == sorted(src.tolist())
@@ -1191,7 +1252,7 @@ def test_entries_of_a_non_matching_turn_match_of_key():
              DifferentialRule(2, {"y": 1}, [(1, {"z2": 1}), (2, {"a": 1, "v": 1})])]
     diff = _Differential(page, rules)
     _, _, d = diff.entries()
-    assert d is not None and d == of_key_entries(page, diff)
+    assert d is not None and d == of_key_entries(page, rules)
     assert any(len(img) > 1 for img in d.values())
     dims, survivors, extra = dense_turn(page, rules)
     out = run_differential(page, rules)
@@ -1202,7 +1263,7 @@ def leibniz_holds_on_every_pair(page, rules):
     """The product rule d(m1 m2) = d(m1) m2 + (-1)^|m1| m1 d(m2) on every pair
     of window monomials: the reference for the truncation check."""
     spec = page.spec
-    d = _Differential(page, rules).of_mono
+    d = plain_reference(page, rules)
     monos = [m for ks in page.raw_buckets().values() for m, _ in ks]
     for m1 in monos:
         sign = -1 if spec.total_degree_of(m1) % 2 else 1
